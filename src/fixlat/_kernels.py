@@ -1,14 +1,5 @@
 """Hot inner loops: tuple-space orbit labelling and closure-scan gathers.
 
-Two backends implement the same contracts:
-
-* a numba ``@njit`` backend (default when numba imports cleanly), and
-* a pure-numpy fallback.
-
-Selection is via the ``FIXLAT_BACKEND`` environment variable: ``auto``
-(default), ``numba`` or ``numpy``. Both backends are importable side by
-side so tests and the benchmark script can compare them directly.
-
 Tuple spaces are encoded as mixed-radix integers: the k-tuple
 (t_0, ..., t_{k-1}) over n points becomes sum(t_j * n**(k-1-j)). All
 labelling functions return, per code, the smallest code in its orbit.
@@ -16,42 +7,15 @@ labelling functions return, per code, the smallest code in its orbit.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import ValidationError
 
-_ENV = os.environ.get("FIXLAT_BACKEND", "auto").strip().lower()
-if _ENV not in ("auto", "numba", "numpy"):
-    raise ValidationError(f"FIXLAT_BACKEND must be auto, numba or numpy, got {_ENV!r}")
-
-_HAVE_NUMBA = False
-if _ENV != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _ENV == "numba":
-            raise ValidationError("FIXLAT_BACKEND=numba but numba is not importable")
-
-USE_NUMBA = _HAVE_NUMBA and _ENV in ("auto", "numba")
-
-
-def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-
-
-def _numpy_tuple_images(perms: np.ndarray, k: int) -> np.ndarray:
+def tuple_images(perms: np.ndarray, k: int) -> np.ndarray:
     """Images of every k-tuple code under every permutation.
 
     perms: (g, n) int64 image tables. Returns (g, n**k) int64.
     """
+    perms = np.ascontiguousarray(perms, dtype=np.int64)
     g, n = perms.shape
     size = n**k
     codes = np.arange(size, dtype=np.int64)
@@ -63,7 +27,7 @@ def _numpy_tuple_images(perms: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _numpy_distinct_codes_mask(n: int, k: int) -> np.ndarray:
+def distinct_codes_mask(n: int, k: int) -> np.ndarray:
     size = n**k
     codes = np.arange(size, dtype=np.int64)
     ok = np.ones(size, dtype=bool)
@@ -76,8 +40,9 @@ def _numpy_distinct_codes_mask(n: int, k: int) -> np.ndarray:
     return ok
 
 
-def _numpy_min_labels(images: np.ndarray) -> np.ndarray:
+def min_labels(images: np.ndarray) -> np.ndarray:
     """Smallest code reachable from each code under the given bijections."""
+    images = np.ascontiguousarray(images, dtype=np.int64)
     g, size = images.shape
     labels = np.arange(size, dtype=np.int64)
     inverses = np.empty_like(images)
@@ -99,128 +64,12 @@ def _numpy_min_labels(images: np.ndarray) -> np.ndarray:
         labels = nxt
 
 
-def _numpy_gather_candidates(params: np.ndarray, values: np.ndarray,
-                             member: np.ndarray) -> np.ndarray:
+def gather_candidates(params: np.ndarray, values: np.ndarray,
+                      member: np.ndarray) -> np.ndarray:
     """values[i] for every row i of params lying entirely inside member."""
     if params.size == 0:
         return values[:0]
     return values[member[params].all(axis=1)]
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _numba_tuple_images(perms, k):  # pragma: no cover - compiled
-        g, n = perms.shape
-        size = n**k
-        out = np.zeros((g, size), dtype=np.int64)
-        for gi in range(g):
-            for code in range(size):
-                c = code
-                img = 0
-                radix = 1
-                # digits from least significant upward
-                for _ in range(k):
-                    d = c % n
-                    img += perms[gi, d] * radix
-                    c //= n
-                    radix *= n
-                out[gi, code] = img
-        return out
-
-    @njit(cache=True)
-    def _numba_distinct_codes_mask(n, k):  # pragma: no cover - compiled
-        size = n**k
-        ok = np.ones(size, dtype=np.bool_)
-        digits = np.empty(k, dtype=np.int64)
-        for code in range(size):
-            c = code
-            for j in range(k):
-                digits[j] = c % n
-                c //= n
-            good = True
-            for a in range(k):
-                for b in range(a + 1, k):
-                    if digits[a] == digits[b]:
-                        good = False
-            ok[code] = good
-        return ok
-
-    @njit(cache=True)
-    def _numba_min_labels(images):  # pragma: no cover - compiled
-        g, size = images.shape
-        labels = np.full(size, -1, dtype=np.int64)
-        stack = np.empty(size, dtype=np.int64)
-        inverses = np.empty_like(images)
-        for gi in range(g):
-            for c in range(size):
-                inverses[gi, images[gi, c]] = c
-        for seed in range(size):
-            if labels[seed] >= 0:
-                continue
-            labels[seed] = seed
-            top = 0
-            stack[top] = seed
-            top += 1
-            while top > 0:
-                top -= 1
-                c = stack[top]
-                for gi in range(g):
-                    for z in (images[gi, c], inverses[gi, c]):
-                        if labels[z] < 0:
-                            labels[z] = seed
-                            stack[top] = z
-                            top += 1
-        return labels
-
-    @njit(cache=True)
-    def _numba_gather_candidates(params, values, member):  # pragma: no cover
-        rows, width = params.shape
-        out = np.empty(rows, dtype=values.dtype)
-        cnt = 0
-        for i in range(rows):
-            ok = True
-            for j in range(width):
-                if not member[params[i, j]]:
-                    ok = False
-                    break
-            if ok:
-                out[cnt] = values[i]
-                cnt += 1
-        return out[:cnt]
-
-
-# ---------------------------------------------------------------------------
-# public dispatch
-
-def tuple_images(perms: np.ndarray, k: int) -> np.ndarray:
-    perms = np.ascontiguousarray(perms, dtype=np.int64)
-    if USE_NUMBA:
-        return _numba_tuple_images(perms, k)
-    return _numpy_tuple_images(perms, k)
-
-
-def distinct_codes_mask(n: int, k: int) -> np.ndarray:
-    if USE_NUMBA:
-        return _numba_distinct_codes_mask(n, k)
-    return _numpy_distinct_codes_mask(n, k)
-
-
-def min_labels(images: np.ndarray) -> np.ndarray:
-    images = np.ascontiguousarray(images, dtype=np.int64)
-    if USE_NUMBA:
-        return _numba_min_labels(images)
-    return _numpy_min_labels(images)
-
-
-def gather_candidates(params: np.ndarray, values: np.ndarray,
-                      member: np.ndarray) -> np.ndarray:
-    if USE_NUMBA and params.size:
-        return _numba_gather_candidates(params, values, member)
-    return _numpy_gather_candidates(params, values, member)
 
 
 def tuple_orbit_labels(perms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

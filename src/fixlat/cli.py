@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import __version__, closure, geometry, lattice, relational
+from . import __version__, closure, exhaustive, geometry, lattice, relational
 from . import serialize, steiner, verify as verify_mod
 from .errors import CapacityError, FixlatError, ValidationError
 
@@ -30,7 +30,7 @@ EXIT_CAPACITY = 3
 @dataclass
 class RunConfig:
     cap_lattice: int = closure.LATTICE_CAP
-    cap_order: int = 1_000_000
+    cap_order: int = exhaustive.ORDER_CAP
     arity: int = 3
     workers: int = 1
     seed: int = 0
@@ -264,7 +264,7 @@ def cmd_geometry(args, cfg: RunConfig) -> int:
         result = {"degree": G.degree, "order": G.order(),
                   "generators": [list(g.images) for g in G.generators]}
     elif sub == "subspaces":
-        L = geometry.subspace_lattice(p, d)
+        L = geometry.subspace_lattice(p, d, cap=cfg.cap_lattice)
         result = {"size": L.size,
                   "subspaces": [list(s) for s in L.labels],
                   "covers": [list(c) for c in L.covers()]}
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["json", "dot", "text"])
     common.add_argument("--workers", type=int, default=1)
     common.add_argument("--cap-lattice", type=int, default=closure.LATTICE_CAP)
-    common.add_argument("--cap-order", type=int, default=1_000_000)
+    common.add_argument("--cap-order", type=int, default=exhaustive.ORDER_CAP)
     common.add_argument("--arity", type=int, default=3)
     common.add_argument("--seed", type=int, default=0)
 

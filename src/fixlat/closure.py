@@ -10,10 +10,11 @@ bit masks internally and as sorted tuples at the API.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
-from .errors import CapacityError, PreconditionError
+from .errors import CapacityError, InternalConsistencyError, PreconditionError
 from .group import PermutationGroup
+from .lattice import FiniteLattice, containment_order, order_covers
 from .perm import mask_from_points, points_from_mask
 
 LATTICE_CAP = 200_000
@@ -103,7 +104,9 @@ def fix_meet(G: PermutationGroup, a: PointsLike, b: PointsLike) -> FixSet:
     ma = _require_fixset(G, a, "first")
     mb = _require_fixset(G, b, "second")
     meet = ma & mb
-    assert closure_mask(G, meet) == meet, "intersection of fixsets must be closed"
+    if closure_mask(G, meet) != meet:
+        raise InternalConsistencyError(
+            f"intersection {points_from_mask(meet)} of fixsets is not closed")
     return FixSet(G, points_from_mask(meet))
 
 
@@ -116,7 +119,8 @@ def fix_join(G: PermutationGroup, a: PointsLike, b: PointsLike) -> FixSet:
 
 @dataclass(frozen=True)
 class FixsetLattice:
-    """All fixsets of an action, ordered by containment.
+    """The closed sets of a closure operator on points, ordered by containment:
+    the fixsets of an action, or the subspaces of a projective space.
 
     Elements are sorted by (size, points); the first element is the
     closure of the empty set and the last is the full domain.
@@ -148,34 +152,16 @@ class FixsetLattice:
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j) where element j covers element i."""
-        masks = self.masks()
-        n = len(masks)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                mi, mj = masks[i], masks[j]
-                if mi != mj and mi & mj == mi:
-                    if not any(masks[k] != mi and masks[k] != mj
-                               and mi & masks[k] == mi and masks[k] & mj == masks[k]
-                               for k in range(n)):
-                        out.append((i, j))
-        return tuple(out)
+        return order_covers(containment_order(self.masks(), self.degree))
 
-    def to_finite_lattice(self):
-        from .lattice import FiniteLattice
-        import numpy as np
-        masks = self.masks()
-        n = len(masks)
-        leq = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                leq[i, j] = masks[i] & masks[j] == masks[i]
-        return FiniteLattice(leq, labels=self.elements)
+    def to_finite_lattice(self) -> FiniteLattice:
+        return FiniteLattice(containment_order(self.masks(), self.degree),
+                             labels=self.elements)
 
 
-def enumerate_fixset_lattice(G: PermutationGroup,
-                             cap: int = LATTICE_CAP) -> FixsetLattice:
-    """Every fixset of the action, by join saturation.
+def closed_set_lattice(degree: int, close: Callable[[int], int],
+                       cap: int) -> FixsetLattice:
+    """Every closed set of a closure operator on point masks, by join saturation.
 
     Seeds are the closure of the empty set plus all singleton closures;
     the seed set is closed under pairwise joins until stable (each join is
@@ -183,11 +169,10 @@ def enumerate_fixset_lattice(G: PermutationGroup,
     The full domain is added explicitly. Pairs are processed in sorted
     order, which fixes the outcome of each round and hence the numbering.
     """
-    n = G.degree
-    full = (1 << n) - 1
-    seeds = {closure_mask(G, 0)}
-    for a in range(n):
-        seeds.add(closure_mask(G, 1 << a))
+    full = (1 << degree) - 1
+    seeds = {close(0)}
+    for a in range(degree):
+        seeds.add(close(1 << a))
     elements = set(seeds)
     frontier = sorted(seeds)
     while frontier:
@@ -196,18 +181,24 @@ def enumerate_fixset_lattice(G: PermutationGroup,
             for y in frontier:
                 j = x | y
                 if j not in elements:
-                    j = closure_mask(G, j)
+                    j = close(j)
                 if j not in elements:
                     new.add(j)
             if len(elements) + len(new) > cap:
                 raise CapacityError(
-                    f"fixset lattice exceeds cap {cap}",
+                    f"closed-set lattice exceeds cap {cap}",
                     cap_name="lattice", partial=len(elements) + len(new))
         elements |= new
         frontier = sorted(new)
     elements.add(full)
     ordered = sorted(elements, key=lambda m: (m.bit_count(), points_from_mask(m)))
-    return FixsetLattice(n, tuple(points_from_mask(m) for m in ordered))
+    return FixsetLattice(degree, tuple(points_from_mask(m) for m in ordered))
+
+
+def enumerate_fixset_lattice(G: PermutationGroup,
+                             cap: int = LATTICE_CAP) -> FixsetLattice:
+    """Every fixset of the action (see ``closed_set_lattice``)."""
+    return closed_set_lattice(G.degree, lambda mask: closure_mask(G, mask), cap)
 
 
 @dataclass(frozen=True)

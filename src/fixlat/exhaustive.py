@@ -14,7 +14,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, InternalConsistencyError, ValidationError
 
 ORDER_CAP = 1_000_000
 
@@ -97,7 +97,9 @@ def tuple_orbit_count(elements: np.ndarray, k: int) -> int:
         for i in range(k):
             term *= f - i
         total += term
-    assert total % order == 0
+    if total % order:
+        raise InternalConsistencyError(
+            f"fixed-tuple total {total} is not a multiple of the order {order}")
     return int(total // order)
 
 

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable
 
+from .closure import LATTICE_CAP, closed_set_lattice, enumerate_fixset_lattice
 from .errors import CapacityError, InternalConsistencyError, ValidationError
 from .group import PermutationGroup
-from .perm import Permutation
+from .lattice import FiniteLattice
+from .perm import Permutation, mask_from_points, points_from_mask
 
 POINT_CAP = 100_000
-SUBSPACE_CAP = 200_000
 
 
 def is_prime(n: int) -> bool:
@@ -87,7 +88,9 @@ def projective_points(p: int, d: int, cap: int = POINT_CAP) -> ProjectiveSpace:
                 if x == 1:
                     pts.append(vec)
                 break
-    assert len(pts) == count
+    if len(pts) != count:
+        raise InternalConsistencyError(
+            f"PG({d},{p}) listed {len(pts)} points, expected {count}")
     return ProjectiveSpace(p, d, tuple(pts))
 
 
@@ -195,7 +198,9 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (k - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise InternalConsistencyError(
+            f"Gaussian binomial [{n} {k}]_{q}: {den} does not divide {num}")
     return num // den
 
 
@@ -204,52 +209,25 @@ def subspace_count(p: int, d: int) -> int:
     return sum(gaussian_binomial(d + 1, k, p) for k in range(d + 2))
 
 
-def subspace_lattice(p: int, d: int, cap: int = SUBSPACE_CAP):
+def subspace_lattice(p: int, d: int, cap: int = LATTICE_CAP) -> FiniteLattice:
     """All projective subspaces of PG(d, p) as a containment lattice.
 
-    Enumeration mirrors the fixset-lattice saturation: start from the
-    empty subspace and the points, then close under pairwise span-joins.
-    Lattice labels are the subspaces as sorted point tuples.
+    The subspaces are the closed sets of the span closure, enumerated by
+    the same join saturation as fixsets. Lattice labels are the subspaces
+    as sorted point tuples.
     """
-    import numpy as np
-
-    from .lattice import FiniteLattice
-
     space = projective_points(p, d)
     n = space.num_points
-    elements: set[tuple[int, ...]] = {()}
-    elements.update((i,) for i in range(n))
-    frontier = sorted(elements)
-    span_cache: dict[frozenset, tuple[int, ...]] = {}
-    while frontier:
-        new = set()
-        for x in sorted(elements):
-            for y in frontier:
-                union = frozenset(x) | frozenset(y)
-                if tuple(sorted(union)) in elements:
-                    continue
-                key = union
-                j = span_cache.get(key)
-                if j is None:
-                    j = span_closure(space, union)
-                    span_cache[key] = j
-                if j not in elements:
-                    new.add(j)
-            if len(elements) + len(new) > cap:
-                raise CapacityError(f"subspace lattice exceeds cap {cap}",
-                                    cap_name="subspaces",
-                                    partial=len(elements) + len(new))
-        elements |= new
-        frontier = sorted(new)
-    elements.add(tuple(range(n)))
-    ordered = sorted(elements, key=lambda t: (len(t), t))
-    size = len(ordered)
-    sets = [frozenset(t) for t in ordered]
-    leq = np.zeros((size, size), dtype=bool)
-    for i in range(size):
-        for j in range(size):
-            leq[i, j] = sets[i] <= sets[j]
-    return FiniteLattice(leq, labels=tuple(ordered))
+    spans: dict[int, int] = {}
+
+    def span_mask(mask: int) -> int:
+        got = spans.get(mask)
+        if got is None:
+            got = spans[mask] = mask_from_points(
+                span_closure(space, points_from_mask(mask)), n)
+        return got
+
+    return closed_set_lattice(n, span_mask, cap).to_finite_lattice()
 
 
 def oracle_iso_check(p: int, d: int) -> bool:
@@ -259,8 +237,6 @@ def oracle_iso_check(p: int, d: int) -> bool:
     of the element families is exactly an order isomorphism through the
     identity on points.
     """
-    from .closure import enumerate_fixset_lattice
-
     G = pgl_generators(p, d)
     fix_elements = set(enumerate_fixset_lattice(G).elements)
     sub_elements = set(subspace_lattice(p, d).labels)

@@ -16,11 +16,11 @@ import numpy as np
 from . import _kernels
 from ._chain import StabilizerChain
 from .errors import CapacityError, PreconditionError, ValidationError
+from .exhaustive import ORDER_CAP, enumerate_elements
 from .perm import Permutation, mask_from_points, points_from_mask
 
 DEGREE_CAP = 4096
 TUPLE_SPACE_CAP = 5_000_000
-EXHAUSTIVE_ORDER_CAP = 1_000_000
 
 
 class PermutationGroup:
@@ -273,16 +273,15 @@ class PermutationGroup:
 
     # -- exhaustive enumeration -------------------------------------------------
 
-    def elements_array(self, cap: int = EXHAUSTIVE_ORDER_CAP) -> np.ndarray:
+    def elements_array(self, cap: int = ORDER_CAP) -> np.ndarray:
         """All group elements as a lex-sorted (order, degree) array.
 
         Product-closure enumeration, independent of the stabilizer chain;
         this is the oracle side of the order/membership cross-checks.
         """
-        from .exhaustive import enumerate_elements
         return enumerate_elements(self.degree, self._gen_tuples, cap=cap)
 
-    def elements(self, cap: int = EXHAUSTIVE_ORDER_CAP) -> list[Permutation]:
+    def elements(self, cap: int = ORDER_CAP) -> list[Permutation]:
         return [Permutation(row) for row in self.elements_array(cap).tolist()]
 
     def __repr__(self) -> str:

@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._chain import sims_filter
-from .errors import CapacityError, PreconditionError, ValidationError
+from .errors import (CapacityError, InternalConsistencyError,
+                     PreconditionError, ValidationError)
 from .group import GroupAction, PermutationGroup
 from .perm import Permutation
 
@@ -62,6 +63,48 @@ def _bound_index(leq: np.ndarray, i: int, j: int, lower: bool) -> Optional[int]:
     return None
 
 
+def containment_order(masks: Sequence[int], width: int) -> np.ndarray:
+    """leq[i, j] = (masks[i] is a subset of masks[j]), masks over width points.
+
+    Counts, for each pair, the points of masks[i] missing from masks[j]
+    as one float32 product of the incidence matrix with its complement;
+    the counts are at most width, so they are exact.
+    """
+    nbytes = (width + 7) // 8
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    inc = np.unpackbits(bits, axis=1, bitorder="little")[:, :width]
+    inc = inc.astype(np.float32)
+    return (inc @ (1 - inc).T) == 0
+
+
+def order_covers(leq: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Cover pairs (i, j), j covering i, of an order matrix, in row-major order.
+
+    j covers i when i < j and no k lies strictly between; the number of
+    such k is one float32 product of the strict order with itself.
+    """
+    lt = leq & ~np.eye(leq.shape[0], dtype=bool)
+    f = lt.astype(np.float32)
+    strict = lt & ((f @ f) == 0)
+    return tuple((int(i), int(j)) for i, j in np.argwhere(strict))
+
+
+def order_from_covers(size: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Reflexive-transitive closure of cover pairs (i, j), j covering i."""
+    leq = np.eye(size, dtype=bool)
+    for i, j in covers:
+        if not (0 <= i < size and 0 <= j < size):
+            raise ValidationError(f"cover pair {(i, j)} out of range")
+        leq[i, j] = True
+    for _ in range(size):
+        new = leq | (leq @ leq)
+        if np.array_equal(new, leq):
+            break
+        leq = new
+    return leq
+
+
 class FiniteLattice:
     """A validated finite lattice with meet/join lookup tables."""
 
@@ -92,22 +135,10 @@ class FiniteLattice:
     def from_covers(cls, size: int, covers: Sequence[tuple[int, int]],
                     labels=None) -> "FiniteLattice":
         """Build from cover pairs (i, j) meaning j covers i."""
-        leq = np.eye(size, dtype=bool)
-        for i, j in covers:
-            if not (0 <= i < size and 0 <= j < size):
-                raise ValidationError(f"cover pair {(i, j)} out of range")
-            leq[i, j] = True
-        for _ in range(size):
-            new = leq | (leq @ leq)
-            if np.array_equal(new, leq):
-                break
-            leq = new
-        return cls(leq, labels=labels)
+        return cls(order_from_covers(size, covers), labels=labels)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        lt = self.leq & ~np.eye(self.size, dtype=bool)
-        strict = lt & ~(lt @ lt)
-        return tuple((int(i), int(j)) for i, j in np.argwhere(strict))
+        return order_covers(self.leq)
 
     def __repr__(self):
         return f"FiniteLattice(size={self.size})"
@@ -323,7 +354,10 @@ def lattice_automorphisms(L: FiniteLattice,
              else _general_automorphisms(L))
     gens = sims_filter(L.size, autos)
     G = PermutationGroup(L.size, [Permutation(g) for g in gens])
-    assert G.order() == len(autos)
+    if G.order() != len(autos):
+        raise InternalConsistencyError(
+            f"{len(autos)} automorphisms listed, but they generate a group "
+            f"of order {G.order()}")
     return G
 
 
@@ -478,10 +512,7 @@ def boolean_lattice(n_atoms: int) -> FiniteLattice:
     """Powerset of n_atoms elements ordered by inclusion (subset-mask order)."""
     size = 1 << n_atoms
     masks = sorted(range(size), key=lambda m: (bin(m).count("1"), m))
-    leq = np.zeros((size, size), dtype=bool)
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            leq[i, j] = mi & mj == mi
+    leq = containment_order(masks, n_atoms)
     labels = tuple(tuple(b for b in range(n_atoms) if m >> b & 1) for m in masks)
     return FiniteLattice(leq, labels=labels)
 

@@ -18,11 +18,10 @@ import numpy as np
 
 from . import _kernels
 from .errors import CapacityError, ValidationError
-from .group import PermutationGroup
+from .group import TUPLE_SPACE_CAP, PermutationGroup
 from .perm import mask_from_points, points_from_mask
 
 ARITY_CAP = 4
-TUPLE_SPACE_CAP = 5_000_000
 EXHAUSTIVE_SUBSET_LIMIT = 12
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .closure import FixsetLattice
 from .errors import CapacityError, ValidationError
 from .group import GroupAction, PermutationGroup, group_from_generators
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, order_from_covers
 from .relational import RelationalStructure
 from .steiner import SteinerSystem, make_system
 
@@ -90,17 +90,7 @@ def raw_lattice_from_obj(obj: dict) -> tuple[int, np.ndarray]:
         covers = [(int(i), int(j)) for i, j in obj["covers"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad lattice object: {exc}") from exc
-    leq = np.eye(size, dtype=bool)
-    for i, j in covers:
-        if not (0 <= i < size and 0 <= j < size):
-            raise ValidationError(f"cover pair {(i, j)} out of range")
-        leq[i, j] = True
-    for _ in range(size):
-        new = leq | (leq @ leq)
-        if np.array_equal(new, leq):
-            break
-        leq = new
-    return size, leq
+    return size, order_from_covers(size, covers)
 
 
 # -- fixset lattices ----------------------------------------------------------

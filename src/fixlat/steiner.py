@@ -13,7 +13,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable, Optional
 
-from .closure import enumerate_fixset_lattice
+from .closure import LATTICE_CAP, enumerate_fixset_lattice
 from .errors import (InternalConsistencyError, PreconditionError,
                      ValidationError)
 from .geometry import is_prime, projective_points, span_closure
@@ -315,7 +315,7 @@ class JordanReport:
 
 
 def jordan_report(G: PermutationGroup, k_max: int = 5,
-                  lattice_cap: int = 200_000) -> JordanReport:
+                  lattice_cap: int = LATTICE_CAP) -> JordanReport:
     lattice = enumerate_fixset_lattice(G, cap=lattice_cap)
     entries = []
     domain = set(range(G.degree))

@@ -8,6 +8,7 @@ from fixlat.closure import (FixsetLattice, enumerate_fixset_lattice, fix_join,
                             fix_meet, fixed_points, fixset_closure,
                             galois_report, is_fixset)
 from fixlat.errors import CapacityError, PreconditionError
+from fixlat.geometry import subspace_lattice
 from fixlat.group import PermutationGroup, group_from_generators
 
 
@@ -164,6 +165,30 @@ def test_lattice_closed_under_meet_and_join(fano_group, d6):
         for a, b in combinations(fl.elements, 2):
             assert tuple(sorted(set(a) & set(b))) in members
             assert fix_join(G, a, b).points in members
+
+
+def reference_covers(elements):
+    """(i, j) with element i strictly inside element j and no element strictly
+    between them, compared as point sets."""
+    sets = [frozenset(e) for e in elements]
+    return tuple((i, j) for i, a in enumerate(sets) for j, b in enumerate(sets)
+                 if a < b and not any(a < c < b for c in sets))
+
+
+def test_covers_match_definition(fano_group, pgl25, d6):
+    pgl25_sym3 = group_from_generators(
+        9, [list(g.images) + [6, 7, 8] for g in pgl25.generators]
+        + [list(range(6)) + [7, 6, 8], list(range(6)) + [7, 8, 6]])
+    lattices = [enumerate_fixset_lattice(G) for G in
+                (PermutationGroup.symmetric(5), d6, fano_group, pgl25, pgl25_sym3)]
+    pg23 = subspace_lattice(3, 2)
+    lattices.append(FixsetLattice(13, pg23.labels))
+    assert len(lattices[4]) == 23 * 5  # the product of the factor lattices
+    for fl in lattices:
+        expected = reference_covers(fl.elements)
+        assert fl.covers() == expected
+        assert fl.to_finite_lattice().covers() == expected
+    assert pg23.covers() == reference_covers(pg23.labels)
 
 
 def test_lattice_cap():

@@ -67,6 +67,14 @@ def test_subspace_lattice_counts():
     assert subspace_count(2, 3) == 67
 
 
+def test_subspace_lattice_is_every_span():
+    space = projective_points(2, 2)
+    spans = {span_closure(space, pts) for r in range(8)
+             for pts in combinations(range(7), r)}
+    assert subspace_lattice(2, 2).labels == tuple(
+        sorted(spans, key=lambda t: (len(t), t)))
+
+
 def test_subspace_lattice_is_graded_by_rank():
     L = subspace_lattice(2, 2)
     sizes = sorted(len(lab) for lab in L.labels)

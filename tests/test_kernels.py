@@ -1,12 +1,8 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
+from math import perm
 
 import numpy as np
 
-import fixlat
 from fixlat import _kernels
 from fixlat.group import PermutationGroup
 
@@ -20,30 +16,50 @@ def random_perm_matrix(rng, n, g):
     return np.array(rows, dtype=np.int64)
 
 
-def test_backend_is_reported():
-    assert _kernels.backend_name() in ("numba", "numpy")
+def digits(code, n, k):
+    return tuple((code // n ** (k - 1 - j)) % n for j in range(k))
+
+
+def reference_orbit_minima(images):
+    """Smallest code in each orbit, by search over images and inverses."""
+    g, size = images.shape
+    labels = [-1] * size
+    for seed in range(size):
+        if labels[seed] >= 0:
+            continue
+        labels[seed] = seed
+        stack = [seed]
+        while stack:
+            c = stack.pop()
+            for gi in range(g):
+                for z in (int(images[gi, c]),
+                          int(np.flatnonzero(images[gi] == c)[0])):
+                    if labels[z] < 0:
+                        labels[z] = seed
+                        stack.append(z)
+    return np.array(labels, dtype=np.int64)
 
 
 def test_tuple_images_backends_agree():
+    # the vectorised kernel against the digit-by-digit definition
     rng = random.Random(0)
     for _ in range(10):
         n = rng.randrange(2, 7)
         k = rng.randrange(2, 4)
         perms = random_perm_matrix(rng, n, rng.randrange(1, 4))
-        a = _kernels._numpy_tuple_images(perms, k)
-        if _kernels._HAVE_NUMBA:
-            b = _kernels._numba_tuple_images(perms, k)
-            assert np.array_equal(a, b)
+        images = _kernels.tuple_images(perms, k)
+        for gi, row in enumerate(perms):
+            for code in range(n**k):
+                img = tuple(int(row[t]) for t in digits(code, n, k))
+                assert digits(int(images[gi, code]), n, k) == img
 
 
 def test_distinct_mask_backends_agree():
     for n, k in ((3, 2), (5, 3), (4, 4)):
-        a = _kernels._numpy_distinct_codes_mask(n, k)
-        if _kernels._HAVE_NUMBA:
-            b = _kernels._numba_distinct_codes_mask(n, k)
-            assert np.array_equal(a, b)
-        from math import perm
-        assert int(a.sum()) == perm(n, k)
+        mask = _kernels.distinct_codes_mask(n, k)
+        assert int(mask.sum()) == perm(n, k)
+        expected = [len(set(digits(c, n, k))) == k for c in range(n**k)]
+        assert mask.tolist() == expected
 
 
 def test_min_labels_backends_agree():
@@ -52,15 +68,13 @@ def test_min_labels_backends_agree():
         n = rng.randrange(2, 6)
         k = rng.randrange(2, 4)
         perms = random_perm_matrix(rng, n, rng.randrange(1, 4))
-        images = _kernels._numpy_tuple_images(perms, k)
-        a = _kernels._numpy_min_labels(images)
-        if _kernels._HAVE_NUMBA:
-            b = _kernels._numba_min_labels(images)
-            assert np.array_equal(a, b)
+        images = _kernels.tuple_images(perms, k)
+        labels = _kernels.min_labels(images)
+        assert np.array_equal(labels, reference_orbit_minima(images))
         # labels are orbit minima: stable under every generator image
         for gi in range(images.shape[0]):
-            assert np.array_equal(a, a[images[gi]])
-        assert (a <= np.arange(a.size)).all()
+            assert np.array_equal(labels, labels[images[gi]])
+        assert (labels <= np.arange(labels.size)).all()
 
 
 def test_gather_backends_agree():
@@ -70,10 +84,10 @@ def test_gather_backends_agree():
         params = rng.integers(0, 16, size=(m, 3), dtype=np.int64)
         values = rng.integers(0, 16, size=m, dtype=np.int64)
         member = rng.random(16) < 0.4
-        a = _kernels._numpy_gather_candidates(params, values, member)
-        if _kernels._HAVE_NUMBA and m:
-            b = _kernels._numba_gather_candidates(params, values, member)
-            assert np.array_equal(a, b)
+        got = _kernels.gather_candidates(params, values, member)
+        expected = [v for row, v in zip(params.tolist(), values.tolist())
+                    if all(member[x] for x in row)]
+        assert got.tolist() == expected
 
 
 def test_orbit_counts_match_known_groups():
@@ -85,36 +99,6 @@ def test_orbit_counts_match_known_groups():
     perms = np.array([g.images for g in c6.generators], dtype=np.int64)
     labels, active = _kernels.tuple_orbit_labels(perms, 2)
     assert np.unique(labels[active]).size == 5  # nonzero rotation offsets
-
-
-def run_with_backend(backend, code):
-    """Run ``code`` in a fresh interpreter with ``FIXLAT_BACKEND`` set.
-
-    The child inherits this process's environment, with the directory that
-    holds the ``fixlat`` under test put first on ``PYTHONPATH``, so it
-    imports the same package whether or not fixlat is installed.
-    """
-    env = dict(os.environ)
-    env["FIXLAT_BACKEND"] = backend
-    src = str(Path(fixlat.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-
-
-def test_env_flag_rejects_unknown():
-    proc = run_with_backend("cuda", "import fixlat._kernels")
-    assert proc.returncode != 0
-    assert "FIXLAT_BACKEND" in proc.stderr
-
-
-def test_numpy_backend_selectable_via_env():
-    code = ("import fixlat._kernels as k; print(k.backend_name()); "
-            "import numpy as np; "
-            "perms = np.array([[1, 2, 0]], dtype=np.int64); "
-            "labels, active = k.tuple_orbit_labels(perms, 2); "
-            "print(int(np.unique(labels[active]).size))")
-    proc = run_with_backend("numpy", code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["numpy", "2"]
+    c3 = np.array([[1, 2, 0]], dtype=np.int64)
+    labels, active = _kernels.tuple_orbit_labels(c3, 2)
+    assert np.unique(labels[active]).size == 2  # offsets +1 and -1

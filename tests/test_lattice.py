@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fixlat import exhaustive
-from fixlat.errors import CapacityError, PreconditionError, ValidationError
+from fixlat import exhaustive, lattice
+from fixlat.errors import (CapacityError, InternalConsistencyError,
+                           PreconditionError, ValidationError)
 from fixlat.geometry import subspace_lattice
 from fixlat.lattice import (FiniteLattice, atoms, boolean_lattice,
                             chain_lattice, diamond_lattice, is_atomistic,
@@ -99,6 +100,16 @@ def test_automorphisms_match_brute_force_small():
               diamond_lattice(4), boolean_lattice(3)):
         assert (lattice_automorphisms(L).order()
                 == exhaustive.lattice_automorphism_count(L.leq))
+
+
+def test_automorphism_count_is_checked(monkeypatch):
+    # a listing that misses an automorphism cannot match the order of the
+    # group its members generate; the check survives python -O
+    listed = lattice._atomistic_automorphisms
+    monkeypatch.setattr(lattice, "_atomistic_automorphisms",
+                        lambda L: listed(L)[1:])
+    with pytest.raises(InternalConsistencyError):
+        lattice_automorphisms(subspace_lattice(2, 2))
 
 
 def test_automorphism_cap():

@@ -233,6 +233,13 @@ def test_cli_capacity_exit_code(capsys, tmp_path):
     assert "capacity" in err
 
 
+def test_cli_subspaces_capacity_exit_code(capsys):
+    code, out, err = run_cli(capsys, "geometry", "subspaces", "-p", "2", "-d", "3",
+                             "--cap-lattice", "10")
+    assert code == 3 and out == ""
+    assert "capacity error (lattice)" in err
+
+
 def test_cli_verify_subset(capsys):
     code, out, err = run_cli(capsys, "verify", "--only", "stone")
     report = json.loads(out)
