@@ -181,7 +181,7 @@ def cmd_lattice(args, cfg: RunConfig) -> int:
         result = {"holds": sep.holds,
                   "witness": list(sep.witness) if sep.witness else None}
     elif sub == "reconstruct":
-        r = lattice.reconstruct(L)
+        r = lattice.reconstruct(L, cap=cfg.cap_lattice)
         result = {
             "closure_trivial": r.closure_trivial,
             "image_size": r.image_size,
@@ -274,7 +274,8 @@ def cmd_geometry(args, cfg: RunConfig) -> int:
         _emit(args, cfg, "geometry subspaces", result, dot=dot)
         return EXIT_OK
     elif sub == "oracle-iso":
-        result = {"p": p, "d": d, "isomorphic": geometry.oracle_iso_check(p, d)}
+        result = {"p": p, "d": d, "isomorphic": geometry.oracle_iso_check(
+            p, d, cap=cfg.cap_lattice)}
     else:  # pragma: no cover
         raise ValidationError(f"unknown geometry subcommand {sub}")
     _emit(args, cfg, f"geometry {sub}", result)

@@ -14,10 +14,8 @@ from typing import Callable, Iterable, Optional, Union
 
 from .errors import CapacityError, InternalConsistencyError, PreconditionError
 from .group import PermutationGroup
-from .lattice import FiniteLattice, containment_order, order_covers
+from .lattice import LATTICE_CAP, FiniteLattice, containment_order, order_covers
 from .perm import mask_from_points, points_from_mask
-
-LATTICE_CAP = 200_000
 
 PointsLike = Union["FixSet", Iterable[int]]
 

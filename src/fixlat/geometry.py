@@ -230,7 +230,7 @@ def subspace_lattice(p: int, d: int, cap: int = LATTICE_CAP) -> FiniteLattice:
     return closed_set_lattice(n, span_mask, cap).to_finite_lattice()
 
 
-def oracle_iso_check(p: int, d: int) -> bool:
+def oracle_iso_check(p: int, d: int, cap: int = LATTICE_CAP) -> bool:
     """Do the fixsets of the PGL action coincide with the projective subspaces?
 
     Both lattices are ordered by containment of point sets, so coincidence
@@ -238,6 +238,6 @@ def oracle_iso_check(p: int, d: int) -> bool:
     identity on points.
     """
     G = pgl_generators(p, d)
-    fix_elements = set(enumerate_fixset_lattice(G).elements)
-    sub_elements = set(subspace_lattice(p, d).labels)
+    fix_elements = set(enumerate_fixset_lattice(G, cap=cap).elements)
+    sub_elements = set(subspace_lattice(p, d, cap=cap).labels)
     return fix_elements == sub_elements

@@ -1,9 +1,9 @@
 """Explicit finite lattices: validation, automorphisms, reconstruction.
 
 A lattice is stored as its full order relation (a boolean matrix).
-Automorphism search runs on the atom layer when the lattice is atomistic
-(an automorphism is then determined by its atom action) and falls back to
-rank-stratified backtracking over elements otherwise.
+Automorphism search runs on the join-irreducibles (the atoms, when the
+lattice is atomistic), whose action determines an automorphism, through
+the same set-family bijection search that compares Steiner systems.
 """
 
 from __future__ import annotations
@@ -17,13 +17,27 @@ from ._chain import sims_filter
 from .errors import (CapacityError, InternalConsistencyError,
                      PreconditionError, ValidationError)
 from .group import GroupAction, PermutationGroup
-from .perm import Permutation
+from .perm import Permutation, mask_from_points, points_from_mask
 
 AUTOMORPHISM_CAP = 128
+LATTICE_CAP = 200_000
 
 
 def order_violations(leq: np.ndarray) -> list[dict]:
     """Axiom violations of a would-be lattice order, as data."""
+    return _lattice_tables(leq)[0]
+
+
+def _lattice_tables(leq: np.ndarray) -> tuple[list[dict], Optional[np.ndarray],
+                                            Optional[np.ndarray]]:
+    """(violations, meet table, join table) of an order matrix, in one pass.
+
+    The order axioms are checked first. If they hold, the meet of i and j
+    is the common lower bound whose down-set is the whole common lower
+    cone, and the join dually; the first pair without one, row-major over
+    i <= j with meet before join, is the single violation. The tables are
+    None whenever a violation is listed.
+    """
     n = leq.shape[0]
     out = []
     if not leq.diagonal().all():
@@ -39,28 +53,25 @@ def order_violations(leq: np.ndarray) -> list[dict]:
         i, j = map(int, np.argwhere(gaps)[0])
         out.append({"kind": "not-transitive", "pair": (i, j)})
     if out:
-        return out
+        return out, None, None
+    down = leq.sum(axis=0, dtype=np.int32)  # |{k : k <= c}|
+    up = leq.sum(axis=1, dtype=np.int32)    # |{k : c <= k}|
+    meet_table = np.empty((n, n), dtype=np.int64)
+    join_table = np.empty((n, n), dtype=np.int64)
     for i in range(n):
-        for j in range(i, n):
-            if _bound_index(leq, i, j, lower=True) is None:
-                out.append({"kind": "missing-meet", "pair": (i, j)})
-                return out
-            if _bound_index(leq, i, j, lower=False) is None:
-                out.append({"kind": "missing-join", "pair": (i, j)})
-                return out
-    return out
-
-
-def _bound_index(leq: np.ndarray, i: int, j: int, lower: bool) -> Optional[int]:
-    cone = (leq[:, i] & leq[:, j]) if lower else (leq[i, :] & leq[j, :])
-    members = np.flatnonzero(cone)
-    if members.size == 0:
-        return None
-    for c in members:
-        dominated = leq[members, c] if lower else leq[c, members]
-        if dominated.all():
-            return int(c)
-    return None
+        lower = leq & leq[:, i, None]  # lower[k, j]: k <= i and k <= j
+        upper = leq & leq[i, None, :]  # upper[j, k]: i <= k and j <= k
+        meet_table[i] = (lower * down[:, None]).argmax(axis=0)
+        join_table[i] = (upper * up[None, :]).argmax(axis=1)
+        has_meet = down[meet_table[i]] == lower.sum(axis=0)
+        has_join = up[join_table[i]] == upper.sum(axis=1)
+        bad = ~(has_meet & has_join)
+        bad[:i] = False
+        if bad.any():
+            j = int(np.argmax(bad))
+            kind = "missing-join" if has_meet[j] else "missing-meet"
+            return [{"kind": kind, "pair": (i, j)}], None, None
+    return [], meet_table, join_table
 
 
 def containment_order(masks: Sequence[int], width: int) -> np.ndarray:
@@ -110,7 +121,7 @@ class FiniteLattice:
 
     def __init__(self, leq: np.ndarray, labels: Optional[Sequence] = None):
         leq = np.asarray(leq, dtype=bool)
-        problems = order_violations(leq)
+        problems, self.meet_table, self.join_table = _lattice_tables(leq)
         if problems:
             raise ValidationError(f"not a lattice: {problems[0]}")
         self.leq = leq
@@ -119,15 +130,6 @@ class FiniteLattice:
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != self.size:
             raise ValidationError("label count does not match lattice size")
-        n = self.size
-        self.meet_table = np.zeros((n, n), dtype=np.int64)
-        self.join_table = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(i, n):
-                m = _bound_index(leq, i, j, lower=True)
-                jn = _bound_index(leq, i, j, lower=False)
-                self.meet_table[i, j] = self.meet_table[j, i] = m
-                self.join_table[i, j] = self.join_table[j, i] = jn
         self.bottom = int(np.flatnonzero(leq.all(axis=1))[0])
         self.top = int(np.flatnonzero(leq.all(axis=0))[0])
 
@@ -218,130 +220,95 @@ def is_atomistic(L: FiniteLattice) -> bool:
 # automorphisms
 
 
-def _element_perm_from_atom_map(L, ats, mask_to_elem, element_masks, atom_image):
-    """Lift an atom bijection to an element permutation, or None."""
-    images = []
-    for l in range(L.size):
-        m = element_masks[l]
-        img_mask = 0
-        k = 0
-        while m:
-            if m & 1:
-                img_mask |= 1 << atom_image[k]
-            m >>= 1
-            k += 1
-        target = mask_to_elem.get(img_mask)
-        if target is None:
-            return None
-        images.append(target)
-    return tuple(images)
+def family_bijections(n: int, family_a, family_b,
+                      first: bool = False) -> list[tuple[int, ...]]:
+    """Bijections p of range(n) with {p(S) : S in family_a} == family_b.
+
+    Families are sets of point masks over n points. Points are assigned in
+    index order and images tried in increasing order, so the bijections
+    come out in lexicographic order of their image tuples; with first=True
+    the search stops at the first. A point's image must have its profile
+    (the sorted sizes of the sets containing it), and each set of family_a
+    is checked once, when its highest point is assigned. The families have
+    equal sizes, so a map sending every set into family_b is onto.
+    """
+    family_a, family_b = set(family_a), set(family_b)
+    if len(family_a) != len(family_b) or (0 in family_a) != (0 in family_b):
+        return []
+
+    def profiles(family):
+        sizes = [[] for _ in range(n)]
+        for m in family:
+            for x in points_from_mask(m):
+                sizes[x].append(m.bit_count())
+        return [tuple(sorted(s)) for s in sizes]
+
+    prof_a, prof_b = profiles(family_a), profiles(family_b)
+    if sorted(prof_a) != sorted(prof_b):
+        return []
+    candidates = [{c for c in range(n) if prof_b[c] == prof_a[x]} for x in range(n)]
+    closing = [[] for _ in range(n)]  # per set whose highest point is x, its other points
+    for m in family_a:
+        if m:
+            x = m.bit_length() - 1
+            closing[x].append(points_from_mask(m ^ 1 << x))
+    completing = {}  # a set of family_b minus one point -> the points it can miss
+    for m in family_b:
+        for y in points_from_mask(m):
+            completing.setdefault(m ^ 1 << y, set()).add(y)
+    found = []
+    bit = [0] * n  # bit[x] = 1 << image of x
+    free = set(range(n))
+
+    def backtrack(x):
+        if x == n:
+            found.append(tuple(b.bit_length() - 1 for b in bit))
+            return first
+        fits = (completing.get(sum(map(bit.__getitem__, pts)), ()) for pts in closing[x])
+        for c in sorted(free.intersection(candidates[x], *fits)):
+            bit[x] = 1 << c
+            free.remove(c)
+            if backtrack(x + 1):
+                return True
+            free.add(c)
+        return False
+
+    backtrack(0)
+    return found
+
+
+def join_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
+    """The elements with exactly one lower cover."""
+    lower_covers = np.bincount([j for _, j in order_covers(L.leq)], minlength=L.size)
+    return tuple(int(x) for x in np.flatnonzero(lower_covers == 1))
+
+
+def _irreducible_automorphisms(L: FiniteLattice) -> list[tuple[int, ...]]:
+    """Automorphisms in lexicographic order of their join-irreducible images.
+
+    An element x is the join of the set J(x) of join-irreducibles below
+    it, and x <= y iff J(x) is inside J(y); so the automorphisms are the
+    permutations of the join-irreducibles that map the family {J(x)} onto
+    itself, and each sends x to the join of the images of J(x).
+    """
+    irr = np.array(join_irreducibles(L), dtype=np.int64)
+    members = [np.flatnonzero(L.leq[irr, x]).tolist() for x in range(L.size)]
+    family = {mask_from_points(pts, len(irr)) for pts in members}
+    found = family_bijections(len(irr), family, family)
+    images = irr[np.array(found, dtype=np.int64).reshape(len(found), len(irr))]
+    lifted = np.full((len(found), L.size), L.bottom, dtype=np.int64)
+    for x, pts in enumerate(members):
+        for p in pts:
+            lifted[:, x] = L.join_table[lifted[:, x], images[:, p]]
+    return [tuple(row) for row in lifted.tolist()]
 
 
 def _atomistic_automorphisms(L: FiniteLattice) -> list[tuple[int, ...]]:
-    ats = atoms(L)
-    k = len(ats)
-    pos = {a: i for i, a in enumerate(ats)}
-    element_masks = []
-    for l in range(L.size):
-        m = 0
-        for a in ats:
-            if L.leq[a, l]:
-                m |= 1 << pos[a]
-        element_masks.append(m)
-    mask_to_elem = {m: l for l, m in enumerate(element_masks)}
-    family = set(element_masks)
-    # invariant per atom: multiset of sizes of elements containing it
-    def signature(ai):
-        sizes = sorted(bin(m).count("1") for m in family if m >> ai & 1)
-        return tuple(sizes)
-
-    sigs = [signature(i) for i in range(k)]
-    found = []
-    image = [-1] * k
-    used = [False] * k
-
-    def masks_subset_assigned(depth):
-        # every family mask fully inside the assigned atoms must map into the family
-        assigned = (1 << depth) - 1
-        for m in family:
-            if m and m & assigned == m:
-                img = 0
-                mm = m
-                i = 0
-                while mm:
-                    if mm & 1:
-                        img |= 1 << image[i]
-                    mm >>= 1
-                    i += 1
-                if img not in family:
-                    return False
-        return True
-
-    def backtrack(depth):
-        if depth == k:
-            perm = _element_perm_from_atom_map(L, ats, mask_to_elem,
-                                               element_masks, image)
-            if perm is not None:
-                found.append(perm)
-            return
-        for cand in range(k):
-            if used[cand] or sigs[cand] != sigs[depth]:
-                continue
-            image[depth] = cand
-            used[cand] = True
-            if masks_subset_assigned(depth + 1):
-                backtrack(depth + 1)
-            used[cand] = False
-            image[depth] = -1
-
-    backtrack(0)
-    return found
+    return _irreducible_automorphisms(L)
 
 
 def _general_automorphisms(L: FiniteLattice) -> list[tuple[int, ...]]:
-    n = L.size
-    down = L.leq.sum(axis=0)
-    up = L.leq.sum(axis=1)
-    sig = [(int(down[i]), int(up[i])) for i in range(n)]
-    # refine signatures by neighbour multisets until stable
-    for _ in range(n):
-        new = []
-        for i in range(n):
-            below = sorted(sig[j] for j in range(n) if L.leq[j, i])
-            above = sorted(sig[j] for j in range(n) if L.leq[i, j])
-            new.append((sig[i], tuple(below), tuple(above)))
-        compressed = {s: k for k, s in enumerate(sorted(set(new)))}
-        new_sig = [(compressed[s],) for s in new]
-        if new_sig == sig:
-            break
-        sig = new_sig
-    found = []
-    image = [-1] * n
-    used = [False] * n
-
-    def consistent(i, c):
-        for j in range(n):
-            if image[j] < 0:
-                continue
-            if L.leq[i, j] != L.leq[c, image[j]] or L.leq[j, i] != L.leq[image[j], c]:
-                return False
-        return True
-
-    def backtrack(depth):
-        if depth == n:
-            found.append(tuple(image))
-            return
-        for c in range(n):
-            if used[c] or sig[c] != sig[depth] or not consistent(depth, c):
-                continue
-            image[depth] = c
-            used[c] = True
-            backtrack(depth + 1)
-            used[c] = False
-            image[depth] = -1
-
-    backtrack(0)
-    return found
+    return sorted(_irreducible_automorphisms(L))
 
 
 def lattice_automorphisms(L: FiniteLattice,
@@ -412,7 +379,7 @@ class ReconstructionResult:
     iso: Optional[tuple[tuple[int, ...], ...]]
 
 
-def reconstruct(L: FiniteLattice) -> ReconstructionResult:
+def reconstruct(L: FiniteLattice, cap: int = LATTICE_CAP) -> ReconstructionResult:
     from .closure import enumerate_fixset_lattice, fixset_closure
 
     if not is_atomistic(L):
@@ -428,7 +395,7 @@ def reconstruct(L: FiniteLattice) -> ReconstructionResult:
     atom_gens = [Permutation([pos[g(a)] for a in ats]) for g in G.generators]
     atom_group = PermutationGroup(len(ats), atom_gens)
     action = GroupAction(atom_group, tuple(str(a) for a in ats))
-    fl = enumerate_fixset_lattice(atom_group)
+    fl = enumerate_fixset_lattice(atom_group, cap=cap)
     embedding = []
     for l in range(L.size):
         below = tuple(pos[a] for a in ats if L.leq[a, l])

@@ -18,6 +18,8 @@ from .errors import (InternalConsistencyError, PreconditionError,
                      ValidationError)
 from .geometry import is_prime, projective_points, span_closure
 from .group import PermutationGroup
+from .lattice import family_bijections
+from .perm import mask_from_points
 
 VERIFY_POINT_CAP = 64
 
@@ -213,10 +215,10 @@ def steiner_automorphism_check(sys: SteinerSystem,
 def steiner_isomorphism(a: SteinerSystem, b: SteinerSystem,
                         point_cap: int = VERIFY_POINT_CAP
                         ) -> Optional[tuple[int, ...]]:
-    """A block-structure-preserving point bijection, or None.
+    """A point bijection mapping the blocks of a onto those of b, or None.
 
-    Backtracking over point images with degree-profile pruning; fully
-    assigned blocks must land on blocks.
+    It is the lexicographically first one, found by the set-family search
+    that also lists lattice automorphisms.
     """
     if a.num_points > point_cap or b.num_points > point_cap:
         raise ValidationError(f"isomorphism search capped at {point_cap} points")
@@ -224,47 +226,10 @@ def steiner_isomorphism(a: SteinerSystem, b: SteinerSystem,
             or len(a.blocks) != len(b.blocks) or a.block_size != b.block_size):
         return None
     n = a.num_points
-
-    def degree_profile(sys):
-        counts = [0] * sys.num_points
-        for blk in sys.blocks:
-            for x in blk:
-                counts[x] += 1
-        return counts
-
-    prof_a, prof_b = degree_profile(a), degree_profile(b)
-    if sorted(prof_a) != sorted(prof_b):
-        return None
-    blocks_b = set(b.blocks)
-    blocks_through_a = [[blk for blk in a.blocks if x in blk] for x in range(n)]
-    image = [-1] * n
-    used = [False] * n
-
-    def check(x):
-        assigned = set(i for i in range(n) if image[i] >= 0)
-        for blk in blocks_through_a[x]:
-            if all(p in assigned for p in blk):
-                if tuple(sorted(image[p] for p in blk)) not in blocks_b:
-                    return False
-        return True
-
-    def backtrack(x):
-        if x == n:
-            return True
-        for c in range(n):
-            if used[c] or prof_a[x] != prof_b[c]:
-                continue
-            image[x] = c
-            used[c] = True
-            if check(x) and backtrack(x + 1):
-                return True
-            used[c] = False
-            image[x] = -1
-        return False
-
-    if backtrack(0):
-        return tuple(image)
-    return None
+    found = family_bijections(n, {mask_from_points(blk, n) for blk in a.blocks},
+                              {mask_from_points(blk, n) for blk in b.blocks},
+                              first=True)
+    return found[0] if found else None
 
 
 def blocks_pointwise_stabilized(sys: SteinerSystem, G: PermutationGroup) -> bool:

@@ -6,10 +6,11 @@ from fixlat.errors import (CapacityError, InternalConsistencyError,
                            PreconditionError, ValidationError)
 from fixlat.geometry import subspace_lattice
 from fixlat.lattice import (FiniteLattice, atoms, boolean_lattice,
-                            chain_lattice, diamond_lattice, is_atomistic,
-                            is_complemented, is_distributive, join,
-                            lattice_automorphisms, lattice_validate,
-                            lower_cone, meet, reconstruct,
+                            chain_lattice, diamond_lattice, family_bijections,
+                            is_atomistic, is_complemented, is_distributive,
+                            join, join_irreducibles, lattice_automorphisms,
+                            lattice_validate, lower_cone, meet,
+                            order_from_covers, reconstruct,
                             stabilizer_separation, stone_ultrafilters)
 
 
@@ -19,6 +20,23 @@ def bowtie_leq():
     leq = np.eye(4, dtype=bool)
     leq[0, 2] = leq[0, 3] = leq[1, 2] = leq[1, 3] = True
     return leq
+
+
+def n5_lattice():
+    # the pentagon: 0 < 1 < 2 < 4 and 0 < 3 < 4
+    return FiniteLattice.from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+
+
+def grid_lattice(a, b):
+    # product of an a-chain and a b-chain, element x * b + y
+    pts = [(x, y) for x in range(a) for y in range(b)]
+    return FiniteLattice(np.array([[p[0] <= q[0] and p[1] <= q[1] for q in pts]
+                                   for p in pts]))
+
+
+def relabelled(L, seed):
+    perm = np.random.default_rng(seed).permutation(L.size)
+    return FiniteLattice(L.leq[np.ix_(perm, perm)])
 
 
 def test_validate_chain():
@@ -33,6 +51,28 @@ def test_validate_bowtie_reports_missing_bound():
     assert not res.ok
     assert res.violations[0]["kind"] in ("missing-meet", "missing-join")
     assert res.violations[0]["pair"] == (0, 1)
+
+
+def test_validate_pins_first_missing_bound():
+    # pairs are scanned row-major over i <= j, the meet before the join
+    assert lattice_validate(4, bowtie_leq()).violations == (
+        {"kind": "missing-meet", "pair": (0, 1)},)
+    # a bottom under two incomparable elements, each below two maximal ones
+    vee = order_from_covers(5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    assert lattice_validate(5, vee).violations == (
+        {"kind": "missing-join", "pair": (1, 2)},)
+
+
+def test_meet_join_tables_match_definition():
+    for L in (n5_lattice(), grid_lattice(3, 4), relabelled(subspace_lattice(2, 2), 7)):
+        leq = L.leq
+        for i in range(L.size):
+            for j in range(L.size):
+                lower = [k for k in range(L.size) if leq[k, i] and leq[k, j]]
+                upper = [k for k in range(L.size) if leq[i, k] and leq[j, k]]
+                m, = [c for c in lower if all(leq[k, c] for k in lower)]
+                jn, = [c for c in upper if all(leq[c, k] for k in upper)]
+                assert L.meet_table[i, j] == m and L.join_table[i, j] == jn
 
 
 def test_validate_diamond():
@@ -100,6 +140,33 @@ def test_automorphisms_match_brute_force_small():
               diamond_lattice(4), boolean_lattice(3)):
         assert (lattice_automorphisms(L).order()
                 == exhaustive.lattice_automorphism_count(L.leq))
+    # both listings, atomistic or not, are every automorphism; the general
+    # one comes in element-lex order, like the brute-force rows
+    stock = (chain_lattice(5), n5_lattice(), grid_lattice(2, 3),
+             diamond_lattice(3), boolean_lattice(3))
+    for L in stock + tuple(relabelled(L, 1) for L in stock):
+        rows = exhaustive.lattice_automorphism_rows(L.leq).tolist()
+        assert [list(r) for r in lattice._general_automorphisms(L)] == rows
+        assert [list(r) for r in sorted(lattice._atomistic_automorphisms(L))] == rows
+
+
+def test_family_bijections_check_every_set():
+    # the hexagon and two triangles: six edges, every point on two of them
+    hexagon = {1 << i | 1 << (i + 1) % 6 for i in range(6)}
+    triangles = {1 << a | 1 << b for t in (0, 3)
+                 for a, b in ((t, t + 1), (t + 1, t + 2), (t, t + 2))}
+    assert family_bijections(6, hexagon, triangles) == []
+    autos = family_bijections(6, hexagon, hexagon)
+    assert len(autos) == 12 and autos == sorted(autos)
+    assert family_bijections(6, hexagon, hexagon, first=True) == autos[:1]
+
+
+def test_join_irreducibles():
+    n5 = n5_lattice()
+    assert join_irreducibles(n5) == (1, 2, 3) and atoms(n5) == (1, 3)
+    assert join_irreducibles(chain_lattice(5)) == (1, 2, 3, 4)
+    for L in (diamond_lattice(4), boolean_lattice(3), subspace_lattice(2, 2)):
+        assert join_irreducibles(L) == atoms(L)
 
 
 def test_automorphism_count_is_checked(monkeypatch):

@@ -240,6 +240,23 @@ def test_cli_subspaces_capacity_exit_code(capsys):
     assert "capacity error (lattice)" in err
 
 
+def test_cli_oracle_iso_capacity_exit_code(capsys):
+    code, out, err = run_cli(capsys, "geometry", "oracle-iso", "-p", "2", "-d", "3",
+                             "--cap-lattice", "10")
+    assert code == 3 and out == ""
+    assert "capacity error (lattice)" in err
+
+
+def test_cli_reconstruct_capacity_exit_code(capsys, tmp_path):
+    path = tmp_path / "pg22.json"
+    path.write_text(serialize.canonical_json(
+        serialize.lattice_to_obj(subspace_lattice(2, 2))))
+    code, out, err = run_cli(capsys, "lattice", "reconstruct", "--in", str(path),
+                             "--cap-lattice", "3")
+    assert code == 3 and out == ""
+    assert "capacity error (lattice)" in err
+
+
 def test_cli_verify_subset(capsys):
     code, out, err = run_cli(capsys, "verify", "--only", "stone")
     report = json.loads(out)

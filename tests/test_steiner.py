@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -130,6 +130,16 @@ def test_isomorphism_rejects_different_systems(fano_system):
     block_set = set(moved.blocks)
     for b in fano_system.blocks:
         assert tuple(sorted(mapping[x] for x in b)) in block_set
+
+
+def test_isomorphism_is_lexicographically_first(fano_system):
+    relabel = [4, 0, 6, 2, 5, 3, 1]
+    moved = make_system(2, 7, [[relabel[x] for x in b] for b in fano_system.blocks])
+    block_set = set(moved.blocks)
+    first = next(p for p in permutations(range(7))
+                 if all(tuple(sorted(p[x] for x in b)) in block_set
+                        for b in fano_system.blocks))
+    assert steiner_isomorphism(fano_system, moved) == first
 
 
 def test_automorphism_check(fano_system, fano_group):
