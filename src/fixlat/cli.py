@@ -119,7 +119,7 @@ def cmd_group(args, cfg: RunConfig) -> int:
     elif sub == "fixlattice":
         fl = closure.enumerate_fixset_lattice(G, cap=cfg.cap_lattice)
         result = {"size": len(fl), **serialize.fixset_lattice_to_obj(fl)}
-        dot = serialize.covers_to_dot(len(fl), fl.covers(),
+        dot = serialize.covers_to_dot(len(fl), result["covers"],
                                       labels=[",".join(map(str, e)) or "{}"
                                               for e in fl.elements])
         _emit(args, cfg, f"group {sub}", result, dot=dot)
@@ -161,7 +161,8 @@ def cmd_group(args, cfg: RunConfig) -> int:
 
 
 def cmd_lattice(args, cfg: RunConfig) -> int:
-    size, leq = serialize.raw_lattice_from_obj(_load_json(args.infile))
+    size, leq = serialize.raw_lattice_from_obj(_load_json(args.infile),
+                                               cap=cfg.cap_lattice)
     sub = args.subcommand
     if sub == "validate":
         res = lattice.lattice_validate(size, leq)
@@ -269,7 +270,7 @@ def cmd_geometry(args, cfg: RunConfig) -> int:
                   "subspaces": [list(s) for s in L.labels],
                   "covers": [list(c) for c in L.covers()]}
         dot = serialize.covers_to_dot(
-            L.size, L.covers(),
+            L.size, result["covers"],
             labels=[",".join(map(str, s)) or "{}" for s in L.labels])
         _emit(args, cfg, "geometry subspaces", result, dot=dot)
         return EXIT_OK

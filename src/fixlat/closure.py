@@ -44,28 +44,9 @@ def _as_mask(G: PermutationGroup, pts: PointsLike) -> int:
     return mask_from_points(pts, G.degree)
 
 
-def fixed_points(H: PermutationGroup) -> tuple[int, ...]:
-    """Points fixed by every element of H (the generators suffice)."""
-    fixed = (1 << H.degree) - 1
-    for g in H.generators:
-        m = 0
-        for i, j in enumerate(g.images):
-            if i == j:
-                m |= 1 << i
-        fixed &= m
-        if not fixed:
-            break
-    return points_from_mask(fixed)
-
-
-def closure_mask(G: PermutationGroup, mask: int) -> int:
-    """Closure of a point mask, memoized per group."""
-    cached = G._closure_cache.get(mask)
-    if cached is not None:
-        return cached
-    pts = points_from_mask(mask)
-    gens = G._stabilizer_gen_tuples(pts)
-    fixed = (1 << G.degree) - 1
+def _fixed_mask(degree: int, gens: Iterable[tuple[int, ...]]) -> int:
+    """Mask of the points fixed by every image tuple in gens."""
+    fixed = (1 << degree) - 1
     for g in gens:
         m = 0
         for i, j in enumerate(g):
@@ -74,8 +55,21 @@ def closure_mask(G: PermutationGroup, mask: int) -> int:
         fixed &= m
         if not fixed:
             break
-    G._closure_cache[mask] = fixed
     return fixed
+
+
+def fixed_points(H: PermutationGroup) -> tuple[int, ...]:
+    """Points fixed by every element of H (the generators suffice)."""
+    return points_from_mask(_fixed_mask(H.degree, (g.images for g in H.generators)))
+
+
+def closure_mask(G: PermutationGroup, mask: int) -> int:
+    """Closure of a point mask, memoized per group."""
+    cached = G._closure_cache.get(mask)
+    if cached is None:
+        gens = G._stabilizer_gen_tuples(points_from_mask(mask))
+        cached = G._closure_cache[mask] = _fixed_mask(G.degree, gens)
+    return cached
 
 
 def fixset_closure(G: PermutationGroup, points: PointsLike) -> FixSet:
@@ -159,37 +153,35 @@ class FixsetLattice:
 
 def closed_set_lattice(degree: int, close: Callable[[int], int],
                        cap: int) -> FixsetLattice:
-    """Every closed set of a closure operator on point masks, by join saturation.
+    """Every closed set of a closure operator on point masks, by cover generation.
 
-    Seeds are the closure of the empty set plus all singleton closures;
-    the seed set is closed under pairwise joins until stable (each join is
-    the closure of a union, so every closure of every subset appears).
-    The full domain is added explicitly. Pairs are processed in sorted
-    order, which fixes the outcome of each round and hence the numbering.
+    Starting from the closure of the empty set, each closed set A found is
+    extended by every point x outside it, and close(A | {x}) is kept when
+    new. This reaches every closed set C. The bottom lies inside C, and for
+    a found set A strictly inside C and any x in C but not in A, the set
+    close(A | {x}) lies strictly above A and inside C and is found too; so
+    a largest found set inside C is C itself. Elements are sorted by
+    (size, points), so the numbering does not depend on discovery order.
     """
     full = (1 << degree) - 1
-    seeds = {close(0)}
-    for a in range(degree):
-        seeds.add(close(1 << a))
-    elements = set(seeds)
-    frontier = sorted(seeds)
-    while frontier:
-        new = set()
-        for x in sorted(elements):
-            for y in frontier:
-                j = x | y
-                if j not in elements:
-                    j = close(j)
-                if j not in elements:
-                    new.add(j)
-            if len(elements) + len(new) > cap:
-                raise CapacityError(
-                    f"closed-set lattice exceeds cap {cap}",
-                    cap_name="lattice", partial=len(elements) + len(new))
-        elements |= new
-        frontier = sorted(new)
-    elements.add(full)
-    ordered = sorted(elements, key=lambda m: (m.bit_count(), points_from_mask(m)))
+    found: set[int] = set()
+    todo = [close(0)]
+    while todo:
+        a = todo.pop()
+        if a in found:
+            continue
+        if len(found) >= cap:
+            raise CapacityError(f"closed-set lattice exceeds cap {cap}",
+                                cap_name="lattice", partial=cap + 1)
+        found.add(a)
+        rest = full & ~a
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            c = close(a | x)
+            if c not in found:
+                todo.append(c)
+    ordered = sorted(found, key=lambda m: (m.bit_count(), points_from_mask(m)))
     return FixsetLattice(degree, tuple(points_from_mask(m) for m in ordered))
 
 

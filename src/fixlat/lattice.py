@@ -185,24 +185,12 @@ def join(L: FiniteLattice, elements: Sequence[int]) -> int:
 
 
 def atoms(L: FiniteLattice) -> tuple[int, ...]:
-    """Covers of the bottom element."""
-    out = []
-    for a in range(L.size):
-        if a == L.bottom or not L.leq[L.bottom, a]:
-            continue
-        between = L.leq[L.bottom, :] & L.leq[:, a]
-        if between.sum() == 2:  # only bottom and a
-            out.append(a)
-    return tuple(out)
+    """Covers of the bottom element: the elements whose down-set is {bottom, itself}."""
+    return tuple(int(a) for a in np.flatnonzero(L.leq.sum(axis=0) == 2))
 
 
 def lower_cone(L: FiniteLattice, l: int) -> tuple[int, ...]:
     return tuple(int(x) for x in np.flatnonzero(L.leq[:, l]))
-
-
-def atom_set(L: FiniteLattice, l: int, atom_list=None) -> tuple[int, ...]:
-    atom_list = atoms(L) if atom_list is None else atom_list
-    return tuple(a for a in atom_list if L.leq[a, l])
 
 
 def is_atomistic(L: FiniteLattice) -> bool:

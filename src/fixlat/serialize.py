@@ -26,7 +26,7 @@ import numpy as np
 from .closure import FixsetLattice
 from .errors import CapacityError, ValidationError
 from .group import GroupAction, PermutationGroup, group_from_generators
-from .lattice import FiniteLattice, order_from_covers
+from .lattice import LATTICE_CAP, FiniteLattice, order_from_covers
 from .relational import RelationalStructure
 from .steiner import SteinerSystem, make_system
 
@@ -75,21 +75,26 @@ def lattice_to_obj(L: FiniteLattice) -> dict:
 
 
 def lattice_from_obj(obj: dict) -> FiniteLattice:
+    return FiniteLattice(raw_lattice_from_obj(obj)[1])
+
+
+def raw_lattice_from_obj(obj: dict,
+                         cap: int = LATTICE_CAP) -> tuple[int, np.ndarray]:
+    """Order matrix from a covers object without lattice validation.
+
+    The size is checked against ``cap`` before the size-by-size matrix is
+    allocated.
+    """
     try:
         size = int(obj["size"])
         covers = [(int(i), int(j)) for i, j in obj["covers"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad lattice object: {exc}") from exc
-    return FiniteLattice.from_covers(size, covers)
-
-
-def raw_lattice_from_obj(obj: dict) -> tuple[int, np.ndarray]:
-    """Order matrix from a covers object without lattice validation."""
-    try:
-        size = int(obj["size"])
-        covers = [(int(i), int(j)) for i, j in obj["covers"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad lattice object: {exc}") from exc
+    if size < 1:
+        raise ValidationError(f"bad lattice object: size {size} is not positive")
+    if size > cap:
+        raise CapacityError(f"lattice size {size} exceeds cap {cap}",
+                            cap_name="lattice")
     return size, order_from_covers(size, covers)
 
 

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixlat import exhaustive
 from fixlat.closure import (FixsetLattice, enumerate_fixset_lattice, fix_join,
@@ -154,6 +156,23 @@ def test_fano_lattice_matches_brute_force(fano_group):
     assert set(enumerate_fixset_lattice(fano_group).elements) == brute
 
 
+@st.composite
+def small_generators(draw):
+    """1-3 random permutations of degree at most 7: cyclic, intransitive or not."""
+    n = draw(st.integers(1, 7))
+    return n, draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(small_generators())
+def test_enumerator_matches_brute_force_on_random_groups(group):
+    n, gens = group
+    table = exhaustive.enumerate_elements(n, gens)
+    brute = {exhaustive.fixset_closure(table, pts) for pts in all_subsets(n)}
+    expected = tuple(sorted(brute, key=lambda e: (len(e), e)))
+    assert enumerate_fixset_lattice(group_from_generators(n, gens)).elements == expected
+
+
 def test_pg32_lattice_count(pgl42):
     assert len(enumerate_fixset_lattice(pgl42)) == 67
 
@@ -194,6 +213,19 @@ def test_covers_match_definition(fano_group, pgl25, d6):
 def test_lattice_cap():
     with pytest.raises(CapacityError):
         enumerate_fixset_lattice(PermutationGroup.symmetric(6), cap=10)
+
+
+@pytest.mark.parametrize("size_under_cap, size", [
+    (lambda cap: len(enumerate_fixset_lattice(PermutationGroup.symmetric(6), cap=cap)),
+     58),
+    (lambda cap: subspace_lattice(3, 2, cap=cap).size, 28),
+], ids=["fixsets-sym6", "subspaces-pg23"])
+def test_lattice_cap_boundary(size_under_cap, size):
+    assert size_under_cap(size) == size
+    with pytest.raises(CapacityError) as exc:
+        size_under_cap(size - 1)
+    assert exc.value.cap_name == "lattice"
+    assert exc.value.partial == size
 
 
 def test_galois_report_passes(fano_group, pgl25, sym4):

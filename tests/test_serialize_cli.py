@@ -257,6 +257,31 @@ def test_cli_reconstruct_capacity_exit_code(capsys, tmp_path):
     assert "capacity error (lattice)" in err
 
 
+@pytest.mark.parametrize("size, code, message", [
+    (10**9, 3, "capacity error (lattice)"),
+    (0, 2, "error: bad lattice object"),
+    (-1, 2, "error: bad lattice object"),
+])
+def test_cli_lattice_size_checked_before_allocation(capsys, tmp_path, size, code,
+                                                    message):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps({"size": size, "covers": []}))
+    got, out, err = run_cli(capsys, "lattice", "validate", "--in", str(path))
+    assert got == code and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("sub", ["validate", "automorphisms"])
+def test_cli_lattice_input_capacity_exit_code(capsys, tmp_path, sub):
+    path = tmp_path / "pg22.json"
+    path.write_text(serialize.canonical_json(
+        serialize.lattice_to_obj(subspace_lattice(2, 2))))
+    code, out, err = run_cli(capsys, "lattice", sub, "--in", str(path),
+                             "--cap-lattice", "10")
+    assert code == 3 and out == ""
+    assert "capacity error (lattice)" in err
+
+
 def test_cli_verify_subset(capsys):
     code, out, err = run_cli(capsys, "verify", "--only", "stone")
     report = json.loads(out)
