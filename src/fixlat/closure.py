@@ -151,44 +151,126 @@ class FixsetLattice:
                              labels=self.elements)
 
 
-def closed_set_lattice(degree: int, close: Callable[[int], int],
-                       cap: int) -> FixsetLattice:
-    """Every closed set of a closure operator on point masks, by cover generation.
+def _mask_image(g: tuple[int, ...], mask: int) -> int:
+    """Image of a point mask under an image tuple."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << g[low.bit_length() - 1]
+        mask ^= low
+    return out
 
-    Starting from the closure of the empty set, each closed set A found is
-    extended by every point x outside it, and close(A | {x}) is kept when
-    new. This reaches every closed set C. The bottom lies inside C, and for
-    a found set A strictly inside C and any x in C but not in A, the set
-    close(A | {x}) lies strictly above A and inside C and is found too; so
-    a largest found set inside C is C itself. Elements are sorted by
-    (size, points), so the numbering does not depend on discovery order.
+
+def _mask_orbit(mask: int, gens: tuple[tuple[int, ...], ...],
+                room: int) -> list[int]:
+    """The orbit of a point mask under gens, breadth-first from the mask.
+
+    The search stops as soon as room + 1 masks are found, so a returned
+    list longer than ``room`` is a truncated orbit.
+    """
+    orbit = [mask]
+    seen = {mask}
+    if room < 1:
+        return orbit
+    for m in orbit:
+        for g in gens:
+            image = _mask_image(g, m)
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+                if len(orbit) > room:
+                    return orbit
+    return orbit
+
+
+def _orbit_minima(mask: int, gens: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The least point of each orbit of gens on the points of a mask.
+
+    gens must map the mask onto itself.
+    """
+    out = []
+    while mask:
+        x = (mask & -mask).bit_length() - 1
+        out.append(x)
+        orbit = 1 << x
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for g in gens:
+                z = g[y]
+                if not orbit >> z & 1:
+                    orbit |= 1 << z
+                    stack.append(z)
+        mask &= ~orbit
+    return out
+
+
+def closed_set_lattice(degree: int, close: Callable[[int], tuple[int, tuple]],
+                       cap: int) -> FixsetLattice:
+    """Every closed set of a closure operator on point masks, by cover
+    generation up to symmetry.
+
+    ``close(S)`` returns the closed mask of S and generators (image tuples)
+    of a group H_S of symmetries of the closure, each fixing S pointwise;
+    a symmetry g satisfies close(g.T) = g.close(T) for every T. G = H_0
+    must contain every H_S. Trivial symmetry (empty tuples) is plain cover
+    generation.
+
+    The worklist holds one representative c per G-orbit of closed sets,
+    with H = H_{A | {x}} for the set A and point x it came from; H fixes
+    c = close(A | {x}) setwise. For each representative, close(c | {x})
+    is computed for the least point x of each H-orbit outside c; when the
+    result is new, its whole G-orbit is added to the found sets and the
+    result is pushed as a representative.
+
+    The found family F contains close(0) and is closed under extension:
+    for B = g.c in F and y outside B, pick h in H with h.x = g^-1.y for
+    the computed x; then close(B | {y}) = g.h.close(c | {x}) lies in F,
+    as F is a union of G-orbits. F holds closed sets only, since
+    symmetries map closed sets to closed sets. Extension closure gives
+    every closed set C: the bottom lies inside C, and for a set A in F
+    strictly inside C and any y in C but not in A, close(A | {y}) lies
+    strictly above A and inside C and is in F; so a largest set of F
+    inside C is C itself. Elements are sorted by (size, points), so the
+    numbering does not depend on discovery order.
+
+    Raises ``CapacityError`` before an orbit that would take the family
+    past ``cap`` sets is added.
     """
     full = (1 << degree) - 1
+    bottom, symmetry = close(0)
     found: set[int] = set()
-    todo = [close(0)]
-    while todo:
-        a = todo.pop()
-        if a in found:
-            continue
-        if len(found) >= cap:
+    todo: list[tuple[int, tuple]] = []
+
+    def keep(c: int, gens: tuple) -> None:
+        orbit = _mask_orbit(c, symmetry, cap - len(found))
+        if len(found) + len(orbit) > cap:
             raise CapacityError(f"closed-set lattice exceeds cap {cap}",
                                 cap_name="lattice", partial=cap + 1)
-        found.add(a)
-        rest = full & ~a
-        while rest:
-            x = rest & -rest
-            rest ^= x
-            c = close(a | x)
+        found.update(orbit)
+        todo.append((c, gens))
+
+    keep(bottom, symmetry)
+    while todo:
+        a, gens = todo.pop()
+        for x in _orbit_minima(full & ~a, gens):
+            c, c_gens = close(a | 1 << x)
             if c not in found:
-                todo.append(c)
-    ordered = sorted(found, key=lambda m: (m.bit_count(), points_from_mask(m)))
-    return FixsetLattice(degree, tuple(points_from_mask(m) for m in ordered))
+                keep(c, c_gens)
+    elements = sorted(map(points_from_mask, found), key=lambda e: (len(e), e))
+    return FixsetLattice(degree, tuple(elements))
 
 
 def enumerate_fixset_lattice(G: PermutationGroup,
                              cap: int = LATTICE_CAP) -> FixsetLattice:
-    """Every fixset of the action (see ``closed_set_lattice``)."""
-    return closed_set_lattice(G.degree, lambda mask: closure_mask(G, mask), cap)
+    """Every fixset of the action (see ``closed_set_lattice``): the closure
+    of S is fix(G_S), and G_S is its symmetry."""
+
+    def close(mask: int) -> tuple[int, tuple]:
+        return (closure_mask(G, mask),
+                G._stabilizer_gen_tuples(points_from_mask(mask)))
+
+    return closed_set_lattice(G.degree, close, cap)
 
 
 @dataclass(frozen=True)

@@ -213,14 +213,14 @@ def subspace_lattice(p: int, d: int, cap: int = LATTICE_CAP) -> FiniteLattice:
     """All projective subspaces of PG(d, p) as a containment lattice.
 
     The subspaces are the closed sets of the span closure, enumerated by
-    the same cover generation as fixsets. Lattice labels are the subspaces
-    as sorted point tuples.
+    the same cover generation as fixsets, with no symmetry passed. Lattice
+    labels are the subspaces as sorted point tuples.
     """
     space = projective_points(p, d)
     n = space.num_points
 
-    def span_mask(mask: int) -> int:
-        return mask_from_points(span_closure(space, points_from_mask(mask)), n)
+    def span_mask(mask: int) -> tuple[int, tuple]:
+        return mask_from_points(span_closure(space, points_from_mask(mask)), n), ()
 
     return closed_set_lattice(n, span_mask, cap).to_finite_lattice()
 

@@ -21,6 +21,17 @@ from .perm import Permutation, mask_from_points, points_from_mask
 
 AUTOMORPHISM_CAP = 128
 LATTICE_CAP = 200_000
+# Elements of a dense n-by-n order matrix. At peak, covers take about
+# 10 n^2 bytes (640 MiB at the cap) and meet/join tables about 29 n^2.
+ORDER_MATRIX_CAP = 8_192
+
+
+def _check_order_size(n: int) -> None:
+    """Raise before an n-by-n order matrix is allocated over the cap."""
+    if n > ORDER_MATRIX_CAP:
+        raise CapacityError(
+            f"order matrix of {n} elements exceeds cap {ORDER_MATRIX_CAP}",
+            cap_name="order_matrix")
 
 
 def order_violations(leq: np.ndarray) -> list[dict]:
@@ -81,6 +92,7 @@ def containment_order(masks: Sequence[int], width: int) -> np.ndarray:
     as one float32 product of the incidence matrix with its complement;
     the counts are at most width, so they are exact.
     """
+    _check_order_size(len(masks))
     nbytes = (width + 7) // 8
     raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
     bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
@@ -95,6 +107,7 @@ def order_covers(leq: np.ndarray) -> tuple[tuple[int, int], ...]:
     j covers i when i < j and no k lies strictly between; the number of
     such k is one float32 product of the strict order with itself.
     """
+    _check_order_size(leq.shape[0])
     lt = leq & ~np.eye(leq.shape[0], dtype=bool)
     f = lt.astype(np.float32)
     strict = lt & ((f @ f) == 0)
@@ -103,6 +116,7 @@ def order_covers(leq: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 def order_from_covers(size: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
     """Reflexive-transitive closure of cover pairs (i, j), j covering i."""
+    _check_order_size(size)
     leq = np.eye(size, dtype=bool)
     for i, j in covers:
         if not (0 <= i < size and 0 <= j < size):
@@ -121,6 +135,7 @@ class FiniteLattice:
 
     def __init__(self, leq: np.ndarray, labels: Optional[Sequence] = None):
         leq = np.asarray(leq, dtype=bool)
+        _check_order_size(leq.shape[0])
         problems, self.meet_table, self.join_table = _lattice_tables(leq)
         if problems:
             raise ValidationError(f"not a lattice: {problems[0]}")

@@ -141,10 +141,8 @@ def mask_from_points(points: Iterable[int], degree: int) -> int:
 
 def points_from_mask(mask: int) -> tuple[int, ...]:
     out = []
-    x = 0
     while mask:
-        if mask & 1:
-            out.append(x)
-        mask >>= 1
-        x += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -5,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixlat import exhaustive
-from fixlat.closure import (FixsetLattice, enumerate_fixset_lattice, fix_join,
-                            fix_meet, fixed_points, fixset_closure,
-                            galois_report, is_fixset)
+from fixlat import closure, exhaustive
+from fixlat.closure import (FixsetLattice, closed_set_lattice,
+                            enumerate_fixset_lattice, fix_join, fix_meet,
+                            fixed_points, fixset_closure, galois_report,
+                            is_fixset)
 from fixlat.errors import CapacityError, PreconditionError
-from fixlat.geometry import subspace_lattice
+from fixlat.geometry import gaussian_binomial, pgl_generators, subspace_lattice
 from fixlat.group import PermutationGroup, group_from_generators
+from fixlat.perm import points_from_mask
 
 
 def all_subsets(n):
@@ -173,8 +177,70 @@ def test_enumerator_matches_brute_force_on_random_groups(group):
     assert enumerate_fixset_lattice(group_from_generators(n, gens)).elements == expected
 
 
+def fixset_close(G, symmetric=True):
+    """The fixset closure callback, with G_S as symmetry or with none."""
+    def close(mask):
+        gens = G._stabilizer_gen_tuples(points_from_mask(mask)) if symmetric else ()
+        return closure.closure_mask(G, mask), gens
+    return close
+
+
+@st.composite
+def groups_up_to_degree_8(draw):
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return group_from_generators(n, gens)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(groups_up_to_degree_8())
+def test_orbit_transport_matches_plain_cover_generation(G):
+    cap = 1 << G.degree
+    plain = closed_set_lattice(G.degree, fixset_close(G, symmetric=False), cap)
+    transported = closed_set_lattice(G.degree, fixset_close(G), cap)
+    assert transported.elements == plain.elements
+
+
+def test_closure_calls_one_per_stabilizer_orbit(monkeypatch):
+    # PGL(5,2) on PG(4,2): extending by every point makes 9,518 calls
+    G = pgl_generators(2, 4)
+    calls = []
+    real = closure.closure_mask
+
+    def counted(H, mask):
+        calls.append(mask)
+        return real(H, mask)
+
+    monkeypatch.setattr(closure, "closure_mask", counted)
+    assert len(enumerate_fixset_lattice(G)) == 374
+    assert 1 <= len(calls) <= 32
+
+
 def test_pg32_lattice_count(pgl42):
     assert len(enumerate_fixset_lattice(pgl42)) == 67
+
+
+def test_pg42_fixsets_are_the_subspaces():
+    fixsets = enumerate_fixset_lattice(pgl_generators(2, 4)).elements
+    assert fixsets == subspace_lattice(2, 4).labels
+    assert len(fixsets) == 374
+
+
+def test_pg52_fixset_count_is_gaussian():
+    expected = sum(gaussian_binomial(6, k, 2) for k in range(7))
+    assert expected == 2825
+    assert len(enumerate_fixset_lattice(pgl_generators(2, 5))) == expected
+
+
+def test_pg25_elements_pinned():
+    # SHA-256 of the compact JSON element list, as the per-point enumerator
+    # produced it
+    elements = enumerate_fixset_lattice(pgl_generators(5, 2)).elements
+    digest = hashlib.sha256(json.dumps([list(e) for e in elements],
+                                       separators=(",", ":")).encode()).hexdigest()
+    assert len(elements) == 5179
+    assert digest == ("ad340a2953df11e1e4c9d3499e8a655d"
+                      "cb3ef569c6b1fae4b667b20c825d3d79")
 
 
 def test_lattice_closed_under_meet_and_join(fano_group, d6):
@@ -226,6 +292,33 @@ def test_lattice_cap_boundary(size_under_cap, size):
         size_under_cap(size - 1)
     assert exc.value.cap_name == "lattice"
     assert exc.value.partial == size
+
+
+def test_mask_orbit_stops_past_room():
+    sym20 = PermutationGroup.symmetric(20)._gen_tuples
+    nine = (1 << 9) - 1  # its orbit has C(20, 9) = 167,960 masks
+    assert len(closure._mask_orbit(nine, sym20, 5)) == 6
+    assert len(closure._mask_orbit(nine, sym20, 0)) == 1
+    assert len(closure._mask_orbit(0b11, PermutationGroup.symmetric(4)._gen_tuples,
+                                   6)) == 6
+
+
+def test_cap_inside_an_orbit(fano_group, monkeypatch):
+    # PGL(3,2): bottom (1) and the points (7) fit under 10, the lines (7) do not
+    orbits = []
+    real = closure._mask_orbit
+
+    def recorded(mask, gens, room):
+        got = real(mask, gens, room)
+        orbits.append((room, len(got)))
+        return got
+
+    monkeypatch.setattr(closure, "_mask_orbit", recorded)
+    with pytest.raises(CapacityError) as exc:
+        enumerate_fixset_lattice(fano_group, cap=10)
+    assert exc.value.cap_name == "lattice" and exc.value.partial == 11
+    assert orbits == [(10, 1), (9, 7), (2, 3)]
+    assert len(enumerate_fixset_lattice(fano_group, cap=16)) == 16
 
 
 def test_galois_report_passes(fano_group, pgl25, sym4):

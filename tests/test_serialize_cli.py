@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fixlat
 from fixlat import serialize
 from fixlat.cli import main
 from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import ValidationError
-from fixlat.geometry import subspace_lattice
+from fixlat.geometry import pgl_generators, subspace_lattice
 from fixlat.group import GroupAction, PermutationGroup
 from fixlat.relational import canonical_structure
 from fixlat.steiner import steiner_from_projective
@@ -269,6 +274,64 @@ def test_cli_lattice_size_checked_before_allocation(capsys, tmp_path, size, code
     got, out, err = run_cli(capsys, "lattice", "validate", "--in", str(path))
     assert got == code and out == ""
     assert message in err
+
+
+LIMITED_CLI = """
+import resource, runpy, sys
+limit = int(sys.argv.pop(1))
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+runpy.run_module("fixlat.cli", run_name="__main__")
+"""
+
+
+def run_cli_limited(*args, address_space=1 << 30):
+    """Run the CLI in a child process that limits its own address space, so
+    an order matrix allocated past its cap fails there instead of filling
+    memory."""
+    env = dict(os.environ)
+    src = str(Path(fixlat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, str(address_space), *args],
+        env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_cli_order_matrix_cap_on_lattice_input(tmp_path):
+    # under the lattice cap, but its order matrix would take 21 GiB
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"size": 150_000, "covers": []}))
+    proc = run_cli_limited("lattice", "validate", "--in", str(path))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "capacity error (order_matrix)" in proc.stderr
+    assert "150000 elements exceeds cap 8192" in proc.stderr
+
+
+def test_cli_order_matrix_cap_on_fixlattice(tmp_path):
+    # PGL(4,3) on PG(3,3) has 147,737 fixsets: enumerated, but no covers
+    path = tmp_path / "pg33.json"
+    path.write_text(serialize.canonical_json(serialize.group_to_obj(
+        GroupAction.unlabeled(pgl_generators(3, 3)))))
+    proc = run_cli_limited("group", "fixlattice", "--in", str(path))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "capacity error (order_matrix)" in proc.stderr
+    assert "147737 elements" in proc.stderr
+
+
+def test_cli_fixlattice_cap_inside_an_orbit(capsys, tmp_path, fano_group):
+    path = tmp_path / "fano.json"
+    path.write_text(serialize.canonical_json(serialize.group_to_obj(
+        GroupAction.unlabeled(fano_group))))
+    code, out, err = run_cli(capsys, "group", "fixlattice", "--in", str(path),
+                             "--cap-lattice", "10")
+    assert code == 3 and out == ""
+    assert "capacity error (lattice)" in err
+    code, out, _ = run_cli(capsys, "group", "fixlattice", "--in", str(path),
+                           "--cap-lattice", "16")
+    assert code == 0 and json.loads(out)["result"]["size"] == 16
 
 
 @pytest.mark.parametrize("sub", ["validate", "automorphisms"])
