@@ -9,12 +9,24 @@ identical bases, transversals and strong generators:
   residue is appended;
 * orbits are explored breadth-first with generators in list order.
 
+A caller that already knows the group order passes it in. The build then
+stops as soon as the product of the transversal lengths reaches it: each
+transversal is an orbit of a subgroup of the true basic stabilizer, so
+the product never exceeds the order, and equality means every element
+sifts to the identity, so the chain is already a complete BSGS and the
+rest of the Schreier-Sims pass could add nothing. The known order is a
+checked invariant: a product above it, or a finished pass below it,
+raises ``InternalConsistencyError`` instead of returning a wrong chain.
+
 Permutations are raw image tuples here; composition is apply-left-then-right.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from math import prod
+
+from .errors import InternalConsistencyError
 
 
 def compose(p, q):
@@ -64,7 +76,7 @@ def sims_filter(degree, gens):
 class StabilizerChain:
     """Base / strong-generating-set index for a finite permutation group."""
 
-    def __init__(self, degree, generators, base_prefix=()):
+    def __init__(self, degree, generators, base_prefix=(), order=None):
         self.degree = degree
         ident = tuple(range(degree))
         self._ident = ident
@@ -89,7 +101,14 @@ class StabilizerChain:
         self.inv_transversals = [None] * len(base)
         for i in range(len(base)):
             self._rebuild_transversal(i)
-        self._schreier_sims()
+        self._filtered = {}
+        self._known_order = order
+        if not self._reached_order():
+            self._schreier_sims()
+        if order is not None and self.order() != order:
+            raise InternalConsistencyError(
+                f"Schreier-Sims ended at order {self.order()}, "
+                f"below the known order {order}")
 
     def _rebuild_transversal(self, i):
         b = self.base[i]
@@ -106,6 +125,17 @@ class StabilizerChain:
                     queue.append(z)
         self.transversals[i] = tr
         self.inv_transversals[i] = {y: inverse(u) for y, u in tr.items()}
+
+    def _reached_order(self):
+        """True once the transversal product equals the known order."""
+        if self._known_order is None:
+            return False
+        n = self.order()
+        if n > self._known_order:
+            raise InternalConsistencyError(
+                f"transversal product {n} exceeds the known order "
+                f"{self._known_order}")
+        return n == self._known_order
 
     def _strip(self, h, start=0):
         """Sift h through levels >= start; (None, _) means h is in that subgroup."""
@@ -147,6 +177,8 @@ class StabilizerChain:
                     for l in range(i + 1, j):
                         lgens[l].append(h)
                         self._rebuild_transversal(l)
+                    if self._reached_order():
+                        return
                     i = j - 1
                     restart = True
                     break
@@ -155,11 +187,9 @@ class StabilizerChain:
             if not restart:
                 i -= 1
 
-    def order(self) -> int:
-        n = 1
-        for tr in self.transversals:
-            n *= len(tr)
-        return n
+    def order(self, depth: int = 0) -> int:
+        """Order of the subgroup fixing base[:depth] pointwise."""
+        return prod(len(tr) for tr in self.transversals[depth:])
 
     def contains(self, p) -> bool:
         h, _ = self._strip(tuple(p))
@@ -167,6 +197,9 @@ class StabilizerChain:
 
     def stabilizer_generators(self, depth: int):
         """Generators of the subgroup fixing base[:depth] pointwise."""
-        if depth >= len(self.base):
-            return []
-        return sims_filter(self.degree, self.level_gens[depth])
+        gens = self._filtered.get(depth)
+        if gens is None:
+            gens = self._filtered[depth] = tuple(
+                sims_filter(self.degree, self.level_gens[depth])
+                if depth < len(self.base) else ())
+        return gens

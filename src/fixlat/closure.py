@@ -67,7 +67,7 @@ def closure_mask(G: PermutationGroup, mask: int) -> int:
     """Closure of a point mask, memoized per group."""
     cached = G._closure_cache.get(mask)
     if cached is None:
-        gens = G._stabilizer_gen_tuples(points_from_mask(mask))
+        gens = G._stabilizer(points_from_mask(mask)).gens
         cached = G._closure_cache[mask] = _fixed_mask(G.degree, gens)
     return cached
 
@@ -268,7 +268,7 @@ def enumerate_fixset_lattice(G: PermutationGroup,
 
     def close(mask: int) -> tuple[int, tuple]:
         return (closure_mask(G, mask),
-                G._stabilizer_gen_tuples(points_from_mask(mask)))
+                G._stabilizer(points_from_mask(mask)).gens)
 
     return closed_set_lattice(G.degree, close, cap)
 

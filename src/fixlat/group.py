@@ -1,26 +1,53 @@
 """Finite permutation groups given by generators.
 
 Orders, membership and pointwise stabilizers come from deterministic
-stabilizer chains; stabilizers of several points are computed by walking
-a cached tower of one-point stabilizers, so repeated closure queries
-share work. Orbit counts on k-tuple spaces go through the array kernels.
+stabilizer chains. Pointwise stabilizers of sorted point tuples live in a
+tower keyed by prefix: each G_A is recorded as a level of a chain that
+already exists, conjugated by a known permutation, so extending A by a
+point in that level's basic orbit needs no Schreier-Sims at all, and a
+fresh chain is built only when the point lies outside it. Orbit counts on
+k-tuple spaces go through the array kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
-from ._chain import StabilizerChain
+from ._chain import StabilizerChain, compose
 from .errors import CapacityError, PreconditionError, ValidationError
 from .exhaustive import ORDER_CAP, enumerate_elements
 from .perm import Permutation, mask_from_points, points_from_mask
 
 DEGREE_CAP = 4096
 TUPLE_SPACE_CAP = 5_000_000
+
+
+class _Stab(NamedTuple):
+    """The pointwise stabilizer G_A of a point prefix A, as a tower record.
+
+    G_A is level ``level`` of ``chain`` conjugated by ``w``: the elements
+    w^-1 h w (apply w^-1, then h, then w) for h fixing the chain's first
+    ``level`` base points. ``gens`` generate G_A and ``order`` is |G_A|.
+    """
+
+    gens: tuple
+    order: int
+    chain: StabilizerChain
+    level: int
+    w: tuple
+    w_inv: tuple
+
+
+def _stab_record(chain: StabilizerChain, level: int, w: tuple,
+                 w_inv: tuple) -> _Stab:
+    gens = chain.stabilizer_generators(level)
+    if w != chain._ident:
+        gens = tuple(tuple(w[h[i]] for i in w_inv) for h in gens)
+    return _Stab(gens, chain.order(level), chain, level, w, w_inv)
 
 
 class PermutationGroup:
@@ -50,7 +77,8 @@ class PermutationGroup:
         self.generators = tuple(gens)
         self._gen_tuples = tuple(g.images for g in gens)
         self._chain: Optional[StabilizerChain] = None
-        self._stab_gens_cache: dict[tuple[int, ...], tuple] = {(): self._gen_tuples}
+        self._order: Optional[int] = None
+        self._stab_gens_cache: dict[tuple[int, ...], _Stab] = {}
         self._stab_group_cache: dict[tuple[int, ...], "PermutationGroup"] = {}
         self._closure_cache: dict[int, int] = {}
 
@@ -99,30 +127,54 @@ class PermutationGroup:
 
     def _base_chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self._gen_tuples)
+            self._chain = StabilizerChain(self.degree, self._gen_tuples,
+                                          order=self._order)
         return self._chain
 
-    def _stabilizer_gen_tuples(self, points: tuple[int, ...]) -> tuple:
-        """Generators of the pointwise stabilizer of a sorted point tuple."""
-        cached = self._stab_gens_cache.get(points)
-        if cached is not None:
-            return cached
-        prev = self._stabilizer_gen_tuples(points[:-1])
-        x = points[-1]
-        if all(g[x] == x for g in prev):
-            result = prev
-        elif not prev:
-            result = ()
-        else:
-            chain = StabilizerChain(self.degree, prev, base_prefix=(x,))
-            result = tuple(chain.stabilizer_generators(1))
-        self._stab_gens_cache[points] = result
-        return result
+    def _stabilizer(self, points: tuple[int, ...]) -> _Stab:
+        """Tower record of the pointwise stabilizer of a sorted point tuple.
+
+        Extending a cached prefix A by x: if G_A fixes x the record is
+        reused. Otherwise y = w^-1(x); if the transversal element u at
+        the record's level maps the base point to y, then G_{A+x} is the
+        next level conjugated by u w. Only for y outside that basic orbit
+        is a chain built, for G_A with base (x,), stopped at |G_A|.
+        """
+        cache = self._stab_gens_cache
+        rec = cache.get(points)
+        if rec is not None:
+            return rec
+        if () not in cache:
+            chain = self._base_chain()
+            cache[()] = _Stab(self._gen_tuples, self.order(), chain, 0,
+                              chain._ident, chain._ident)
+        k = len(points)
+        while points[:k] not in cache:
+            k -= 1
+        rec = cache[points[:k]]
+        for k in range(k, len(points)):
+            x = points[k]
+            if any(g[x] != x for g in rec.gens):
+                chain, level = rec.chain, rec.level
+                y = rec.w_inv[x]
+                u = chain.transversals[level].get(y)
+                if u is None:
+                    chain = StabilizerChain(self.degree, rec.gens,
+                                            base_prefix=(x,), order=rec.order)
+                    rec = _stab_record(chain, 1, chain._ident, chain._ident)
+                else:
+                    rec = _stab_record(
+                        chain, level + 1, compose(u, rec.w),
+                        compose(rec.w_inv, chain.inv_transversals[level][y]))
+            cache[points[:k + 1]] = rec
+        return rec
 
     # -- fundamental operations ----------------------------------------------
 
     def order(self) -> int:
-        return self._base_chain().order()
+        if self._order is None:
+            self._order = self._base_chain().order()
+        return self._order
 
     def contains(self, p: Permutation) -> bool:
         if not isinstance(p, Permutation):
@@ -176,8 +228,10 @@ class PermutationGroup:
         pts = points_from_mask(mask)
         group = self._stab_group_cache.get(pts)
         if group is None:
-            gens = self._stabilizer_gen_tuples(pts)
-            group = PermutationGroup(self.degree, [Permutation(g) for g in gens])
+            rec = self._stabilizer(pts)
+            group = PermutationGroup(self.degree,
+                                     [Permutation(g) for g in rec.gens])
+            group._order = rec.order
             self._stab_group_cache[pts] = group
         return group
 

@@ -180,7 +180,7 @@ def test_enumerator_matches_brute_force_on_random_groups(group):
 def fixset_close(G, symmetric=True):
     """The fixset closure callback, with G_S as symmetry or with none."""
     def close(mask):
-        gens = G._stabilizer_gen_tuples(points_from_mask(mask)) if symmetric else ()
+        gens = G._stabilizer(points_from_mask(mask)).gens if symmetric else ()
         return closure.closure_mask(G, mask), gens
     return close
 
@@ -199,6 +199,17 @@ def test_orbit_transport_matches_plain_cover_generation(G):
     plain = closed_set_lattice(G.degree, fixset_close(G, symmetric=False), cap)
     transported = closed_set_lattice(G.degree, fixset_close(G), cap)
     assert transported.elements == plain.elements
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(groups_up_to_degree_8(), st.randoms(use_true_random=False))
+def test_closure_is_independent_of_query_order(G, rng):
+    table = exhaustive.enumerate_elements(G.degree, G._gen_tuples)
+    masks = list(range(1 << G.degree))
+    rng.shuffle(masks)
+    for mask in masks:
+        expected = exhaustive.fixset_closure(table, points_from_mask(mask))
+        assert points_from_mask(closure.closure_mask(G, mask)) == expected
 
 
 def test_closure_calls_one_per_stabilizer_orbit(monkeypatch):

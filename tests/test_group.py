@@ -4,7 +4,9 @@ from math import factorial
 import pytest
 
 from fixlat import exhaustive
-from fixlat.errors import PreconditionError, ValidationError
+from fixlat._chain import StabilizerChain
+from fixlat.errors import (InternalConsistencyError, PreconditionError,
+                           ValidationError)
 from fixlat.group import PermutationGroup, group_from_generators
 from fixlat.perm import Permutation
 
@@ -196,3 +198,35 @@ def test_primitivity_of_fano(fano_group):
 def test_primitivity_needs_transitive():
     with pytest.raises(PreconditionError):
         group_from_generators(4, ["(0 1)"]).primitivity()
+
+
+def test_known_order_stops_the_chain_and_is_checked():
+    s5 = PermutationGroup.symmetric(5)._gen_tuples
+    full = StabilizerChain(5, s5, base_prefix=(3,))
+    stopped = StabilizerChain(5, s5, base_prefix=(3,), order=120)
+    assert stopped.order() == full.order() == 120
+    assert stopped.base == full.base
+    assert all(stopped.contains(g) for g in s5)
+    # a product of basic orbit lengths (each at most 5) never equals 119
+    with pytest.raises(InternalConsistencyError, match="exceeds"):
+        StabilizerChain(5, s5, base_prefix=(3,), order=119)
+    with pytest.raises(InternalConsistencyError, match="below"):
+        StabilizerChain(5, s5, base_prefix=(3,), order=240)
+
+
+def test_stabilizer_tower_reuses_chains(monkeypatch):
+    # Sym(7) is 7-transitive: every prefix extends along one chain
+    builds = []
+    real = StabilizerChain.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counted)
+    G = PermutationGroup.symmetric(7)
+    for pts in ((0, 1, 2), (2, 4, 6), (1, 5), (3, 4, 5, 6)):
+        H = G.pointwise_stabilizer(pts)
+        assert H.order() == factorial(7 - len(pts))
+        assert all(g[x] == x for g in H._gen_tuples for x in pts)
+    assert len(builds) == 1

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import fixlat
-from fixlat import serialize
+from fixlat import exhaustive, serialize
 from fixlat.cli import main
 from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import ValidationError
@@ -113,13 +113,24 @@ def test_cli_group_jordan_witness(capsys, group_file):
     assert result["witness"]["complement_orbits"] == [[1, 5], [2, 4]]
 
 
-def test_cli_group_stab_and_orbits(capsys, group_file):
+def test_cli_group_stab_and_orbits(capsys, group_file, d6):
     code, out, _ = run_cli(capsys, "group", "stab", "--in", group_file,
                            "--points", "0")
     result = json.loads(out)["result"]
     assert code == 0
     assert result["order"] == 2
     assert result["fixed_points"] == [0, 3]
+    # the generators are some generating set of the stabilizer: check the group
+    from sympy.combinatorics import Permutation as SymPerm
+    from sympy.combinatorics import PermutationGroup as SymGroup
+    gens = result["generators"]
+    assert all(g[0] == 0 for g in gens)
+    assert len(exhaustive.enumerate_elements(6, gens)) == result["order"]
+    oracle = SymGroup([SymPerm(g, size=6) for g in d6._gen_tuples])
+    K = oracle.pointwise_stabilizer([0])
+    H = PermutationGroup(6, gens)
+    assert all(K.contains(SymPerm(g, size=6)) for g in gens)
+    assert all(H.contains([k(i) for i in range(6)]) for k in K.generators)
     code, out, _ = run_cli(capsys, "group", "orbits", "--in", group_file)
     assert json.loads(out)["result"]["orbits"] == [[0, 1, 2, 3, 4, 5]]
 

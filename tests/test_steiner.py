@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from fixlat._chain import StabilizerChain
 from fixlat.errors import (InternalConsistencyError, PreconditionError,
                            ValidationError)
 from fixlat.geometry import pgl_generators
@@ -171,6 +172,22 @@ def test_jordan_reports(fano_group, pgl25):
     assert by_fixset[(0, 1, 2)].complement_orbit_count == 1  # a full line
     assert jordan_report(PermutationGroup.symmetric(6)).all_jordan
     assert jordan_report(pgl25).all_jordan
+
+
+def test_jordan_report_reuses_stabilizer_chains(monkeypatch):
+    # PGL(3,5) on PG(2,5): one pointwise stabilizer per fixset, 5,179 of
+    # them; a fresh Schreier-Sims per point prefix made 5,185 builds
+    builds = []
+    real = StabilizerChain.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counted)
+    rep = jordan_report(pgl_generators(5, 2))
+    assert len(rep.entries) == 5177 and not rep.all_jordan
+    assert len(builds) <= 600
 
 
 def test_jordan_report_hexagon(d6):

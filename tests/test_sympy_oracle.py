@@ -1,0 +1,31 @@
+"""sympy.combinatorics as a differential oracle for pointwise stabilizers."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation as SymPerm
+from sympy.combinatorics import PermutationGroup as SymGroup
+
+from fixlat.group import group_from_generators
+
+
+@st.composite
+def groups_and_point_sets(draw):
+    n = draw(st.integers(1, 12))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    point_sets = draw(st.lists(st.sets(st.integers(0, n - 1)),
+                               min_size=1, max_size=6))
+    return n, gens, point_sets
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(groups_and_point_sets())
+def test_pointwise_stabilizers_match_sympy(case):
+    n, gens, point_sets = case
+    G = group_from_generators(n, gens)
+    oracle = SymGroup([SymPerm(g, size=n) for g in gens])
+    for pts in point_sets:
+        H = G.pointwise_stabilizer(pts)
+        K = oracle.pointwise_stabilizer(sorted(pts))
+        assert H.order() == K.order()
+        assert all(K.contains(SymPerm(list(g), size=n)) for g in H._gen_tuples)
+        assert all(H.contains([k(i) for i in range(n)]) for k in K.generators)
