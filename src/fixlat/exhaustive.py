@@ -4,11 +4,14 @@ Everything here is deliberately independent of the stabilizer-chain
 machinery: elements come from product closure of the generators, and all
 derived quantities are computed by direct filtering over that table.
 These functions back the cross-checks for orders, membership,
-stabilizers, fixed-point closures and tuple-orbit counts.
+stabilizers, fixed-point closures, definable closures and tuple-orbit
+counts.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -78,6 +81,50 @@ def fixed_points(rows: np.ndarray) -> tuple[int, ...]:
 def fixset_closure(elements: np.ndarray, points) -> tuple[int, ...]:
     """Fixed points of the pointwise stabilizer, by direct filtering."""
     return fixed_points(stabilizer_rows(elements, points))
+
+
+def relational_closure(elements: np.ndarray, points, arity: int) -> tuple[int, ...]:
+    """Definable closure over the orbit relations of arity 2..arity.
+
+    Adds every point forced by a parameter set inside the closure (see
+    ``_completion_rules``) until nothing changes.
+    """
+    table = np.ascontiguousarray(elements, dtype=np.int32)
+    rules = _completion_rules(table.tobytes(), table.shape[1], arity)
+    closed = set(points)
+    grown = True
+    while grown:
+        before = len(closed)
+        closed.update(v for rest, v in rules if rest <= closed)
+        grown = len(closed) > before
+    return tuple(sorted(closed))
+
+
+@lru_cache(maxsize=8)
+def _completion_rules(table: bytes, degree: int, arity: int) -> frozenset:
+    """(parameter set, forced point) pairs of every arity in 2..arity.
+
+    Orbits of distinct k-tuples come from applying every element; a
+    coordinate is forced when, within its orbit, no other tuple agrees with
+    it in all the other coordinates. Keyed by the element table's bytes, so
+    repeated queries on one group enumerate the orbits once.
+    """
+    elements = np.frombuffer(table, dtype=np.int32).reshape(-1, degree)
+    rules = set()
+    for k in range(2, arity + 1):
+        seen = set()
+        for t in permutations(range(degree), k):
+            if t in seen:
+                continue
+            orbit = set(map(tuple, elements[:, list(t)].tolist()))
+            seen |= orbit
+            for slot in range(k):
+                completions = defaultdict(set)
+                for u in orbit:
+                    completions[u[:slot] + u[slot + 1:]].add(u[slot])
+                rules.update((frozenset(rest), v) for rest, (v, *more)
+                             in completions.items() if not more)
+    return frozenset(rules)
 
 
 def tuple_orbit_count(elements: np.ndarray, k: int) -> int:

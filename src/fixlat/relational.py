@@ -6,6 +6,11 @@ closure then grows a point set by repeatedly adding every point that is
 the unique completion of some relation tuple whose other coordinates are
 already in the set. This is an independent route to the fixed-point
 closure: it never overshoots it, and with enough arity it often meets it.
+
+Whether a parameter set forces a point does not depend on the orbit, slot
+or order it came from, so each arity limit gets one deduplicated table of
+(parameter set, forced point) rows, and each round of the fixpoint is one
+membership-gated gather over that table.
 """
 
 from __future__ import annotations
@@ -34,11 +39,16 @@ def _decode(codes: np.ndarray, n: int, k: int) -> np.ndarray:
 
 @dataclass
 class RelationalStructure:
-    """Orbit relations per arity, with unique-completion tables for closure.
+    """Orbit relations per arity, with one unique-completion table per arity limit.
 
     relations[arity] is a tuple of (m, arity) arrays of distinct tuples,
-    numbered by their least tuple. completion tables pair an (m, arity-1)
-    parameter matrix with the array of points they force.
+    numbered by their least tuple. A completion row says "the parameter set
+    P forces v": some relation tuple has v in one slot and the points of P in
+    the others, and no other tuple of that relation agrees with it off that
+    slot. The row depends only on the set P and on v, so the table for a
+    limit holds each (sorted P, v) once across all orbits, slots and arities
+    up to the limit. Rows with |P| < limit - 1 are padded with the sentinel
+    point ``degree``, which the closure always counts as a member.
     """
 
     degree: int
@@ -47,35 +57,44 @@ class RelationalStructure:
     _tables: dict[int, list[tuple[np.ndarray, np.ndarray]]] = field(
         default_factory=dict, repr=False)
 
-    def completion_tables(self, arity_limit: Optional[int] = None):
+    def completion_table(self, arity_limit: Optional[int] = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """(m, limit-1) parameter rows and the m points they force."""
         limit = self.max_arity if arity_limit is None else arity_limit
-        out = []
-        for arity in range(2, limit + 1):
-            if arity not in self._tables:
-                self._tables[arity] = self._build_tables(arity)
-            out.extend(self._tables[arity])
-        return out
+        if not (isinstance(limit, int) and 2 <= limit <= self.max_arity):
+            raise ValidationError(
+                f"arity_limit must lie in 2..{self.max_arity}, got {limit!r}")
+        if limit not in self._tables:
+            self._tables[limit] = self._build_tables(limit)
+        return self._tables[limit][0]
 
-    def _build_tables(self, arity: int):
-        tables = []
-        for rel in self.relations.get(arity, ()):
-            for slot in range(arity):
-                params = np.delete(rel, slot, axis=1)
-                values = rel[:, slot]
-                order = np.lexsort(params.T[::-1])
-                params = params[order]
-                values = values[order]
-                if params.shape[0] == 0:
-                    continue
-                diff = np.ones(params.shape[0], dtype=bool)
-                diff[1:] = (params[1:] != params[:-1]).any(axis=1)
-                starts = np.flatnonzero(diff)
-                lengths = np.diff(np.append(starts, params.shape[0]))
-                singles = starts[lengths == 1]
-                if singles.size:
-                    tables.append((np.ascontiguousarray(params[singles]),
-                                   np.ascontiguousarray(values[singles])))
-        return tables
+    def _build_tables(self, limit: int):
+        """The table for ``limit``: the one below it, padded, plus new rows.
+
+        Parameter sets of arity-``limit`` rows have limit - 1 points, more
+        than any lower row, so only those rows need deduplicating here. The
+        table comes back as a one-item list of (params, values) pairs, the
+        shape the benchmark's row counter reads.
+        """
+        n = self.degree
+        if limit > 2:
+            params, values = self.completion_table(limit - 1)
+            params = np.hstack([params, np.full((params.shape[0], 1), n)])
+        else:
+            params, values = np.empty((0, 1), dtype=np.int64), np.empty(0, dtype=np.int64)
+        radix = n ** np.arange(limit - 1, -1, -1, dtype=np.int64)
+        codes = [np.empty(0, dtype=np.int64)]
+        for rel in self.relations.get(limit, ()):
+            for slot in range(limit):
+                rest = np.delete(rel, slot, axis=1)
+                _, inverse, counts = np.unique(rest @ radix[1:], return_inverse=True,
+                                               return_counts=True)
+                single = counts[inverse] == 1
+                codes.append(np.hstack([np.sort(rest[single], axis=1),
+                                        rel[single, slot:slot + 1]]) @ radix)
+        rows = _decode(np.unique(np.concatenate(codes)), n, limit)
+        return [(np.vstack([params, rows[:, :-1]]),
+                 np.concatenate([values, rows[:, -1]]))]
 
 
 def canonical_structure(G: PermutationGroup, max_arity: int = 3,
@@ -112,21 +131,20 @@ def canonical_structure(G: PermutationGroup, max_arity: int = 3,
 def relational_dcl(S: RelationalStructure, points: Iterable[int],
                    arity_limit: Optional[int] = None) -> tuple[int, ...]:
     """Least fixpoint of unique-completion over the structure's relations."""
-    mask = mask_from_points(points, S.degree)
-    member = np.zeros(S.degree, dtype=bool)
-    for x in points_from_mask(mask):
-        member[x] = True
-    tables = S.completion_tables(arity_limit)
-    changed = True
-    while changed:
-        changed = False
-        for params, values in tables:
-            forced = _kernels.gather_candidates(params, values, member)
-            for v in forced:
-                if not member[v]:
-                    member[v] = True
-                    changed = True
-    return tuple(int(x) for x in np.flatnonzero(member))
+    params, values = S.completion_table(arity_limit)
+    start = points_from_mask(mask_from_points(points, S.degree))
+    if params.shape[0] == 0:
+        return start
+    member = np.zeros(S.degree + 1, dtype=bool)
+    member[list(start)] = True
+    member[S.degree] = True  # the padding sentinel
+    while not member.all():
+        forced = _kernels.gather_candidates(params, values, member)
+        new = forced[~member[forced]]
+        if new.size == 0:
+            break
+        member[new] = True
+    return tuple(int(x) for x in np.flatnonzero(member[:S.degree]))
 
 
 @dataclass(frozen=True)
@@ -159,7 +177,7 @@ def dcl_vs_fixset_report(G: PermutationGroup, max_arity: int = 3,
     from .closure import fixset_closure
 
     n = G.degree
-    if n <= exhaustive_limit:
+    if n <= exhaustive_limit or (1 << n) <= sample_size:
         subsets = [points_from_mask(m) for m in range(1 << n)]
     else:
         rng = random.Random(seed)

@@ -1,10 +1,16 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fixlat import _kernels
 from fixlat.closure import fixset_closure
 from fixlat.errors import ValidationError
-from fixlat.group import PermutationGroup
+from fixlat.exhaustive import relational_closure
+from fixlat.geometry import pgl_generators
+from fixlat.group import PermutationGroup, group_from_generators
 from fixlat.relational import (canonical_structure, dcl_vs_fixset_report,
                                relational_dcl)
 
@@ -152,3 +158,70 @@ def test_report_sampling_above_limit(pgl42):
     rep = dcl_vs_fixset_report(pgl42, 2, sample_size=64, seed=3)
     assert rep.subsets_tested == 64
     assert rep.sound
+
+
+def test_report_tests_every_subset_when_the_sample_would_cover_them(sym4):
+    # 2^4 = 16 subsets cannot fill a sample of 64 distinct ones
+    rep = dcl_vs_fixset_report(sym4, 3, exhaustive_limit=2, sample_size=64)
+    assert rep.subsets_tested == 16
+    assert rep == dcl_vs_fixset_report(sym4, 3)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 4, 7, 2.5])
+def test_arity_limit_outside_the_structure_is_rejected(fano_group, limit):
+    S = canonical_structure(fano_group, 3)
+    with pytest.raises(ValidationError):
+        relational_dcl(S, [0, 1], arity_limit=limit)
+    with pytest.raises(ValidationError):
+        S.completion_table(limit)
+
+
+def test_fano_table_has_one_row_per_point_pair(fano_group):
+    S = canonical_structure(fano_group, 3)
+    params, values = S.completion_table(3)
+    assert params.shape == (21, 2)
+    pairs = [tuple(row) for row in params.tolist()]
+    assert sorted(pairs) == list(combinations(range(7), 2))
+    for (p, q), v in zip(pairs, values.tolist()):
+        assert fixset_closure(fano_group, [p, q]).points == tuple(sorted((p, q, v)))
+    assert S.completion_table(2)[0].shape[0] == 0
+
+
+def test_merged_tables_deduplicate_orbits_and_slots():
+    assert canonical_structure(pgl_generators(7, 1), 4).completion_table()[0].shape[0] <= 280
+    S = canonical_structure(PermutationGroup.symmetric(7), 4)
+    assert all(S.completion_table(a)[0].shape[0] == 0 for a in (2, 3, 4))
+
+
+def test_fano_dcl_gathers_at_most_twice(fano_group, monkeypatch):
+    S = canonical_structure(fano_group, 3)
+    calls = []
+    real = _kernels.gather_candidates
+
+    def counted(params, values, member):
+        calls.append(params.shape[0])
+        return real(params, values, member)
+
+    monkeypatch.setattr(_kernels, "gather_candidates", counted)
+    for pts in all_subsets(7):
+        calls.clear()
+        relational_dcl(S, pts)
+        assert len(calls) <= 2
+
+
+@st.composite
+def small_groups(draw):
+    n = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return group_from_generators(n, gens)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(small_groups())
+def test_dcl_matches_brute_force_relational_closure(G):
+    S = canonical_structure(G, 4)
+    elements = G.elements_array()
+    for pts in all_subsets(G.degree):
+        for limit in (2, 3, 4):
+            assert (relational_dcl(S, pts, arity_limit=limit)
+                    == relational_closure(elements, pts, limit))
