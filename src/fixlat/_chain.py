@@ -26,6 +26,8 @@ from __future__ import annotations
 from collections import deque
 from math import prod
 
+import numpy as np
+
 from .errors import InternalConsistencyError
 
 
@@ -71,6 +73,53 @@ def sims_filter(degree, gens):
                 break
             g = compose(g, inv_table[(u, v)])
     return list(table.values())
+
+
+def sims_filter_rows(degree, rows):
+    """sims_filter over the rows of an (N, degree) array, batched.
+
+    The table changes only when an entry is inserted, so every row is
+    divided as far as the filled slots take it; then the residue of the
+    first row blocked at an empty slot fills that slot, and only the rows
+    blocked at that slot resume. Entries are inserted in increasing row
+    order and a row divides only by entries of earlier rows, so the table
+    and its insertion order are exactly those of sims_filter.
+    """
+    rows = np.array(rows, dtype=np.intp).reshape(-1, degree)
+    ident = np.arange(degree)
+    entry = np.full(degree * degree, -1)  # slot u * degree + v -> entry index
+    inverses = np.empty((0, degree), dtype=np.intp)
+    slot = np.full(len(rows), -1)  # empty slot each row waits at, else -1
+    gens = []
+
+    def sift(idx):
+        r = rows[idx]
+        while idx.size:
+            u = (r != ident).argmax(axis=1)
+            v = r[np.arange(len(r)), u]
+            live = u != v  # u = v = 0 only on the identity
+            idx, r = idx[live], r[live]
+            s = u[live] * degree + v[live]
+            e = entry[s]
+            held = e < 0
+            slot[idx[held]] = s[held]
+            rows[idx[held]] = r[held]
+            go = ~held
+            idx, r = idx[go], inverses[e[go, None], r[go]]
+
+    sift(np.arange(len(rows)))
+    while True:
+        waiting = np.flatnonzero(slot >= 0)
+        if not waiting.size:
+            return gens
+        s = slot[waiting[0]]
+        waiting = waiting[slot[waiting] == s]
+        g = rows[waiting[0]]
+        entry[s] = len(gens)
+        gens.append(tuple(g.tolist()))
+        inverses = np.vstack([inverses, np.argsort(g)[None, :]])
+        slot[waiting] = -1
+        sift(waiting[1:])
 
 
 class StabilizerChain:

@@ -1,22 +1,28 @@
 """Explicit finite lattices: validation, automorphisms, reconstruction.
 
 A lattice is stored as its full order relation (a boolean matrix).
-Automorphism search runs on the join-irreducibles (the atoms, when the
-lattice is atomistic), whose action determines an automorphism, through
-the same set-family bijection search that compares Steiner systems.
+Automorphisms act on the join-irreducibles (the atoms, when the lattice
+is atomistic), and that action determines them. The group comes first,
+as transversals along the join-irreducibles 0..m-1, from a few pinned
+runs of the set-family bijection search that also compares Steiner
+systems. The printed generators are those the Sims filter keeps from
+the lexicographic listing of all automorphisms, so that listing is
+rebuilt from the transversals in numpy and filtered in batches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._chain import sims_filter
+from ._chain import compose, sims_filter_rows
 from .errors import (CapacityError, InternalConsistencyError,
                      PreconditionError, ValidationError)
-from .group import GroupAction, PermutationGroup
+from .group import TUPLE_SPACE_CAP, GroupAction, PermutationGroup
 from .perm import Permutation, mask_from_points, points_from_mask
 
 AUTOMORPHISM_CAP = 128
@@ -223,32 +229,26 @@ def is_atomistic(L: FiniteLattice) -> bool:
 # automorphisms
 
 
-def family_bijections(n: int, family_a, family_b,
-                      first: bool = False) -> list[tuple[int, ...]]:
-    """Bijections p of range(n) with {p(S) : S in family_a} == family_b.
+def _profiles(n: int, family) -> list[tuple[int, ...]]:
+    """For each point, the sorted sizes of the sets containing it."""
+    sizes = [[] for _ in range(n)]
+    for m in family:
+        for x in points_from_mask(m):
+            sizes[x].append(m.bit_count())
+    return [tuple(sorted(s)) for s in sizes]
 
-    Families are sets of point masks over n points. Points are assigned in
-    index order and images tried in increasing order, so the bijections
-    come out in lexicographic order of their image tuples; with first=True
-    the search stops at the first. A point's image must have its profile
-    (the sorted sizes of the sets containing it), and each set of family_a
-    is checked once, when its highest point is assigned. The families have
-    equal sizes, so a map sending every set into family_b is onto.
-    """
-    family_a, family_b = set(family_a), set(family_b)
+
+@lru_cache(maxsize=1)
+def _search_tables(n: int, family_a: frozenset, family_b: frozenset):
+    """(candidates, closing, completing) for family_bijections, or None
+    when the families cannot match; kept for the pinned searches that
+    repeat one pair of families."""
     if len(family_a) != len(family_b) or (0 in family_a) != (0 in family_b):
-        return []
-
-    def profiles(family):
-        sizes = [[] for _ in range(n)]
-        for m in family:
-            for x in points_from_mask(m):
-                sizes[x].append(m.bit_count())
-        return [tuple(sorted(s)) for s in sizes]
-
-    prof_a, prof_b = profiles(family_a), profiles(family_b)
+        return None
+    prof_a = _profiles(n, family_a)
+    prof_b = prof_a if family_b == family_a else _profiles(n, family_b)
     if sorted(prof_a) != sorted(prof_b):
-        return []
+        return None
     candidates = [{c for c in range(n) if prof_b[c] == prof_a[x]} for x in range(n)]
     closing = [[] for _ in range(n)]  # per set whose highest point is x, its other points
     for m in family_a:
@@ -259,6 +259,28 @@ def family_bijections(n: int, family_a, family_b,
     for m in family_b:
         for y in points_from_mask(m):
             completing.setdefault(m ^ 1 << y, set()).add(y)
+    return candidates, closing, completing
+
+
+def family_bijections(n: int, family_a, family_b, first: bool = False,
+                      prefix: Sequence[int] = ()) -> list[tuple[int, ...]]:
+    """Bijections p of range(n) with {p(S) : S in family_a} == family_b.
+
+    Families are sets of point masks over n points. Points are assigned in
+    index order and images tried in increasing order, so the bijections
+    come out in lexicographic order of their image tuples; with first=True
+    the search stops at the first, and prefix pins the images of the first
+    points. A point's image must have its profile (the sorted sizes of the
+    sets containing it), and each set of family_a is checked once, when
+    its highest point is assigned. The families have equal sizes, so a map
+    sending every set into family_b is onto.
+    """
+    tables = _search_tables(n, frozenset(family_a), frozenset(family_b))
+    if tables is None:
+        return []
+    candidates, closing, completing = tables
+    candidates = ([{c} & cands for c, cands in zip(prefix, candidates)]
+                  + candidates[len(prefix):])
     found = []
     bit = [0] * n  # bit[x] = 1 << image of x
     free = set(range(n))
@@ -280,49 +302,129 @@ def family_bijections(n: int, family_a, family_b,
     return found
 
 
+def _lower_covers(L: FiniteLattice) -> list[list[int]]:
+    lower = [[] for _ in range(L.size)]
+    for y, x in order_covers(L.leq):
+        lower[x].append(y)
+    return lower
+
+
 def join_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
     """The elements with exactly one lower cover."""
-    lower_covers = np.bincount([j for _, j in order_covers(L.leq)], minlength=L.size)
-    return tuple(int(x) for x in np.flatnonzero(lower_covers == 1))
+    return tuple(x for x, below in enumerate(_lower_covers(L)) if len(below) == 1)
 
 
-def _irreducible_automorphisms(L: FiniteLattice) -> list[tuple[int, ...]]:
+def _orbit_transversal(i: int, m: int, gens) -> dict[int, tuple[int, ...]]:
+    """For each point u of the orbit of i under gens, a product of gens sending i to u."""
+    tr = {i: tuple(range(m))}
+    queue = [i]
+    for y in queue:
+        for g in gens:
+            z = g[y]
+            if z not in tr:
+                tr[z] = compose(tr[y], g)
+                queue.append(z)
+    return tr
+
+
+def _transversals(m: int, family) -> list[dict[int, tuple[int, ...]]]:
+    """The automorphisms of a family of point masks, as transversals along 0..m-1.
+
+    Level i maps each point u of the orbit of i under the automorphisms
+    fixing 0..i-1 to one of them that sends i to u; the group order is the
+    product of the orbit lengths. Levels are found from the last: the
+    generators found so far fix 0..i-1, and each point c > i with the
+    profile of i but outside its orbit under them costs one search pinned
+    at (0, ..., i-1, c), whose hit becomes a generator (Leon 1991, coset
+    pruning).
+    """
+    profile = _profiles(m, family)
+    gens = []
+    levels = [None] * m
+    for i in reversed(range(m)):
+        orbit = _orbit_transversal(i, m, gens)
+        for c in range(i + 1, m):
+            if profile[c] == profile[i] and c not in orbit:
+                hit = family_bijections(m, family, family, first=True,
+                                        prefix=(*range(i), c))
+                if hit:
+                    gens.append(hit[0])
+                    orbit = _orbit_transversal(i, m, gens)
+        levels[i] = orbit
+    return levels
+
+
+def _listing(m: int, levels) -> np.ndarray:
+    """Every product t_0 t_1 ... t_{m-1} (t_{m-1} applied first) of one
+    element t_i of each level's transversal, in lexicographic order.
+
+    Each automorphism is one such product. The rows grow one level at a
+    time: a row s whose images of 0..i-1 are final gets the children s t_u,
+    which keep those images and send i to s(u), sorted by that image.
+    Distinct rows differ on 0..i-1, so the order stays lexicographic.
+    """
+    rows = np.arange(m)[None, :]
+    for level in levels:
+        images = np.array(list(level), dtype=np.intp)
+        reps = np.array(list(level.values()), dtype=np.intp).reshape(len(level), m)
+        order = np.argsort(rows[:, images], axis=1)
+        rows = np.take_along_axis(rows[:, reps], order[:, :, None], axis=1)
+        rows = rows.reshape(-1, m)
+    return rows
+
+
+def _irreducible_automorphisms(L: FiniteLattice) -> np.ndarray:
     """Automorphisms in lexicographic order of their join-irreducible images.
 
     An element x is the join of the set J(x) of join-irreducibles below
     it, and x <= y iff J(x) is inside J(y); so the automorphisms are the
     permutations of the join-irreducibles that map the family {J(x)} onto
-    itself, and each sends x to the join of the images of J(x).
+    itself, and each sends x to the join of the images of J(x). The group
+    order is known from the transversals before the listing is allocated.
     """
-    irr = np.array(join_irreducibles(L), dtype=np.int64)
-    members = [np.flatnonzero(L.leq[irr, x]).tolist() for x in range(L.size)]
-    family = {mask_from_points(pts, len(irr)) for pts in members}
-    found = family_bijections(len(irr), family, family)
-    images = irr[np.array(found, dtype=np.int64).reshape(len(found), len(irr))]
-    lifted = np.full((len(found), L.size), L.bottom, dtype=np.int64)
-    for x, pts in enumerate(members):
-        for p in pts:
-            lifted[:, x] = L.join_table[lifted[:, x], images[:, p]]
-    return [tuple(row) for row in lifted.tolist()]
+    lower = _lower_covers(L)
+    irr = np.array([x for x, below in enumerate(lower) if len(below) == 1],
+                   dtype=np.intp)
+    m = len(irr)
+    family = {mask_from_points(np.flatnonzero(L.leq[irr, x]).tolist(), m)
+              for x in range(L.size)}
+    levels = _transversals(m, family)
+    count = prod(map(len, levels))
+    if count * L.size > TUPLE_SPACE_CAP:
+        raise CapacityError(
+            f"listing {count} automorphisms of {L.size} elements exceeds cap "
+            f"{TUPLE_SPACE_CAP} entries", cap_name="automorphisms")
+    lifted = np.full((count, L.size), L.bottom, dtype=np.intp)
+    lifted[:, irr] = irr[_listing(m, levels)]
+    # any other x above the bottom is the join of two of its lower covers
+    for x in np.argsort(L.leq.sum(axis=0), kind="stable"):
+        if len(lower[x]) > 1:
+            y, z = lower[x][:2]
+            lifted[:, x] = L.join_table[lifted[:, y], lifted[:, z]]
+    return lifted
 
 
-def _atomistic_automorphisms(L: FiniteLattice) -> list[tuple[int, ...]]:
+def _atomistic_automorphisms(L: FiniteLattice) -> np.ndarray:
     return _irreducible_automorphisms(L)
 
 
-def _general_automorphisms(L: FiniteLattice) -> list[tuple[int, ...]]:
-    return sorted(_irreducible_automorphisms(L))
+def _general_automorphisms(L: FiniteLattice) -> np.ndarray:
+    rows = _irreducible_automorphisms(L)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def lattice_automorphisms(L: FiniteLattice,
                           cap: int = AUTOMORPHISM_CAP) -> PermutationGroup:
-    """The group of order-preserving bijections, acting on element indices."""
+    """The group of order-preserving bijections, acting on element indices.
+
+    Its generators are those sims_filter keeps from the full listing.
+    """
     if L.size > cap:
         raise CapacityError(f"lattice size {L.size} exceeds automorphism cap {cap}",
                             cap_name="automorphisms")
     autos = (_atomistic_automorphisms(L) if is_atomistic(L)
              else _general_automorphisms(L))
-    gens = sims_filter(L.size, autos)
+    gens = sims_filter_rows(L.size, autos)
     G = PermutationGroup(L.size, [Permutation(g) for g in gens])
     if G.order() != len(autos):
         raise InternalConsistencyError(
@@ -387,13 +489,17 @@ def reconstruct(L: FiniteLattice, cap: int = LATTICE_CAP) -> ReconstructionResul
 
     if not is_atomistic(L):
         raise PreconditionError("reconstruction requires an atomistic lattice")
+    ats = atoms(L)
+    if not ats:
+        raise PreconditionError(
+            "reconstruction requires at least one atom; the atom layer of "
+            "the one-element lattice is empty")
     G = lattice_automorphisms(L)
     sep = stabilizer_separation(L, automorphisms=G)
     if not sep.holds:
         raise PreconditionError(
             f"reconstruction requires separated cone stabilizers; "
             f"witness pair {sep.witness}")
-    ats = atoms(L)
     pos = {a: i for i, a in enumerate(ats)}
     atom_gens = [Permutation([pos[g(a)] for a in ats]) for g in G.generators]
     atom_group = PermutationGroup(len(ats), atom_gens)

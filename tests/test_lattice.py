@@ -1,7 +1,14 @@
+import hashlib
+import json
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixlat import exhaustive, lattice
+from fixlat._chain import sims_filter, sims_filter_rows
 from fixlat.errors import (CapacityError, InternalConsistencyError,
                            PreconditionError, ValidationError)
 from fixlat.geometry import subspace_lattice
@@ -12,6 +19,7 @@ from fixlat.lattice import (FiniteLattice, atoms, boolean_lattice,
                             lattice_validate, lower_cone, meet,
                             order_from_covers, reconstruct,
                             stabilizer_separation, stone_ultrafilters)
+from fixlat.perm import mask_from_points
 
 
 def bowtie_leq():
@@ -147,7 +155,7 @@ def test_automorphisms_match_brute_force_small():
     for L in stock + tuple(relabelled(L, 1) for L in stock):
         rows = exhaustive.lattice_automorphism_rows(L.leq).tolist()
         assert [list(r) for r in lattice._general_automorphisms(L)] == rows
-        assert [list(r) for r in sorted(lattice._atomistic_automorphisms(L))] == rows
+        assert sorted(lattice._atomistic_automorphisms(L).tolist()) == rows
 
 
 def test_family_bijections_check_every_set():
@@ -182,6 +190,146 @@ def test_automorphism_count_is_checked(monkeypatch):
 def test_automorphism_cap():
     with pytest.raises(CapacityError):
         lattice_automorphisms(boolean_lattice(3), cap=4)
+
+
+def irreducible_family(L):
+    irr = list(join_irreducibles(L))
+    return len(irr), {mask_from_points([p for p, j in enumerate(irr) if L.leq[j, x]],
+                                       len(irr)) for x in range(L.size)}
+
+
+def transversal_listing(m, family):
+    return lattice._listing(m, lattice._transversals(m, family)).tolist()
+
+
+AUT_STOCK = (chain_lattice(1), chain_lattice(4), n5_lattice(), grid_lattice(2, 3),
+             diamond_lattice(1), diamond_lattice(4), diamond_lattice(5),
+             boolean_lattice(3), boolean_lattice(4), subspace_lattice(2, 2))
+
+HEXAGON = {1 << i | 1 << (i + 1) % 6 for i in range(6)}
+FANO_LINES = {mask_from_points(line, 7) for line in
+              [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
+               (2, 3, 6), (2, 4, 5)]}
+
+
+@pytest.mark.parametrize("m, family", [(6, HEXAGON), (7, FANO_LINES)],
+                         ids=["hexagon", "fano-lines"])
+def test_listing_equals_backtrack_on_point_families(m, family):
+    rows = transversal_listing(m, family)
+    assert rows == [list(p) for p in family_bijections(m, family, family)]
+    assert len(rows) == {6: 12, 7: 168}[m]
+
+
+def test_listing_equals_backtrack_on_irreducible_families():
+    for L in AUT_STOCK + tuple(relabelled(L, s) for L in AUT_STOCK for s in (1, 2)):
+        m, family = irreducible_family(L)
+        assert transversal_listing(m, family) == [
+            list(p) for p in family_bijections(m, family, family)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=12))))
+def test_listing_equals_backtrack_on_random_families(case):
+    m, family = case
+    assert transversal_listing(m, family) == [
+        list(p) for p in family_bijections(m, family, family)]
+
+
+@st.composite
+def row_lists(draw):
+    """Rows built as products of a few permutations, so that many sift to
+    earlier entries, with identity rows and duplicates mixed in."""
+    n = draw(st.integers(1, 9))
+    base = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    rows = []
+    for word in draw(st.lists(st.lists(st.integers(0, len(base) - 1), max_size=4),
+                              max_size=40)):
+        p = list(range(n))
+        for k in word:
+            p = [base[k][x] for x in p]
+        rows.append(tuple(p))
+    for i in draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=6)):
+        if rows:
+            rows.insert(i, rows[i])
+    return n, rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(row_lists())
+def test_batched_replay_equals_sims_filter(case):
+    n, rows = case
+    assert sims_filter_rows(n, rows) == sims_filter(n, rows)
+
+
+def test_batched_replay_on_a_full_listing():
+    L = relabelled(diamond_lattice(5), 3)
+    rows = lattice._atomistic_automorphisms(L)
+    assert sims_filter_rows(L.size, rows) == sims_filter(L.size, rows.tolist())
+
+
+# SHA-256 of json.dumps of the printed generator image lists, computed once
+# with the element-by-element listing that preceded the transversal search
+PINNED = {
+    "M7": (lambda: diamond_lattice(7), 5040, 21,
+           "ee0ad007edf2db898505d994bd045c14f06b11af24337de4baf4112e6c2054a3"),
+    "2^5": (lambda: boolean_lattice(5), 120, 10,
+            "646832b201e3d3c207ffa283b715460aab31d01a1b2430cc2257f6b811d51f30"),
+    "PG(2,2)": (lambda: subspace_lattice(2, 2), 168, 12,
+                "21cf8e2e7c849d925c20283c28edac06934b11e9b792d878a34e09f6dccb6e1b"),
+    "PG(2,3)": (lambda: subspace_lattice(3, 2), 5616, 31,
+                "b3c048eb2c178563e87f12623bef3fb408f94a8dd79fde63236eb33d0de13cc2"),
+    "PG(3,2)": (lambda: subspace_lattice(2, 3), 20160, 58,
+                "04e3652ef6c24d23f1cd3c0d8f400c7d132fff5a8403ee68996178642126a45e"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_generators_pinned_on_relabelled_lattices(name):
+    make, order, count, digest = PINNED[name]
+    G = lattice_automorphisms(relabelled(make(), 1))
+    gens = [list(g.images) for g in G.generators]
+    assert G.order() == order and len(gens) == count
+    assert hashlib.sha256(json.dumps(gens).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("L, searches", [(diamond_lattice(7), 6),
+                                         (subspace_lattice(2, 2), 12)],
+                         ids=["M7", "PG(2,2)"])
+def test_search_count(monkeypatch, L, searches):
+    calls = []
+    search = lattice.family_bijections
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "family_bijections", counted)
+    lattice_automorphisms(L)
+    assert 0 < len(calls) <= searches
+
+
+def hasse_automorphism_count(L):
+    hasse = nx.DiGraph()
+    hasse.add_nodes_from(range(L.size))
+    hasse.add_edges_from(L.covers())
+    return sum(1 for _ in nx.algorithms.isomorphism.DiGraphMatcher(
+        hasse, hasse).isomorphisms_iter())
+
+
+def test_order_matches_networkx_on_hasse_diagrams():
+    for L in AUT_STOCK + (relabelled(subspace_lattice(2, 2), 1),
+                      relabelled(grid_lattice(3, 3), 2)):
+        assert lattice_automorphisms(L).order() == hasse_automorphism_count(L)
+
+
+def test_listing_cap_before_allocation():
+    # M9 lists 362,880 automorphisms of 11 elements, under the cap; M10
+    # would list 3,628,800 of 12
+    assert lattice_automorphisms(diamond_lattice(9)).order() == 362_880
+    with pytest.raises(CapacityError) as err:
+        lattice_automorphisms(diamond_lattice(10))
+    assert err.value.cap_name == "automorphisms"
 
 
 def test_separation_results():
@@ -239,6 +387,9 @@ def test_reconstruct_preconditions():
     # collapse coatoms with the top; the contract is to refuse
     with pytest.raises(PreconditionError, match="separated"):
         reconstruct(boolean_lattice(3))
+    # the one-element lattice is atomistic but has no atoms to act on
+    with pytest.raises(PreconditionError, match="atom layer"):
+        reconstruct(chain_lattice(1))
 
 
 def test_distributivity():

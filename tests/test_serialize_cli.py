@@ -13,6 +13,7 @@ from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import ValidationError
 from fixlat.geometry import pgl_generators, subspace_lattice
 from fixlat.group import GroupAction, PermutationGroup
+from fixlat.lattice import diamond_lattice
 from fixlat.relational import canonical_structure
 from fixlat.steiner import steiner_from_projective
 
@@ -330,6 +331,26 @@ def test_cli_order_matrix_cap_on_fixlattice(tmp_path):
     assert proc.returncode == 3 and proc.stdout == ""
     assert "capacity error (order_matrix)" in proc.stderr
     assert "147737 elements" in proc.stderr
+
+
+@pytest.mark.parametrize("atoms", [10, 12])
+def test_cli_automorphism_listing_cap(tmp_path, atoms):
+    # M10 has 10! automorphisms of 12 elements and M12 12! of 14: the
+    # group order is known from the transversals before the listing exists
+    path = tmp_path / "diamond.json"
+    path.write_text(serialize.canonical_json(
+        serialize.lattice_to_obj(diamond_lattice(atoms))))
+    proc = run_cli_limited("lattice", "automorphisms", "--in", str(path))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "capacity error (automorphisms)" in proc.stderr
+
+
+def test_cli_reconstruct_one_element_lattice(capsys, tmp_path):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"size": 1, "covers": []}))
+    code, out, err = run_cli(capsys, "lattice", "reconstruct", "--in", str(path))
+    assert code == 2 and out == ""
+    assert "atom layer" in err and "degree" not in err
 
 
 def test_cli_fixlattice_cap_inside_an_orbit(capsys, tmp_path, fano_group):
