@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__, closure, exhaustive, geometry, lattice, relational
 from . import serialize, steiner, verify as verify_mod
@@ -25,25 +24,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
-
-
-@dataclass
-class RunConfig:
-    cap_lattice: int = closure.LATTICE_CAP
-    cap_order: int = exhaustive.ORDER_CAP
-    arity: int = 3
-    workers: int = 1
-    seed: int = 0
-    out_format: str = "json"
-
-    def as_dict(self) -> dict:
-        return {
-            "cap_lattice": self.cap_lattice,
-            "cap_order": self.cap_order,
-            "arity": self.arity,
-            "workers": self.workers,
-            "format": self.out_format,
-        }
 
 
 def _parse_points(text: str) -> list[int]:
@@ -64,21 +44,33 @@ def _load_json(path: str) -> dict:
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
 
 
-def _emit(args, cfg: RunConfig, command: str, result: dict,
+def _config(args) -> dict:
+    """The report's config block. Its order-cap entry is the constant
+    ``exhaustive.ORDER_CAP``, kept so that reports keep their bytes."""
+    return {
+        "cap_lattice": args.cap_lattice,
+        "cap_order": exhaustive.ORDER_CAP,
+        "arity": args.arity,
+        "workers": args.workers,
+        "format": args.format,
+    }
+
+
+def _emit(args, command: str, result: dict,
           dot: str | None = None, text: str | None = None) -> None:
-    if cfg.out_format == "dot":
+    if args.format == "dot":
         if dot is None:
             raise ValidationError(f"{command} has no dot rendering")
         payload = dot
-    elif cfg.out_format == "text":
+    elif args.format == "text":
         payload = text if text is not None else json.dumps(result, indent=2) + "\n"
     else:
         payload = serialize.canonical_json({
             "tool": "fixlat",
             "version": __version__,
             "command": command,
-            "config": cfg.as_dict(),
-            "seed": cfg.seed,
+            "config": _config(args),
+            "seed": args.seed,
             "result": result,
         })
     if args.out:
@@ -91,7 +83,7 @@ def _emit(args, cfg: RunConfig, command: str, result: dict,
 # -- group subcommands ---------------------------------------------------------
 
 
-def cmd_group(args, cfg: RunConfig) -> int:
+def cmd_group(args) -> int:
     action = serialize.group_from_obj(_load_json(args.infile))
     G = action.group
     sub = args.subcommand
@@ -117,15 +109,15 @@ def cmd_group(args, cfg: RunConfig) -> int:
                   "block_system": ([list(b) for b in res.block_system]
                                    if res.block_system else None)}
     elif sub == "fixlattice":
-        fl = closure.enumerate_fixset_lattice(G, cap=cfg.cap_lattice)
+        fl = closure.enumerate_fixset_lattice(G, cap=args.cap_lattice)
         result = {"size": len(fl), **serialize.fixset_lattice_to_obj(fl)}
         dot = serialize.covers_to_dot(len(fl), result["covers"],
                                       labels=[",".join(map(str, e)) or "{}"
                                               for e in fl.elements])
-        _emit(args, cfg, f"group {sub}", result, dot=dot)
+        _emit(args, f"group {sub}", result, dot=dot)
         return EXIT_OK
     elif sub == "jordan":
-        rep = steiner.jordan_report(G, lattice_cap=cfg.cap_lattice)
+        rep = steiner.jordan_report(G, lattice_cap=args.cap_lattice)
         witness = rep.first_witness()
         result = {
             "all_jordan": rep.all_jordan,
@@ -139,8 +131,8 @@ def cmd_group(args, cfg: RunConfig) -> int:
                          "jordan": e.jordan} for e in rep.entries],
         }
     elif sub == "dclcheck":
-        rep = relational.dcl_vs_fixset_report(G, max_arity=cfg.arity,
-                                              seed=cfg.seed)
+        rep = relational.dcl_vs_fixset_report(G, max_arity=args.arity,
+                                              seed=args.seed)
         result = {
             "max_arity": rep.max_arity,
             "subsets_tested": rep.subsets_tested,
@@ -153,16 +145,16 @@ def cmd_group(args, cfg: RunConfig) -> int:
         }
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown group subcommand {sub}")
-    _emit(args, cfg, f"group {sub}", result)
+    _emit(args, f"group {sub}", result)
     return EXIT_OK
 
 
 # -- lattice subcommands ---------------------------------------------------------
 
 
-def cmd_lattice(args, cfg: RunConfig) -> int:
+def cmd_lattice(args) -> int:
     size, leq = serialize.raw_lattice_from_obj(_load_json(args.infile),
-                                               cap=cfg.cap_lattice)
+                                               cap=args.cap_lattice)
     sub = args.subcommand
     if sub == "validate":
         res = lattice.lattice_validate(size, leq)
@@ -170,7 +162,7 @@ def cmd_lattice(args, cfg: RunConfig) -> int:
                   "violations": [dict(v, pair=list(v["pair"]))
                                  if "pair" in v else dict(v)
                                  for v in res.violations]}
-        _emit(args, cfg, "lattice validate", result)
+        _emit(args, "lattice validate", result)
         return EXIT_OK if res.ok else EXIT_CHECK_FAILED
     L = lattice.FiniteLattice(leq)
     if sub == "automorphisms":
@@ -182,7 +174,7 @@ def cmd_lattice(args, cfg: RunConfig) -> int:
         result = {"holds": sep.holds,
                   "witness": list(sep.witness) if sep.witness else None}
     elif sub == "reconstruct":
-        r = lattice.reconstruct(L, cap=cfg.cap_lattice)
+        r = lattice.reconstruct(L, cap=args.cap_lattice)
         result = {
             "closure_trivial": r.closure_trivial,
             "image_size": r.image_size,
@@ -202,22 +194,22 @@ def cmd_lattice(args, cfg: RunConfig) -> int:
     else:  # pragma: no cover
         raise ValidationError(f"unknown lattice subcommand {sub}")
     dot = serialize.covers_to_dot(L.size, L.covers())
-    _emit(args, cfg, f"lattice {sub}", result, dot=dot)
+    _emit(args, f"lattice {sub}", result, dot=dot)
     return EXIT_OK
 
 
 # -- steiner subcommands -----------------------------------------------------------
 
 
-def cmd_steiner(args, cfg: RunConfig) -> int:
+def cmd_steiner(args) -> int:
     sub = args.subcommand
     if sub == "build-pg":
         sys_ = steiner.steiner_from_projective(args.q, args.d)
-        _emit(args, cfg, "steiner build-pg", serialize.steiner_to_obj(sys_))
+        _emit(args, "steiner build-pg", serialize.steiner_to_obj(sys_))
         return EXIT_OK
     if sub == "build-ag":
         sys_ = steiner.steiner_from_affine(args.q, args.d)
-        _emit(args, cfg, "steiner build-ag", serialize.steiner_to_obj(sys_))
+        _emit(args, "steiner build-ag", serialize.steiner_to_obj(sys_))
         return EXIT_OK
     sys_ = serialize.steiner_from_obj(_load_json(args.infile))
     if sub == "verify":
@@ -226,11 +218,11 @@ def cmd_steiner(args, cfg: RunConfig) -> int:
                   "violations": [dict(v, subset=list(v["subset"]))
                                  if "subset" in v else dict(v)
                                  for v in rep.violations[:32]]}
-        _emit(args, cfg, "steiner verify", result)
+        _emit(args, "steiner verify", result)
         return EXIT_OK if rep.valid else EXIT_CHECK_FAILED
     if sub == "derive":
         derived = steiner.derivation(sys_, args.point)
-        _emit(args, cfg, "steiner derive", serialize.steiner_to_obj(derived))
+        _emit(args, "steiner derive", serialize.steiner_to_obj(derived))
         return EXIT_OK
     if sub == "autcheck":
         action = serialize.group_from_obj(_load_json(args.group))
@@ -240,7 +232,7 @@ def cmd_steiner(args, cfg: RunConfig) -> int:
                                  "block": list(res.violation["block"]),
                                  "image": list(res.violation["image"])}
                                 if res.violation else None)}
-        _emit(args, cfg, "steiner autcheck", result)
+        _emit(args, "steiner autcheck", result)
         return EXIT_OK
     raise ValidationError(f"unknown steiner subcommand {sub}")  # pragma: no cover
 
@@ -248,7 +240,7 @@ def cmd_steiner(args, cfg: RunConfig) -> int:
 # -- geometry subcommands -------------------------------------------------------------
 
 
-def cmd_geometry(args, cfg: RunConfig) -> int:
+def cmd_geometry(args) -> int:
     sub = args.subcommand
     p, d = args.p, args.d
     if sub == "points":
@@ -265,40 +257,41 @@ def cmd_geometry(args, cfg: RunConfig) -> int:
         result = {"degree": G.degree, "order": G.order(),
                   "generators": [list(g.images) for g in G.generators]}
     elif sub == "subspaces":
-        L = geometry.subspace_lattice(p, d, cap=cfg.cap_lattice)
+        L = geometry.subspace_lattice(p, d, cap=args.cap_lattice)
         result = {"size": L.size,
                   "subspaces": [list(s) for s in L.labels],
                   "covers": [list(c) for c in L.covers()]}
         dot = serialize.covers_to_dot(
             L.size, result["covers"],
             labels=[",".join(map(str, s)) or "{}" for s in L.labels])
-        _emit(args, cfg, "geometry subspaces", result, dot=dot)
+        _emit(args, "geometry subspaces", result, dot=dot)
         return EXIT_OK
     elif sub == "oracle-iso":
         result = {"p": p, "d": d, "isomorphic": geometry.oracle_iso_check(
-            p, d, cap=cfg.cap_lattice)}
+            p, d, cap=args.cap_lattice)}
     else:  # pragma: no cover
         raise ValidationError(f"unknown geometry subcommand {sub}")
-    _emit(args, cfg, f"geometry {sub}", result)
+    _emit(args, f"geometry {sub}", result)
     return EXIT_OK
 
 
 # -- verify ---------------------------------------------------------------------------
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     start = time.perf_counter()
-    summary = verify_mod.run_checks(only=args.only, fail_fast=args.fail_fast,
-                                    workers=cfg.workers, inject=args.inject)
+    summary, seconds = verify_mod.run_checks(
+        only=args.only, fail_fast=args.fail_fast, workers=args.workers,
+        inject=args.inject)
     wall = time.perf_counter() - start
     lines = []
-    for chk in summary["checks"]:
+    for chk, secs in zip(summary["checks"], seconds):
         status = "PASS" if chk["passed"] else "FAIL"
-        lines.append(f"{status} {chk['name']} ({chk['seconds']}s)")
+        lines.append(f"{status} {chk['name']} ({secs}s)")
         sys.stderr.write(lines[-1] + "\n")
     sys.stderr.write(f"total {wall:.1f}s, {summary['run']} checks, "
                      f"failed: {summary['failed'] or 'none'}\n")
-    _emit(args, cfg, "verify", summary,
+    _emit(args, "verify", summary,
           text="\n".join(lines) + "\n")
     return EXIT_OK if summary["passed"] else EXIT_CHECK_FAILED
 
@@ -317,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["json", "dot", "text"])
     common.add_argument("--workers", type=int, default=1)
     common.add_argument("--cap-lattice", type=int, default=closure.LATTICE_CAP)
-    common.add_argument("--cap-order", type=int, default=exhaustive.ORDER_CAP)
     common.add_argument("--arity", type=int, default=3)
     common.add_argument("--seed", type=int, default=0)
 
@@ -373,11 +365,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    cfg = RunConfig(cap_lattice=args.cap_lattice, cap_order=args.cap_order,
-                    arity=args.arity, workers=args.workers, seed=args.seed,
-                    out_format=args.format)
     try:
-        return args.fn(args, cfg)
+        return args.fn(args)
     except CapacityError as exc:
         sys.stderr.write(f"capacity error ({exc.cap_name}): {exc}\n")
         return EXIT_CAPACITY

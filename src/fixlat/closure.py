@@ -284,8 +284,7 @@ class GaloisReport:
 
 
 def galois_report(G: PermutationGroup,
-                  lattice: Optional[FixsetLattice] = None,
-                  cap: int = LATTICE_CAP) -> GaloisReport:
+                  lattice: Optional[FixsetLattice] = None) -> GaloisReport:
     """Check, over all pairs of fixsets, that
 
     * the intersection is again a lattice element,
@@ -297,7 +296,7 @@ def galois_report(G: PermutationGroup,
     failing pair.
     """
     if lattice is None:
-        lattice = enumerate_fixset_lattice(G, cap=cap)
+        lattice = enumerate_fixset_lattice(G, cap=LATTICE_CAP)
     masks = lattice.masks()
     mask_set = set(masks)
     stabs = [G.pointwise_stabilizer(pts) for pts in lattice.elements]

@@ -20,9 +20,10 @@ import numpy as np
 from .errors import CapacityError, InternalConsistencyError, ValidationError
 
 ORDER_CAP = 1_000_000
+BRUTE_LATTICE_CAP = 10  # |L|! permutations are filtered: 3.6M at the cap
 
 
-def enumerate_elements(degree: int, gens, cap: int = ORDER_CAP) -> np.ndarray:
+def enumerate_elements(degree: int, gens) -> np.ndarray:
     """All elements of <gens> as lex-sorted rows of an (order, degree) array."""
     ident = np.arange(degree, dtype=np.int32)
     if not gens:
@@ -40,9 +41,9 @@ def enumerate_elements(degree: int, gens, cap: int = ORDER_CAP) -> np.ndarray:
                 if key not in seen:
                     seen.add(key)
                     new.append(row)
-        if len(seen) > cap:
+        if len(seen) > ORDER_CAP:
             raise CapacityError(
-                f"group order exceeds exhaustive cap {cap}",
+                f"group order exceeds exhaustive cap {ORDER_CAP}",
                 cap_name="order", partial=len(seen))
         if not new:
             break
@@ -150,22 +151,22 @@ def tuple_orbit_count(elements: np.ndarray, k: int) -> int:
     return int(total // order)
 
 
-def lattice_automorphism_rows(leq: np.ndarray, cap_size: int = 10) -> np.ndarray:
+def lattice_automorphism_rows(leq: np.ndarray) -> np.ndarray:
     """Order-automorphisms of a poset, as lex-sorted image rows, by filtering
     all |L|! permutations."""
     n = leq.shape[0]
-    if n > cap_size:
+    if n > BRUTE_LATTICE_CAP:
         raise CapacityError(
-            f"brute-force automorphism scan capped at {cap_size} elements",
+            f"brute-force automorphism scan capped at {BRUTE_LATTICE_CAP} elements",
             cap_name="brute_lattice")
     rows = [p for p in permutations(range(n))
             if np.array_equal(leq[np.ix_(p, p)], leq)]
     return np.array(rows, dtype=np.int32).reshape(len(rows), n)
 
 
-def lattice_automorphism_count(leq: np.ndarray, cap_size: int = 10) -> int:
+def lattice_automorphism_count(leq: np.ndarray) -> int:
     """Number of order-automorphisms of a poset, by brute force."""
-    return lattice_automorphism_rows(leq, cap_size).shape[0]
+    return lattice_automorphism_rows(leq).shape[0]
 
 
 def symmetric_order(n: int) -> int:

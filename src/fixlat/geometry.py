@@ -73,14 +73,14 @@ def projective_point_count(p: int, d: int) -> int:
     return (p ** (d + 1) - 1) // (p - 1)
 
 
-def projective_points(p: int, d: int, cap: int = POINT_CAP) -> ProjectiveSpace:
+def projective_points(p: int, d: int) -> ProjectiveSpace:
     """Canonical point list of PG(d, p)."""
     _require_prime(p)
     if d < 1:
         raise ValidationError("projective dimension must be at least 1")
     count = projective_point_count(p, d)
-    if count > cap:
-        raise CapacityError(f"{count} points exceed cap {cap}", cap_name="points")
+    if count > POINT_CAP:
+        raise CapacityError(f"{count} points exceed cap {POINT_CAP}", cap_name="points")
     pts = []
     for vec in product(range(p), repeat=d + 1):
         for x in vec:
@@ -176,13 +176,13 @@ def matrix_to_point_permutation(space: ProjectiveSpace,
     return Permutation(images)
 
 
-def pgl_generators(p: int, d: int, cap: int = POINT_CAP) -> PermutationGroup:
+def pgl_generators(p: int, d: int) -> PermutationGroup:
     """The projective linear group as a permutation group on PG(d, p).
 
     The induced action is verified against the closed-form order; any
     mismatch means the generating matrices were wrong for this (p, d).
     """
-    space = projective_points(p, d, cap=cap)
+    space = projective_points(p, d)
     gens = [matrix_to_point_permutation(space, m) for m in _matrices(p, d + 1)]
     G = PermutationGroup(space.num_points, gens)
     expected = pgl_order(p, d)

@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from ._chain import StabilizerChain, compose
 from .errors import CapacityError, PreconditionError, ValidationError
-from .exhaustive import ORDER_CAP, enumerate_elements
+from .exhaustive import enumerate_elements
 from .perm import Permutation, mask_from_points, points_from_mask
 
 DEGREE_CAP = 4096
@@ -79,7 +79,6 @@ class PermutationGroup:
         self._chain: Optional[StabilizerChain] = None
         self._order: Optional[int] = None
         self._stab_gens_cache: dict[tuple[int, ...], _Stab] = {}
-        self._stab_group_cache: dict[tuple[int, ...], "PermutationGroup"] = {}
         self._closure_cache: dict[int, int] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -224,20 +223,14 @@ class PermutationGroup:
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermutationGroup":
         """Largest subgroup fixing every listed point individually."""
-        mask = mask_from_points(points, self.degree)
-        pts = points_from_mask(mask)
-        group = self._stab_group_cache.get(pts)
-        if group is None:
-            rec = self._stabilizer(pts)
-            group = PermutationGroup(self.degree,
-                                     [Permutation(g) for g in rec.gens])
-            group._order = rec.order
-            self._stab_group_cache[pts] = group
+        rec = self._stabilizer(points_from_mask(mask_from_points(points, self.degree)))
+        group = PermutationGroup(self.degree, [Permutation(g) for g in rec.gens])
+        group._order = rec.order
         return group
 
     # -- orbit counting on tuple spaces ---------------------------------------
 
-    def tuple_orbit_count(self, k: int, space_cap: int = TUPLE_SPACE_CAP) -> int:
+    def tuple_orbit_count(self, k: int) -> int:
         """Number of orbits on k-tuples of pairwise distinct points."""
         n = self.degree
         if k < 1:
@@ -246,9 +239,9 @@ class PermutationGroup:
             return 0
         if k == 1:
             return len(self.orbits())
-        if n**k > space_cap:
+        if n**k > TUPLE_SPACE_CAP:
             raise CapacityError(
-                f"tuple space {n}^{k} exceeds cap {space_cap}",
+                f"tuple space {n}^{k} exceeds cap {TUPLE_SPACE_CAP}",
                 cap_name="tuple_space")
         if not self._gen_tuples:
             from math import perm as _nperm
@@ -257,14 +250,13 @@ class PermutationGroup:
         labels, active = _kernels.tuple_orbit_labels(perms, k)
         return int(np.unique(labels[active]).size)
 
-    def transitivity_degree(self, k_max: int,
-                            space_cap: int = TUPLE_SPACE_CAP) -> int:
+    def transitivity_degree(self, k_max: int) -> int:
         """Largest k <= k_max with a single orbit on distinct k-tuples."""
         if k_max < 1:
             raise ValidationError("k_max must be at least 1")
         best = 0
         for k in range(1, min(k_max, self.degree) + 1):
-            if self.tuple_orbit_count(k, space_cap) != 1:
+            if self.tuple_orbit_count(k) != 1:
                 break
             best = k
         return best
@@ -327,16 +319,16 @@ class PermutationGroup:
 
     # -- exhaustive enumeration -------------------------------------------------
 
-    def elements_array(self, cap: int = ORDER_CAP) -> np.ndarray:
+    def elements_array(self) -> np.ndarray:
         """All group elements as a lex-sorted (order, degree) array.
 
         Product-closure enumeration, independent of the stabilizer chain;
         this is the oracle side of the order/membership cross-checks.
         """
-        return enumerate_elements(self.degree, self._gen_tuples, cap=cap)
+        return enumerate_elements(self.degree, self._gen_tuples)
 
-    def elements(self, cap: int = ORDER_CAP) -> list[Permutation]:
-        return [Permutation(row) for row in self.elements_array(cap).tolist()]
+    def elements(self) -> list[Permutation]:
+        return [Permutation(row) for row in self.elements_array().tolist()]
 
     def __repr__(self) -> str:
         return (f"PermutationGroup(degree={self.degree}, "

@@ -512,7 +512,10 @@ def reconstruct(L: FiniteLattice, cap: int = LATTICE_CAP) -> ReconstructionResul
     embedding = tuple(embedding)
     image = set(embedding)
     if len(image) != L.size:
-        raise PreconditionError("embedding is not injective despite separation")
+        # for an atomistic lattice, separated cone stabilizers in the element
+        # action are the same thing as an injective atom-action embedding
+        raise InternalConsistencyError(
+            "embedding is not injective despite separation")
     closure_trivial = len(image) == len(fl)
     return ReconstructionResult(
         atom_action=action,

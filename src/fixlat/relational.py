@@ -97,27 +97,22 @@ class RelationalStructure:
                  np.concatenate([values, rows[:, -1]]))]
 
 
-def canonical_structure(G: PermutationGroup, max_arity: int = 3,
-                        space_cap: int = TUPLE_SPACE_CAP) -> RelationalStructure:
+def canonical_structure(G: PermutationGroup, max_arity: int = 3) -> RelationalStructure:
     """Orbit partition of distinct tuples for every arity in 2..max_arity."""
     if not (2 <= max_arity <= ARITY_CAP):
         raise ValidationError(f"max_arity must lie in 2..{ARITY_CAP}")
     n = G.degree
+    perms = np.array(G._gen_tuples, dtype=np.int64).reshape(-1, n)
     relations: dict[int, tuple[np.ndarray, ...]] = {}
     for arity in range(2, max_arity + 1):
         if arity > n:
             relations[arity] = ()
             continue
-        if n**arity > space_cap:
+        if n**arity > TUPLE_SPACE_CAP:
             raise CapacityError(
-                f"tuple space {n}^{arity} exceeds cap {space_cap}",
+                f"tuple space {n}^{arity} exceeds cap {TUPLE_SPACE_CAP}",
                 cap_name="tuple_space")
-        if G.generators:
-            perms = np.array([g.images for g in G.generators], dtype=np.int64)
-            labels, active = _kernels.tuple_orbit_labels(perms, arity)
-        else:
-            labels = np.arange(n**arity, dtype=np.int64)
-            active = _kernels.distinct_codes_mask(n, arity)
+        labels, active = _kernels.tuple_orbit_labels(perms, arity)
         labels = np.where(active, labels, -1)
         reps = np.unique(labels[active])
         rels = []

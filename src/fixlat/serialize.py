@@ -139,12 +139,12 @@ def steiner_from_obj(obj: dict) -> SteinerSystem:
 # -- relational structures -----------------------------------------------------
 
 
-def structure_to_obj(S: RelationalStructure,
-                     cap: int = STRUCTURE_DUMP_CAP) -> dict:
+def structure_to_obj(S: RelationalStructure) -> dict:
     total = sum(rel.shape[0] for rels in S.relations.values() for rel in rels)
-    if total > cap:
-        raise CapacityError(f"structure dump of {total} tuples exceeds cap {cap}",
-                            cap_name="structure_dump")
+    if total > STRUCTURE_DUMP_CAP:
+        raise CapacityError(
+            f"structure dump of {total} tuples exceeds cap {STRUCTURE_DUMP_CAP}",
+            cap_name="structure_dump")
     return {
         "degree": S.degree,
         "max_arity": S.max_arity,

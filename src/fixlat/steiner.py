@@ -54,12 +54,11 @@ class SteinerVerification:
     violations: tuple[dict, ...]
 
 
-def verify_steiner(sys: SteinerSystem,
-                   point_cap: int = VERIFY_POINT_CAP) -> SteinerVerification:
+def verify_steiner(sys: SteinerSystem) -> SteinerVerification:
     """Exhaustively check the defining properties; violations are data."""
-    if sys.num_points > point_cap:
+    if sys.num_points > VERIFY_POINT_CAP:
         raise ValidationError(
-            f"exhaustive verification capped at {point_cap} points")
+            f"exhaustive verification capped at {VERIFY_POINT_CAP} points")
     violations = []
     sizes = {len(b) for b in sys.blocks}
     if len(sizes) > 1:
@@ -107,17 +106,6 @@ def _affine_points(q: int, d: int) -> list[tuple[int, ...]]:
     return list(product(range(q), repeat=d))
 
 
-def _affine_directions(q: int, d: int) -> list[tuple[int, ...]]:
-    dirs = []
-    for v in product(range(q), repeat=d):
-        for x in v:
-            if x:
-                if x == 1:
-                    dirs.append(v)
-                break
-    return dirs
-
-
 def steiner_from_affine(q: int, d: int) -> SteinerSystem:
     """Points and lines of AG(d, q): a Steiner 2-system with blocks of q."""
     if not is_prime(q):
@@ -129,9 +117,11 @@ def steiner_from_affine(q: int, d: int) -> SteinerSystem:
         raise ValidationError("need affine dimension at least 2")
     pts = _affine_points(q, d)
     idx = {v: i for i, v in enumerate(pts)}
+    # a direction is a point of PG(d-1, q): first nonzero coordinate 1
+    directions = projective_points(q, d - 1).points
     blocks = set()
     for base in pts:
-        for v in _affine_directions(q, d):
+        for v in directions:
             line = tuple(sorted(idx[tuple((b + t * c) % q for b, c in zip(base, v))]
                                 for t in range(q)))
             blocks.add(line)
@@ -212,16 +202,16 @@ def steiner_automorphism_check(sys: SteinerSystem,
     return BlockPreservationResult(True, None)
 
 
-def steiner_isomorphism(a: SteinerSystem, b: SteinerSystem,
-                        point_cap: int = VERIFY_POINT_CAP
-                        ) -> Optional[tuple[int, ...]]:
+def steiner_isomorphism(a: SteinerSystem,
+                        b: SteinerSystem) -> Optional[tuple[int, ...]]:
     """A point bijection mapping the blocks of a onto those of b, or None.
 
     It is the lexicographically first one, found by the set-family search
     that also lists lattice automorphisms.
     """
-    if a.num_points > point_cap or b.num_points > point_cap:
-        raise ValidationError(f"isomorphism search capped at {point_cap} points")
+    if max(a.num_points, b.num_points) > VERIFY_POINT_CAP:
+        raise ValidationError(
+            f"isomorphism search capped at {VERIFY_POINT_CAP} points")
     if (a.k != b.k or a.num_points != b.num_points
             or len(a.blocks) != len(b.blocks) or a.block_size != b.block_size):
         return None

@@ -354,39 +354,44 @@ CHECKS: list[tuple[str, Callable]] = [
 CHECK_NAMES = [name for name, _ in CHECKS]
 
 
-def _run_one(name: str, inject: Optional[str]) -> dict:
+def _run_one(name: str, inject: Optional[str]) -> tuple[dict, float]:
+    """A check's result and its wall time in seconds, rounded to ms."""
     fn = dict(CHECKS)[name]
     start = time.perf_counter()
     result = fn(inject)
     elapsed = time.perf_counter() - start
     result["name"] = name
-    result["seconds"] = round(elapsed, 3)
     budget = result.get("budget_seconds")
     if budget is not None and elapsed > budget:
         result["passed"] = False
         result["subchecks"].append([f"finished within {budget}s", False])
-    return result
+    return result, round(elapsed, 3)
 
 
 def run_checks(only: Optional[str] = None, fail_fast: bool = False,
-               workers: int = 1, inject: Optional[str] = None) -> dict:
-    """Run the pipeline; ``only`` substring-filters check names."""
+               workers: int = 1, inject: Optional[str] = None
+               ) -> tuple[dict, list[float]]:
+    """Run the pipeline; ``only`` substring-filters check names.
+
+    Returns the summary, which holds no timings and so is the same on
+    every run, and each check's seconds in the summary's check order.
+    """
     selected = [n for n in CHECK_NAMES if only is None or only in n]
-    results = []
+    runs = []
     if workers > 1 and not fail_fast:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_one, n, inject) for n in selected]
-            results = [f.result() for f in futures]
+            runs = [f.result() for f in futures]
     else:
         for n in selected:
-            res = _run_one(n, inject)
-            results.append(res)
-            if fail_fast and not res["passed"]:
+            runs.append(_run_one(n, inject))
+            if fail_fast and not runs[-1][0]["passed"]:
                 break
+    results = [r for r, _ in runs]
     return {
         "checks": results,
         "passed": all(r["passed"] for r in results),
         "run": len(results),
         "failed": [r["name"] for r in results if not r["passed"]],
-    }
+    }, [secs for _, secs in runs]

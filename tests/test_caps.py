@@ -1,0 +1,105 @@
+"""Resource caps are module constants, read when a function is called.
+
+Each case lowers one constant to one below the size its input needs and
+expects the same error class and cap name as the default cap would give
+on a larger input; at exactly that size the call goes through.
+"""
+
+import pytest
+
+from fixlat import closure, exhaustive, geometry, group, relational
+from fixlat import serialize, steiner
+from fixlat.cli import main
+from fixlat.errors import CapacityError, ValidationError
+from fixlat.group import GroupAction, PermutationGroup
+from fixlat.lattice import chain_lattice
+
+
+def fano():
+    return geometry.pgl_generators(2, 2)
+
+
+def fano_system():
+    return steiner.steiner_from_projective(2, 2)
+
+
+# (module, constant, default, size needed, inputs, call, error, cap name)
+CASES = {
+    "tuple_orbit_count": (
+        group, "TUPLE_SPACE_CAP", 5_000_000, 5**3,
+        lambda: PermutationGroup.symmetric(5),
+        lambda G: G.tuple_orbit_count(3), CapacityError, "tuple_space"),
+    "transitivity_degree": (
+        group, "TUPLE_SPACE_CAP", 5_000_000, 5**3,
+        lambda: PermutationGroup.symmetric(5),
+        lambda G: G.transitivity_degree(3), CapacityError, "tuple_space"),
+    "elements_array": (
+        exhaustive, "ORDER_CAP", 1_000_000, 168, fano,
+        lambda G: G.elements_array(), CapacityError, "order"),
+    "elements": (
+        exhaustive, "ORDER_CAP", 1_000_000, 168, fano,
+        lambda G: G.elements(), CapacityError, "order"),
+    "enumerate_elements": (
+        exhaustive, "ORDER_CAP", 1_000_000, 168, fano,
+        lambda G: exhaustive.enumerate_elements(7, G._gen_tuples),
+        CapacityError, "order"),
+    "lattice_automorphism_rows": (
+        exhaustive, "BRUTE_LATTICE_CAP", 10, 4, lambda: chain_lattice(4).leq,
+        exhaustive.lattice_automorphism_rows, CapacityError, "brute_lattice"),
+    "lattice_automorphism_count": (
+        exhaustive, "BRUTE_LATTICE_CAP", 10, 4, lambda: chain_lattice(4).leq,
+        exhaustive.lattice_automorphism_count, CapacityError, "brute_lattice"),
+    "canonical_structure": (
+        relational, "TUPLE_SPACE_CAP", 5_000_000, 4**3,
+        lambda: PermutationGroup.symmetric(4),
+        lambda G: relational.canonical_structure(G, 3),
+        CapacityError, "tuple_space"),
+    "projective_points": (
+        geometry, "POINT_CAP", 100_000, 7, lambda: (2, 2),
+        lambda pd: geometry.projective_points(*pd), CapacityError, "points"),
+    "pgl_generators": (
+        geometry, "POINT_CAP", 100_000, 7, lambda: (2, 2),
+        lambda pd: geometry.pgl_generators(*pd), CapacityError, "points"),
+    "verify_steiner": (
+        steiner, "VERIFY_POINT_CAP", 64, 7, fano_system,
+        steiner.verify_steiner, ValidationError, None),
+    "steiner_isomorphism": (
+        steiner, "VERIFY_POINT_CAP", 64, 7, fano_system,
+        lambda s: steiner.steiner_isomorphism(s, s), ValidationError, None),
+    "galois_report": (
+        closure, "LATTICE_CAP", 200_000, 16, fano,
+        closure.galois_report, CapacityError, "lattice"),
+    "structure_to_obj": (
+        serialize, "STRUCTURE_DUMP_CAP", 1_000_000, 6 * 5,
+        lambda: relational.canonical_structure(PermutationGroup.dihedral(6), 2),
+        serialize.structure_to_obj, CapacityError, "structure_dump"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cap_constant_fires_at_its_bound(monkeypatch, name):
+    module, constant, default, size, inputs, call, error, cap_name = CASES[name]
+    assert getattr(module, constant) == default
+    arg = inputs()
+    monkeypatch.setattr(module, constant, size - 1)
+    with pytest.raises(error, match="cap") as info:
+        call(arg)
+    if cap_name is not None:
+        assert info.value.cap_name == cap_name
+    monkeypatch.setattr(module, constant, size)
+    call(arg)
+
+
+def test_brute_lattice_cap_default_bound():
+    # 10 elements pass the check (10! maps are then filtered); 11 do not
+    with pytest.raises(CapacityError) as info:
+        exhaustive.lattice_automorphism_count(chain_lattice(11).leq)
+    assert info.value.cap_name == "brute_lattice"
+
+
+def test_cap_order_flag_is_gone(tmp_path, capsys):
+    path = tmp_path / "G.json"
+    path.write_text(serialize.canonical_json(serialize.group_to_obj(
+        GroupAction.unlabeled(PermutationGroup.dihedral(6)))))
+    assert main(["group", "order", "--in", str(path), "--cap-order", "5"]) == 2
+    assert "--cap-order" in capsys.readouterr().err

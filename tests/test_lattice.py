@@ -392,6 +392,17 @@ def test_reconstruct_preconditions():
         reconstruct(chain_lattice(1))
 
 
+def test_reconstruct_collision_is_an_internal_error(monkeypatch):
+    # separation guarantees an injective embedding on atomistic lattices,
+    # so two elements with one image can only come from a broken closure
+    from fixlat import closure
+    orig = closure.fixset_closure
+    monkeypatch.setattr(closure, "fixset_closure",
+                        lambda G, points: orig(G, tuple(points)[:1]))
+    with pytest.raises(InternalConsistencyError, match="not injective"):
+        reconstruct(diamond_lattice(3))
+
+
 def test_distributivity():
     assert is_distributive(boolean_lattice(3))
     assert is_distributive(chain_lattice(4))

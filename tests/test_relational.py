@@ -20,6 +20,16 @@ def all_subsets(n):
         yield tuple(x for x in range(n) if mask >> x & 1)
 
 
+def test_trivial_group_has_one_relation_per_tuple():
+    S = canonical_structure(PermutationGroup.trivial(4), 3)
+    assert [len(S.relations[k]) for k in (2, 3)] == [4 * 3, 4 * 3 * 2]
+    for k in (2, 3):
+        tuples = [tuple(rel[0]) for rel in S.relations[k]]
+        assert all(rel.shape == (1, k) for rel in S.relations[k])
+        assert tuples == sorted(tuples)
+        assert all(len(set(t)) == k for t in tuples)
+
+
 def test_two_transitive_gives_one_binary_relation(sym4):
     S = canonical_structure(sym4, 2)
     assert len(S.relations[2]) == 1

@@ -386,6 +386,16 @@ def test_cli_verify_subset(capsys):
     assert "PASS stone-representation" in err
 
 
+def test_cli_verify_report_is_canonical(capsys):
+    # per-check seconds go to stderr only, so the JSON is the same bytes
+    # on every run
+    code, first, err = run_cli(capsys, "verify", "--only", "stone")
+    assert code == 0 and "seconds\"" not in first
+    assert "PASS stone-representation (" in err
+    code, second, _ = run_cli(capsys, "verify", "--only", "stone")
+    assert code == 0 and first == second
+
+
 @pytest.mark.parametrize("only, name", [("cone", "cone-separation"),
                                         ("diamond", "diamond-reconstruction")])
 def test_cli_verify_finite_scale_checks_pass(capsys, only, name):

@@ -1,4 +1,4 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -49,6 +49,17 @@ def test_affine_plane_of_order_three():
     assert len(sys.blocks) == 12
     assert verify_steiner(sys).valid
     assert comb(9, 2) == 12 * comb(3, 2)
+
+
+@pytest.mark.parametrize("q, d", [(3, 2), (3, 3), (5, 2), (7, 2)])
+def test_affine_lines_match_brute_force(q, d):
+    # every line of AG(d, q) is {a + t(b - a)} for two of its points a, b
+    pts = list(product(range(q), repeat=d))
+    idx = {v: i for i, v in enumerate(pts)}
+    lines = {tuple(sorted(idx[tuple((x + t * (y - x)) % q for x, y in zip(a, b))]
+                          for t in range(q)))
+             for a, b in combinations(pts, 2)}
+    assert steiner_from_affine(q, d).blocks == tuple(sorted(lines))
 
 
 def test_projective_constructions():
