@@ -23,7 +23,6 @@ Permutations are raw image tuples here; composition is apply-left-then-right.
 
 from __future__ import annotations
 
-from collections import deque
 from math import prod
 
 import numpy as np
@@ -48,6 +47,21 @@ def min_moved(p):
         if i != j:
             return i
     return None
+
+
+def orbit_transversal(b, gens, ident):
+    """For each point z of the orbit of b under gens, a product of gens
+    sending b to z, found breadth-first with generators in list order."""
+    tr = {b: ident}
+    queue = [b]
+    for y in queue:
+        uy = tr[y]
+        for g in gens:
+            z = g[y]
+            if z not in tr:
+                tr[z] = compose(uy, g)
+                queue.append(z)
+    return tr
 
 
 def sims_filter(degree, gens):
@@ -160,18 +174,7 @@ class StabilizerChain:
                 f"below the known order {order}")
 
     def _rebuild_transversal(self, i):
-        b = self.base[i]
-        gens = self.level_gens[i]
-        tr = {b: self._ident}
-        queue = deque([b])
-        while queue:
-            y = queue.popleft()
-            uy = tr[y]
-            for g in gens:
-                z = g[y]
-                if z not in tr:
-                    tr[z] = compose(uy, g)
-                    queue.append(z)
+        tr = orbit_transversal(self.base[i], self.level_gens[i], self._ident)
         self.transversals[i] = tr
         self.inv_transversals[i] = {y: inverse(u) for y, u in tr.items()}
 

@@ -9,11 +9,11 @@ bit masks internally and as sorted tuples at the API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import CapacityError, InternalConsistencyError, PreconditionError
-from .group import PermutationGroup
+from .group import PermutationGroup, _fixed_mask
 from .lattice import LATTICE_CAP, FiniteLattice, containment_order, order_covers
 from .perm import mask_from_points, points_from_mask
 
@@ -44,20 +44,6 @@ def _as_mask(G: PermutationGroup, pts: PointsLike) -> int:
     return mask_from_points(pts, G.degree)
 
 
-def _fixed_mask(degree: int, gens: Iterable[tuple[int, ...]]) -> int:
-    """Mask of the points fixed by every image tuple in gens."""
-    fixed = (1 << degree) - 1
-    for g in gens:
-        m = 0
-        for i, j in enumerate(g):
-            if i == j:
-                m |= 1 << i
-        fixed &= m
-        if not fixed:
-            break
-    return fixed
-
-
 def fixed_points(H: PermutationGroup) -> tuple[int, ...]:
     """Points fixed by every element of H (the generators suffice)."""
     return points_from_mask(_fixed_mask(H.degree, (g.images for g in H.generators)))
@@ -67,8 +53,7 @@ def closure_mask(G: PermutationGroup, mask: int) -> int:
     """Closure of a point mask, memoized per group."""
     cached = G._closure_cache.get(mask)
     if cached is None:
-        gens = G._stabilizer(points_from_mask(mask)).gens
-        cached = G._closure_cache[mask] = _fixed_mask(G.degree, gens)
+        cached = G._closure_cache[mask] = G._stabilizer(mask).fixed
     return cached
 
 
@@ -120,16 +105,9 @@ class FixsetLattice:
 
     degree: int
     elements: tuple[tuple[int, ...], ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._index.update({pts: i for i, pts in enumerate(self.elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def index_of(self, points: Iterable[int]) -> int:
-        return self._index[tuple(sorted(points))]
 
     @property
     def bottom(self) -> tuple[int, ...]:
@@ -267,8 +245,7 @@ def enumerate_fixset_lattice(G: PermutationGroup,
     of S is fix(G_S), and G_S is its symmetry."""
 
     def close(mask: int) -> tuple[int, tuple]:
-        return (closure_mask(G, mask),
-                G._stabilizer(points_from_mask(mask)).gens)
+        return closure_mask(G, mask), G._stabilizer(mask).gens
 
     return closed_set_lattice(G.degree, close, cap)
 

@@ -1,12 +1,12 @@
 """Finite permutation groups given by generators.
 
 Orders, membership and pointwise stabilizers come from deterministic
-stabilizer chains. Pointwise stabilizers of sorted point tuples live in a
-tower keyed by prefix: each G_A is recorded as a level of a chain that
-already exists, conjugated by a known permutation, so extending A by a
-point in that level's basic orbit needs no Schreier-Sims at all, and a
-fresh chain is built only when the point lies outside it. Orbit counts on
-k-tuple spaces go through the array kernels.
+stabilizer chains. As G_S = G_F for the closed set F = fix(G_S), pointwise
+stabilizers live in a tower keyed by point mask: G under 0, and G_{F+x}
+under F | {x} for each closed F reached and point x outside it. Each is a
+level of an existing chain conjugated by a known permutation, so a fresh
+chain is built only when x lies outside that level's basic orbit. Orbit
+counts on k-tuple spaces go through the array kernels.
 """
 
 from __future__ import annotations
@@ -20,18 +20,19 @@ from . import _kernels
 from ._chain import StabilizerChain, compose
 from .errors import CapacityError, PreconditionError, ValidationError
 from .exhaustive import enumerate_elements
-from .perm import Permutation, mask_from_points, points_from_mask
+from .perm import Permutation, mask_from_points
 
 DEGREE_CAP = 4096
 TUPLE_SPACE_CAP = 5_000_000
 
 
 class _Stab(NamedTuple):
-    """The pointwise stabilizer G_A of a point prefix A, as a tower record.
+    """The pointwise stabilizer G_F of a closed set F, as a tower record.
 
-    G_A is level ``level`` of ``chain`` conjugated by ``w``: the elements
+    G_F is level ``level`` of ``chain`` conjugated by ``w``: the elements
     w^-1 h w (apply w^-1, then h, then w) for h fixing the chain's first
-    ``level`` base points. ``gens`` generate G_A and ``order`` is |G_A|.
+    ``level`` base points. ``gens`` generate G_F, ``order`` is |G_F| and
+    ``fixed`` is the mask of F = fix(G_F).
     """
 
     gens: tuple
@@ -40,6 +41,33 @@ class _Stab(NamedTuple):
     level: int
     w: tuple
     w_inv: tuple
+    fixed: int
+
+
+def _fixed_mask(degree: int, gens: Iterable[tuple[int, ...]]) -> int:
+    """Mask of the points fixed by every image tuple in gens."""
+    fixed = (1 << degree) - 1
+    for g in gens:
+        m = 0
+        for i, j in enumerate(g):
+            if i == j:
+                m |= 1 << i
+        fixed &= m
+        if not fixed:
+            break
+    return fixed
+
+
+def _tuple_orbit_labels(gens: Sequence[tuple[int, ...]], n: int, k: int,
+                        cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_kernels.tuple_orbit_labels`` over the g distinct generators in
+    gens, raising before its g x n^k image tables would pass ``cap``."""
+    perms = np.unique(np.array(gens, dtype=np.int64).reshape(-1, n), axis=0)
+    if max(len(perms), 1) * n**k > cap:
+        raise CapacityError(
+            f"tuple tables {len(perms)} x {n}^{k} exceed cap {cap}",
+            cap_name="tuple_space")
+    return _kernels.tuple_orbit_labels(perms, k)
 
 
 def _stab_record(chain: StabilizerChain, level: int, w: tuple,
@@ -47,7 +75,8 @@ def _stab_record(chain: StabilizerChain, level: int, w: tuple,
     gens = chain.stabilizer_generators(level)
     if w != chain._ident:
         gens = tuple(tuple(w[h[i]] for i in w_inv) for h in gens)
-    return _Stab(gens, chain.order(level), chain, level, w, w_inv)
+    return _Stab(gens, chain.order(level), chain, level, w, w_inv,
+                 _fixed_mask(chain.degree, gens))
 
 
 class PermutationGroup:
@@ -78,7 +107,7 @@ class PermutationGroup:
         self._gen_tuples = tuple(g.images for g in gens)
         self._chain: Optional[StabilizerChain] = None
         self._order: Optional[int] = None
-        self._stab_gens_cache: dict[tuple[int, ...], _Stab] = {}
+        self._stab_gens_cache: dict[int, _Stab] = {}
         self._closure_cache: dict[int, int] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -130,42 +159,44 @@ class PermutationGroup:
                                           order=self._order)
         return self._chain
 
-    def _stabilizer(self, points: tuple[int, ...]) -> _Stab:
-        """Tower record of the pointwise stabilizer of a sorted point tuple.
+    def _stabilizer(self, mask: int) -> _Stab:
+        """Tower record of the pointwise stabilizer of a point mask S.
 
-        Extending a cached prefix A by x: if G_A fixes x the record is
-        reused. Otherwise y = w^-1(x); if the transversal element u at
-        the record's level maps the base point to y, then G_{A+x} is the
-        next level conjugated by u w. Only for y outside that basic orbit
-        is a chain built, for G_A with base (x,), stopped at |G_A|.
+        From the record of S itself if cached, else from G, each step takes
+        the least point x of S outside the record's closed set F and moves
+        to the record under F | {x}, built if absent: with y = w^-1(x), if
+        the transversal element u at the record's level maps the base point
+        to y, G_{F+x} is the next level conjugated by u w; otherwise a chain
+        is built for G_F with base (x,), stopped at |G_F|. The last record's
+        F contains S and is the closure of a subset of S, so it is G_S.
         """
         cache = self._stab_gens_cache
-        rec = cache.get(points)
-        if rec is not None:
-            return rec
-        if () not in cache:
+        if not cache:
             chain = self._base_chain()
-            cache[()] = _Stab(self._gen_tuples, self.order(), chain, 0,
-                              chain._ident, chain._ident)
-        k = len(points)
-        while points[:k] not in cache:
-            k -= 1
-        rec = cache[points[:k]]
-        for k in range(k, len(points)):
-            x = points[k]
-            if any(g[x] != x for g in rec.gens):
+            cache[0] = _Stab(self._gen_tuples, self.order(), chain, 0,
+                             chain._ident, chain._ident,
+                             _fixed_mask(self.degree, self._gen_tuples))
+        rec = cache.get(mask, cache[0])
+        rest = mask & ~rec.fixed
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            key = rec.fixed | 1 << x
+            nxt = cache.get(key)
+            if nxt is None:
                 chain, level = rec.chain, rec.level
                 y = rec.w_inv[x]
                 u = chain.transversals[level].get(y)
                 if u is None:
                     chain = StabilizerChain(self.degree, rec.gens,
                                             base_prefix=(x,), order=rec.order)
-                    rec = _stab_record(chain, 1, chain._ident, chain._ident)
+                    nxt = _stab_record(chain, 1, chain._ident, chain._ident)
                 else:
-                    rec = _stab_record(
+                    nxt = _stab_record(
                         chain, level + 1, compose(u, rec.w),
                         compose(rec.w_inv, chain.inv_transversals[level][y]))
-            cache[points[:k + 1]] = rec
+                cache[key] = nxt
+            rec = nxt
+            rest = mask & ~rec.fixed
         return rec
 
     # -- fundamental operations ----------------------------------------------
@@ -223,7 +254,7 @@ class PermutationGroup:
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermutationGroup":
         """Largest subgroup fixing every listed point individually."""
-        rec = self._stabilizer(points_from_mask(mask_from_points(points, self.degree)))
+        rec = self._stabilizer(mask_from_points(points, self.degree))
         group = PermutationGroup(self.degree, [Permutation(g) for g in rec.gens])
         group._order = rec.order
         return group
@@ -239,15 +270,8 @@ class PermutationGroup:
             return 0
         if k == 1:
             return len(self.orbits())
-        if n**k > TUPLE_SPACE_CAP:
-            raise CapacityError(
-                f"tuple space {n}^{k} exceeds cap {TUPLE_SPACE_CAP}",
-                cap_name="tuple_space")
-        if not self._gen_tuples:
-            from math import perm as _nperm
-            return _nperm(n, k)
-        perms = np.array(self._gen_tuples, dtype=np.int64)
-        labels, active = _kernels.tuple_orbit_labels(perms, k)
+        labels, active = _tuple_orbit_labels(self._gen_tuples, n, k,
+                                             TUPLE_SPACE_CAP)
         return int(np.unique(labels[active]).size)
 
     def transitivity_degree(self, k_max: int) -> int:

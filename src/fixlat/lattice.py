@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._chain import compose, sims_filter_rows
+from ._chain import orbit_transversal, sims_filter_rows
 from .errors import (CapacityError, InternalConsistencyError,
                      PreconditionError, ValidationError)
 from .group import TUPLE_SPACE_CAP, GroupAction, PermutationGroup
@@ -314,19 +314,6 @@ def join_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
     return tuple(x for x, below in enumerate(_lower_covers(L)) if len(below) == 1)
 
 
-def _orbit_transversal(i: int, m: int, gens) -> dict[int, tuple[int, ...]]:
-    """For each point u of the orbit of i under gens, a product of gens sending i to u."""
-    tr = {i: tuple(range(m))}
-    queue = [i]
-    for y in queue:
-        for g in gens:
-            z = g[y]
-            if z not in tr:
-                tr[z] = compose(tr[y], g)
-                queue.append(z)
-    return tr
-
-
 def _transversals(m: int, family) -> list[dict[int, tuple[int, ...]]]:
     """The automorphisms of a family of point masks, as transversals along 0..m-1.
 
@@ -342,14 +329,14 @@ def _transversals(m: int, family) -> list[dict[int, tuple[int, ...]]]:
     gens = []
     levels = [None] * m
     for i in reversed(range(m)):
-        orbit = _orbit_transversal(i, m, gens)
+        orbit = orbit_transversal(i, gens, tuple(range(m)))
         for c in range(i + 1, m):
             if profile[c] == profile[i] and c not in orbit:
                 hit = family_bijections(m, family, family, first=True,
                                         prefix=(*range(i), c))
                 if hit:
                     gens.append(hit[0])
-                    orbit = _orbit_transversal(i, m, gens)
+                    orbit = orbit_transversal(i, gens, tuple(range(m)))
         levels[i] = orbit
     return levels
 
@@ -413,15 +400,15 @@ def _general_automorphisms(L: FiniteLattice) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def lattice_automorphisms(L: FiniteLattice,
-                          cap: int = AUTOMORPHISM_CAP) -> PermutationGroup:
+def lattice_automorphisms(L: FiniteLattice) -> PermutationGroup:
     """The group of order-preserving bijections, acting on element indices.
 
     Its generators are those sims_filter keeps from the full listing.
     """
-    if L.size > cap:
-        raise CapacityError(f"lattice size {L.size} exceeds automorphism cap {cap}",
-                            cap_name="automorphisms")
+    if L.size > AUTOMORPHISM_CAP:
+        raise CapacityError(
+            f"lattice size {L.size} exceeds automorphism cap {AUTOMORPHISM_CAP}",
+            cap_name="automorphisms")
     autos = (_atomistic_automorphisms(L) if is_atomistic(L)
              else _general_automorphisms(L))
     gens = sims_filter_rows(L.size, autos)

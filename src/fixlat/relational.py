@@ -22,12 +22,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import _kernels
-from .errors import CapacityError, ValidationError
-from .group import TUPLE_SPACE_CAP, PermutationGroup
+from .errors import ValidationError
+from .group import TUPLE_SPACE_CAP, PermutationGroup, _tuple_orbit_labels
 from .perm import mask_from_points, points_from_mask
 
 ARITY_CAP = 4
 EXHAUSTIVE_SUBSET_LIMIT = 12
+SAMPLE_SIZE = 512
 
 
 def _decode(codes: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -102,17 +103,13 @@ def canonical_structure(G: PermutationGroup, max_arity: int = 3) -> RelationalSt
     if not (2 <= max_arity <= ARITY_CAP):
         raise ValidationError(f"max_arity must lie in 2..{ARITY_CAP}")
     n = G.degree
-    perms = np.array(G._gen_tuples, dtype=np.int64).reshape(-1, n)
     relations: dict[int, tuple[np.ndarray, ...]] = {}
     for arity in range(2, max_arity + 1):
         if arity > n:
             relations[arity] = ()
             continue
-        if n**arity > TUPLE_SPACE_CAP:
-            raise CapacityError(
-                f"tuple space {n}^{arity} exceeds cap {TUPLE_SPACE_CAP}",
-                cap_name="tuple_space")
-        labels, active = _kernels.tuple_orbit_labels(perms, arity)
+        labels, active = _tuple_orbit_labels(G._gen_tuples, n, arity,
+                                             TUPLE_SPACE_CAP)
         labels = np.where(active, labels, -1)
         reps = np.unique(labels[active])
         rels = []
@@ -165,28 +162,28 @@ class DclComparisonReport:
 
 
 def dcl_vs_fixset_report(G: PermutationGroup, max_arity: int = 3,
-                         exhaustive_limit: int = EXHAUSTIVE_SUBSET_LIMIT,
-                         sample_size: int = 512,
                          seed: int = 0) -> DclComparisonReport:
-    """Compare the two closures on every subset (or a seeded sample)."""
-    from .closure import fixset_closure
+    """Compare the two closures on every subset, or on a seeded sample of
+    ``SAMPLE_SIZE`` subsets above ``EXHAUSTIVE_SUBSET_LIMIT`` points."""
+    from .closure import closure_mask
 
     n = G.degree
-    if n <= exhaustive_limit or (1 << n) <= sample_size:
-        subsets = [points_from_mask(m) for m in range(1 << n)]
+    if n <= EXHAUSTIVE_SUBSET_LIMIT or (1 << n) <= SAMPLE_SIZE:
+        subsets = range(1 << n)
     else:
         rng = random.Random(seed)
         chosen = {0, (1 << n) - 1}
-        while len(chosen) < sample_size:
+        while len(chosen) < SAMPLE_SIZE:
             chosen.add(rng.getrandbits(n))
-        subsets = [points_from_mask(m) for m in sorted(chosen)]
+        subsets = sorted(chosen)
     S = canonical_structure(G, max_arity)
     per_arity_ok = {a: True for a in range(2, max_arity + 1)}
     disagreements = []
     agreements = 0
     sound = True
-    for pts in subsets:
-        fix = fixset_closure(G, pts).points
+    for mask in subsets:
+        pts = points_from_mask(mask)
+        fix = points_from_mask(closure_mask(G, mask))
         top = relational_dcl(S, pts)
         if top == fix:
             agreements += 1

@@ -14,10 +14,10 @@ from math import comb
 from typing import Iterable, Optional
 
 from .closure import LATTICE_CAP, enumerate_fixset_lattice
-from .errors import (InternalConsistencyError, PreconditionError,
-                     ValidationError)
+from .errors import (CapacityError, InternalConsistencyError,
+                     PreconditionError, ValidationError)
 from .geometry import is_prime, projective_points, span_closure
-from .group import PermutationGroup
+from .group import TUPLE_SPACE_CAP, PermutationGroup
 from .lattice import family_bijections
 from .perm import mask_from_points
 
@@ -57,8 +57,15 @@ class SteinerVerification:
 def verify_steiner(sys: SteinerSystem) -> SteinerVerification:
     """Exhaustively check the defining properties; violations are data."""
     if sys.num_points > VERIFY_POINT_CAP:
-        raise ValidationError(
-            f"exhaustive verification capped at {VERIFY_POINT_CAP} points")
+        raise CapacityError(
+            f"exhaustive verification capped at {VERIFY_POINT_CAP} points",
+            cap_name="steiner_points")
+    subsets = max(comb(sys.num_points, sys.k),
+                  sum(comb(len(b), sys.k) for b in sys.blocks))
+    if subsets > TUPLE_SPACE_CAP:
+        raise CapacityError(
+            f"{subsets} {sys.k}-subsets to check exceed cap {TUPLE_SPACE_CAP}",
+            cap_name="tuple_space")
     violations = []
     sizes = {len(b) for b in sys.blocks}
     if len(sizes) > 1:
@@ -210,8 +217,9 @@ def steiner_isomorphism(a: SteinerSystem,
     that also lists lattice automorphisms.
     """
     if max(a.num_points, b.num_points) > VERIFY_POINT_CAP:
-        raise ValidationError(
-            f"isomorphism search capped at {VERIFY_POINT_CAP} points")
+        raise CapacityError(
+            f"isomorphism search capped at {VERIFY_POINT_CAP} points",
+            cap_name="steiner_points")
     if (a.k != b.k or a.num_points != b.num_points
             or len(a.blocks) != len(b.blocks) or a.block_size != b.block_size):
         return None

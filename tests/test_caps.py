@@ -10,7 +10,7 @@ import pytest
 from fixlat import closure, exhaustive, geometry, group, relational
 from fixlat import serialize, steiner
 from fixlat.cli import main
-from fixlat.errors import CapacityError, ValidationError
+from fixlat.errors import CapacityError
 from fixlat.group import GroupAction, PermutationGroup
 from fixlat.lattice import chain_lattice
 
@@ -26,11 +26,11 @@ def fano_system():
 # (module, constant, default, size needed, inputs, call, error, cap name)
 CASES = {
     "tuple_orbit_count": (
-        group, "TUPLE_SPACE_CAP", 5_000_000, 5**3,
+        group, "TUPLE_SPACE_CAP", 5_000_000, 2 * 5**3,
         lambda: PermutationGroup.symmetric(5),
         lambda G: G.tuple_orbit_count(3), CapacityError, "tuple_space"),
     "transitivity_degree": (
-        group, "TUPLE_SPACE_CAP", 5_000_000, 5**3,
+        group, "TUPLE_SPACE_CAP", 5_000_000, 2 * 5**3,
         lambda: PermutationGroup.symmetric(5),
         lambda G: G.transitivity_degree(3), CapacityError, "tuple_space"),
     "elements_array": (
@@ -50,7 +50,7 @@ CASES = {
         exhaustive, "BRUTE_LATTICE_CAP", 10, 4, lambda: chain_lattice(4).leq,
         exhaustive.lattice_automorphism_count, CapacityError, "brute_lattice"),
     "canonical_structure": (
-        relational, "TUPLE_SPACE_CAP", 5_000_000, 4**3,
+        relational, "TUPLE_SPACE_CAP", 5_000_000, 2 * 4**3,
         lambda: PermutationGroup.symmetric(4),
         lambda G: relational.canonical_structure(G, 3),
         CapacityError, "tuple_space"),
@@ -62,10 +62,14 @@ CASES = {
         lambda pd: geometry.pgl_generators(*pd), CapacityError, "points"),
     "verify_steiner": (
         steiner, "VERIFY_POINT_CAP", 64, 7, fano_system,
-        steiner.verify_steiner, ValidationError, None),
+        steiner.verify_steiner, CapacityError, "steiner_points"),
+    "verify_steiner_subsets": (
+        steiner, "TUPLE_SPACE_CAP", 5_000_000, 21, fano_system,
+        steiner.verify_steiner, CapacityError, "tuple_space"),
     "steiner_isomorphism": (
         steiner, "VERIFY_POINT_CAP", 64, 7, fano_system,
-        lambda s: steiner.steiner_isomorphism(s, s), ValidationError, None),
+        lambda s: steiner.steiner_isomorphism(s, s), CapacityError,
+        "steiner_points"),
     "galois_report": (
         closure, "LATTICE_CAP", 200_000, 16, fano,
         closure.galois_report, CapacityError, "lattice"),
@@ -84,10 +88,18 @@ def test_cap_constant_fires_at_its_bound(monkeypatch, name):
     monkeypatch.setattr(module, constant, size - 1)
     with pytest.raises(error, match="cap") as info:
         call(arg)
-    if cap_name is not None:
-        assert info.value.cap_name == cap_name
+    assert info.value.cap_name == cap_name
     monkeypatch.setattr(module, constant, size)
     call(arg)
+
+
+def test_duplicate_generators_count_once_against_the_tuple_cap(monkeypatch):
+    cycle = PermutationGroup.cyclic(5).generators[0]
+    G = PermutationGroup(5, [cycle] * 60)
+    monkeypatch.setattr(group, "TUPLE_SPACE_CAP", 5**3)
+    monkeypatch.setattr(relational, "TUPLE_SPACE_CAP", 5**3)
+    assert G.tuple_orbit_count(3) == 12
+    assert len(relational.canonical_structure(G, 3).relations[3]) == 12
 
 
 def test_brute_lattice_cap_default_bound():

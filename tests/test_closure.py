@@ -180,7 +180,7 @@ def test_enumerator_matches_brute_force_on_random_groups(group):
 def fixset_close(G, symmetric=True):
     """The fixset closure callback, with G_S as symmetry or with none."""
     def close(mask):
-        gens = G._stabilizer(points_from_mask(mask)).gens if symmetric else ()
+        gens = G._stabilizer(mask).gens if symmetric else ()
         return closure.closure_mask(G, mask), gens
     return close
 

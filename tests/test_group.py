@@ -7,6 +7,8 @@ from fixlat import exhaustive
 from fixlat._chain import StabilizerChain
 from fixlat.errors import (InternalConsistencyError, PreconditionError,
                            ValidationError)
+from fixlat.closure import closure_mask, enumerate_fixset_lattice
+from fixlat.geometry import pgl_generators
 from fixlat.group import PermutationGroup, group_from_generators
 from fixlat.perm import Permutation
 
@@ -230,3 +232,58 @@ def test_stabilizer_tower_reuses_chains(monkeypatch):
         assert H.order() == factorial(7 - len(pts))
         assert all(g[x] == x for g in H._gen_tuples for x in pts)
     assert len(builds) == 1
+
+
+# Generators of fresh groups' pointwise stabilizers, as the point-prefix
+# tower printed them; the mask-keyed tower builds the same records.
+PINNED_STABILIZERS = [
+    (lambda: pgl_generators(2, 2), (0, 1), 4, [
+        [0, 1, 2, 4, 3, 6, 5],
+        [0, 1, 2, 6, 5, 4, 3],
+    ]),
+    (lambda: pgl_generators(3, 2), (0, 5), 36, [
+        [0, 8, 7, 9, 4, 5, 6, 2, 1, 3, 12, 11, 10],
+        [0, 8, 9, 7, 6, 5, 4, 3, 1, 2, 10, 11, 12],
+        [0, 9, 8, 7, 4, 5, 6, 3, 2, 1, 11, 10, 12],
+        [0, 7, 8, 9, 4, 5, 6, 10, 12, 11, 1, 3, 2],
+    ]),
+    (lambda: pgl_generators(2, 3), (1, 2, 9), 8, [
+        [0, 1, 2, 5, 6, 3, 4, 7, 8, 9, 10, 13, 14, 11, 12],
+        [0, 1, 2, 11, 12, 13, 14, 7, 8, 9, 10, 3, 4, 5, 6],
+        [0, 1, 2, 14, 13, 12, 11, 7, 8, 9, 10, 6, 5, 4, 3],
+    ]),
+    (lambda: pgl_generators(5, 1), (0,), 20, [
+        [0, 1, 4, 2, 5, 3],
+        [0, 4, 2, 5, 3, 1],
+    ]),
+    (lambda: pgl_generators(7, 1), (2, 5), 6, [
+        [1, 6, 2, 7, 3, 5, 0, 4],
+        [3, 7, 2, 1, 0, 5, 4, 6],
+    ]),
+    (lambda: PermutationGroup.symmetric(7), (2, 4, 6), 24, [
+        [0, 1, 2, 5, 4, 3, 6],
+        [0, 3, 2, 1, 4, 5, 6],
+        [1, 0, 2, 3, 4, 5, 6],
+    ]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_STABILIZERS)))
+def test_pointwise_stabilizer_generators_are_pinned(case):
+    make, pts, order, gens = PINNED_STABILIZERS[case]
+    H = make().pointwise_stabilizer(pts)
+    assert H.order() == order
+    assert [list(g.images) for g in H.generators] == gens
+
+
+@pytest.mark.parametrize("q, d, bound", [(2, 2, 78), (2, 3, 766)])
+def test_stabilizer_tower_grows_with_the_lattice(q, d, bound):
+    # one record for G, and one per closed set F and point outside F
+    G = pgl_generators(q, d)
+    n = G.degree
+    for mask in range(1 << n):
+        assert closure_mask(G, mask) == G._stabilizer(mask).fixed
+    closed = enumerate_fixset_lattice(G).elements
+    assert 1 + sum(n - len(F) for F in closed) == bound
+    assert len(G._stab_gens_cache) <= bound
+    assert all(type(key) is int for key in G._stab_gens_cache)

@@ -94,6 +94,16 @@ def test_validate_rejects_broken_orders():
     cyclic[0, 1] = cyclic[1, 0] = True
     assert (lattice_validate(2, cyclic).violations[0]["kind"]
             == "not-antisymmetric")
+    gap = np.eye(3, dtype=bool)
+    gap[0, 1] = gap[1, 2] = True
+    assert lattice_validate(3, gap).violations == (
+        {"kind": "not-transitive", "pair": (0, 2)},)
+
+
+@pytest.mark.parametrize("pair", [(0, 3), (-1, 1), (3, 0)])
+def test_order_from_covers_rejects_out_of_range_pairs(pair):
+    with pytest.raises(ValidationError, match="out of range"):
+        order_from_covers(3, [(0, 1), pair])
 
 
 def test_constructor_raises_on_non_lattice():
@@ -187,9 +197,10 @@ def test_automorphism_count_is_checked(monkeypatch):
         lattice_automorphisms(subspace_lattice(2, 2))
 
 
-def test_automorphism_cap():
+def test_automorphism_cap(monkeypatch):
+    monkeypatch.setattr(lattice, "AUTOMORPHISM_CAP", 4)
     with pytest.raises(CapacityError):
-        lattice_automorphisms(boolean_lattice(3), cap=4)
+        lattice_automorphisms(boolean_lattice(3))
 
 
 def irreducible_family(L):

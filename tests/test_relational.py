@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixlat import _kernels
+from fixlat import _kernels, relational
 from fixlat.closure import fixset_closure
 from fixlat.errors import ValidationError
 from fixlat.exhaustive import relational_closure
@@ -164,17 +164,22 @@ def test_sym6_arity_capped_undercoverage():
     assert all(len(d["points"]) != 1 for d in rep.disagreements)
 
 
-def test_report_sampling_above_limit(pgl42):
-    rep = dcl_vs_fixset_report(pgl42, 2, sample_size=64, seed=3)
+def test_report_sampling_above_limit(monkeypatch, pgl42):
+    monkeypatch.setattr(relational, "SAMPLE_SIZE", 64)
+    rep = dcl_vs_fixset_report(pgl42, 2, seed=3)
     assert rep.subsets_tested == 64
     assert rep.sound
 
 
-def test_report_tests_every_subset_when_the_sample_would_cover_them(sym4):
+def test_report_tests_every_subset_when_the_sample_would_cover_them(monkeypatch,
+                                                                   sym4):
     # 2^4 = 16 subsets cannot fill a sample of 64 distinct ones
-    rep = dcl_vs_fixset_report(sym4, 3, exhaustive_limit=2, sample_size=64)
+    full = dcl_vs_fixset_report(sym4, 3)
+    monkeypatch.setattr(relational, "EXHAUSTIVE_SUBSET_LIMIT", 2)
+    monkeypatch.setattr(relational, "SAMPLE_SIZE", 64)
+    rep = dcl_vs_fixset_report(sym4, 3)
     assert rep.subsets_tested == 16
-    assert rep == dcl_vs_fixset_report(sym4, 3)
+    assert rep == full
 
 
 @pytest.mark.parametrize("limit", [0, 1, 4, 7, 2.5])

@@ -11,11 +11,12 @@ from fixlat import exhaustive, serialize
 from fixlat.cli import main
 from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import ValidationError
-from fixlat.geometry import pgl_generators, subspace_lattice
+from fixlat.geometry import pgl_generators, projective_points, subspace_lattice
 from fixlat.group import GroupAction, PermutationGroup
 from fixlat.lattice import diamond_lattice
-from fixlat.relational import canonical_structure
-from fixlat.steiner import steiner_from_projective
+from fixlat.relational import canonical_structure, dcl_vs_fixset_report
+from fixlat.steiner import (derivation, steiner_from_affine,
+                            steiner_from_affine_planes, steiner_from_projective)
 
 
 def test_group_roundtrip(d6):
@@ -136,6 +137,41 @@ def test_cli_group_stab_and_orbits(capsys, group_file, d6):
     assert json.loads(out)["result"]["orbits"] == [[0, 1, 2, 3, 4, 5]]
 
 
+def cli_result(capsys, *args):
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    return json.loads(out)["result"]
+
+
+def test_cli_group_transitivity(capsys, group_file, d6):
+    result = cli_result(capsys, "group", "transitivity", "--in", group_file,
+                        "--k-max", "3")
+    assert result == {"k_max": 3, "transitivity_degree": d6.transitivity_degree(3)}
+
+
+def test_cli_group_primitivity(capsys, group_file, d6):
+    result = cli_result(capsys, "group", "primitivity", "--in", group_file)
+    res = d6.primitivity()
+    assert result == {"primitive": res.primitive,
+                      "block_system": [list(b) for b in res.block_system]}
+
+
+def test_cli_group_dclcheck(capsys, group_file, d6):
+    result = cli_result(capsys, "group", "dclcheck", "--in", group_file,
+                        "--arity", "2")
+    rep = dcl_vs_fixset_report(d6, 2)
+    assert result == {
+        "max_arity": 2,
+        "subsets_tested": rep.subsets_tested,
+        "agreements": rep.agreements,
+        "agreement_rate": rep.agreement_rate,
+        "sufficient_arity": rep.sufficient_arity,
+        "sound": rep.sound,
+        "disagreements": [{k: list(v) for k, v in d.items()}
+                          for d in rep.disagreements[:32]],
+    }
+
+
 def test_cli_fixlattice_and_formats(capsys, group_file):
     code, out, _ = run_cli(capsys, "group", "fixlattice", "--in", group_file)
     assert code == 0 and json.loads(out)["result"]["size"] == 5
@@ -184,6 +220,32 @@ def test_cli_steiner_derive_and_autcheck(capsys, tmp_path, fano_group):
     assert json.loads(out)["result"]["preserves_blocks"] is True
 
 
+def test_cli_steiner_build_ag(capsys):
+    result = cli_result(capsys, "steiner", "build-ag", "-q", "3", "-d", "2")
+    assert result == serialize.steiner_to_obj(steiner_from_affine(3, 2))
+
+
+def test_cli_steiner_derive(capsys, tmp_path):
+    planes = steiner_from_affine_planes(3)
+    path = tmp_path / "ag32.json"
+    path.write_text(serialize.canonical_json(serialize.steiner_to_obj(planes)))
+    result = cli_result(capsys, "steiner", "derive", "--in", str(path),
+                        "--point", "5")
+    assert result == serialize.steiner_to_obj(derivation(planes, 5))
+
+
+@pytest.mark.parametrize("system, cap", [
+    ({"k": 2, "points": 65, "blocks": [[0, 1, 2]]}, "steiner_points"),
+    ({"k": 12, "points": 40, "blocks": [list(range(40))]}, "tuple_space"),
+])
+def test_cli_steiner_verify_capacity_exit_code(capsys, tmp_path, system, cap):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(system))
+    code, out, err = run_cli(capsys, "steiner", "verify", "--in", str(path))
+    assert code == 3 and out == ""
+    assert f"capacity error ({cap})" in err
+
+
 def test_cli_lattice_subcommands(capsys, tmp_path):
     chain = tmp_path / "chain3.json"
     chain.write_text(json.dumps({"size": 3, "covers": [[0, 1], [1, 2]]}))
@@ -227,6 +289,21 @@ def test_cli_geometry(capsys):
     assert json.loads(out)["result"]["span"] == [0, 1, 2]
     code, out, _ = run_cli(capsys, "geometry", "pgl", "-p", "5", "-d", "1")
     assert json.loads(out)["result"]["order"] == 120
+
+
+def test_cli_geometry_points(capsys):
+    result = cli_result(capsys, "geometry", "points", "-p", "3", "-d", "2")
+    space = projective_points(3, 2)
+    assert result == {"count": space.num_points,
+                      "points": [list(v) for v in space.points]}
+
+
+def test_cli_geometry_subspaces(capsys):
+    result = cli_result(capsys, "geometry", "subspaces", "-p", "2", "-d", "2")
+    L = subspace_lattice(2, 2)
+    assert result == {"size": L.size,
+                      "subspaces": [list(e) for e in L.labels],
+                      "covers": [list(c) for c in L.covers()]}
 
 
 def test_cli_error_exit_codes(capsys, tmp_path):
