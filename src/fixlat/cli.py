@@ -1,9 +1,12 @@
 """Command-line front end.
 
-One process, one command. JSON is the stable output surface (canonical
-bytes for a given config and seed); text is a human-oriented rendering
-and may change; dot emits Hasse diagrams for lattice-shaped results.
-Timings go to stderr so reports stay reproducible byte for byte.
+One process may serve many ``main()`` calls; they share one parser, built
+on the first call (not at import), so the ``--cap-lattice`` default is
+``closure.LATTICE_CAP`` as read at that first call. JSON is the stable
+output surface (canonical bytes for a given config and seed); text is a
+human-oriented rendering and may change; dot emits Hasse diagrams for
+lattice-shaped results. Timings go to stderr so reports stay reproducible
+byte for byte.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error,
 3 capacity exceeded.
@@ -12,6 +15,7 @@ Exit codes: 0 success, 1 check failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -95,7 +99,7 @@ def cmd_group(args) -> int:
         pts = _parse_points(args.points)
         H = G.pointwise_stabilizer(pts)
         result = {
-            "points": sorted(pts),
+            "points": sorted(set(pts)),
             "order": H.order(),
             "generators": [list(g.images) for g in H.generators],
             "fixed_points": list(closure.fixed_points(H)),
@@ -250,7 +254,7 @@ def cmd_geometry(args) -> int:
     elif sub == "span":
         space = geometry.projective_points(p, d)
         pts = _parse_points(args.points)
-        result = {"points": sorted(pts),
+        result = {"points": sorted(set(pts)),
                   "span": list(geometry.span_closure(space, pts))}
     elif sub == "pgl":
         G = geometry.pgl_generators(p, d)
@@ -299,6 +303,7 @@ def cmd_verify(args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fixlat",

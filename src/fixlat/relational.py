@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .errors import ValidationError
 from .group import TUPLE_SPACE_CAP, PermutationGroup, _tuple_orbit_labels
-from .perm import mask_from_points, points_from_mask
+from .perm import points_from_mask
 
 ARITY_CAP = 4
 EXHAUSTIVE_SUBSET_LIMIT = 12
@@ -124,19 +124,21 @@ def relational_dcl(S: RelationalStructure, points: Iterable[int],
                    arity_limit: Optional[int] = None) -> tuple[int, ...]:
     """Least fixpoint of unique-completion over the structure's relations."""
     params, values = S.completion_table(arity_limit)
-    start = points_from_mask(mask_from_points(points, S.degree))
-    if params.shape[0] == 0:
-        return start
-    member = np.zeros(S.degree + 1, dtype=bool)
-    member[list(start)] = True
-    member[S.degree] = True  # the padding sentinel
-    while not member.all():
+    n = S.degree
+    pts = list(points)
+    for x in pts:
+        if not isinstance(x, int) or not (0 <= x < n):
+            raise ValidationError(f"point {x!r} out of range 0..{n - 1}")
+    member = np.zeros(n + 1, dtype=bool)
+    member[np.array(pts, dtype=np.int64)] = True
+    member[n] = True  # the padding sentinel
+    while params.shape[0] and not member.all():
         forced = _kernels.gather_candidates(params, values, member)
         new = forced[~member[forced]]
         if new.size == 0:
             break
         member[new] = True
-    return tuple(int(x) for x in np.flatnonzero(member[:S.degree]))
+    return tuple(int(x) for x in np.flatnonzero(member[:n]))
 
 
 @dataclass(frozen=True)

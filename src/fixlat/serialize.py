@@ -12,8 +12,8 @@ Formats:
 * structure: {"degree": n, "max_arity": a,
             "relations": {"2": [[[t0, t1], ...], ...], ...}}
 
-JSON output is canonical (sorted keys, fixed separators, trailing
-newline), so identical inputs produce identical bytes.
+JSON output is canonical (sorted keys, two-space indent, ASCII escapes,
+trailing newline), so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,65 @@ STRUCTURE_DUMP_CAP = 1_000_000
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    With an indent the standard library runs its pure-Python encoder, item
+    by item. This writer builds the same text from C-level joins: lists of
+    plain ints (``type(x) is int``, so no bools) and lists of such lists
+    take fast paths, and every other scalar and non-str key goes through
+    ``json.dumps``, so escapes, float spellings and the ``TypeError`` for
+    unsupported types stay those of the standard library.
+    """
+    return _write(obj, "\n") + "\n"
+
+
+_INT = {int}
+_SEQUENCES = {list, tuple}
+
+
+def _write(obj: Any, nl: str) -> str:
+    """``obj`` as indented JSON; ``nl`` is the line break and indent of its
+    enclosing level."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        kinds = set(map(type, obj))
+        flat = [x for row in obj for x in row] if kinds <= _SEQUENCES else None
+        if kinds == _INT:
+            body = ("," + inner).join(map(str, obj))
+        elif flat is not None and set(map(type, flat)) <= _INT:
+            body = _int_rows(obj, flat, inner)
+        else:
+            body = ("," + inner).join([_write(x, inner) for x in obj])
+        return "[" + inner + body + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [_key(k) + ": " + _write(v, inner) for k, v in sorted(obj.items())]
+        ) + nl + "}"
+    return json.dumps(obj)
+
+
+def _int_rows(rows, flat: list[int], nl: str) -> str:
+    """The items of a list of int lists, one %-template per row length
+    filled from the flattened ints in a single formatting call."""
+    inner = nl + "  "
+    template = {k: "[" + inner + ("," + inner).join(["%d"] * k) + nl + "]"
+                if k else "[]" for k in set(map(len, rows))}
+    return ("," + nl).join(map(template.__getitem__, map(len, rows))) % tuple(flat)
+
+
+def _key(key) -> str:
+    # the encoder's spelling of non-str keys: "1", "true", "null", "NaN"
+    if isinstance(key, str):
+        return json.dumps(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + json.dumps(key) + '"'
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 # -- groups -----------------------------------------------------------------

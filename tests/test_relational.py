@@ -99,6 +99,15 @@ def test_dcl_trivial_on_symmetric_group():
 def test_dcl_reaches_antipode(d6):
     S = canonical_structure(d6, 2)
     assert relational_dcl(S, [0]) == (0, 3)
+    assert relational_dcl(S, [3, 0, 3]) == (0, 3)
+
+
+@pytest.mark.parametrize("bad", [7, -1, 1.0])
+def test_dcl_rejects_points_outside_the_domain(fano_group, sym4, bad):
+    # the Sym(4) table is empty, the Fano one is not
+    for S in (canonical_structure(fano_group, 3), canonical_structure(sym4, 2)):
+        with pytest.raises(ValidationError, match="out of range"):
+            relational_dcl(S, [0, bad])
 
 
 def test_dcl_closure_axioms(fano_group):

@@ -8,7 +8,7 @@ import pytest
 
 import fixlat
 from fixlat import exhaustive, serialize
-from fixlat.cli import main
+from fixlat.cli import build_parser, main
 from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import ValidationError
 from fixlat.geometry import pgl_generators, projective_points, subspace_lattice
@@ -306,6 +306,63 @@ def test_cli_geometry_subspaces(capsys):
                       "covers": [list(c) for c in L.covers()]}
 
 
+def test_cli_group_stab_reports_repeated_points_once(capsys, group_file):
+    result = cli_result(capsys, "group", "stab", "--in", group_file,
+                        "--points", "1,1")
+    assert result["points"] == [1]
+    assert result == cli_result(capsys, "group", "stab", "--in", group_file,
+                                "--points", "1")
+
+
+def test_cli_geometry_span_reports_repeated_points_once(capsys):
+    result = cli_result(capsys, "geometry", "span", "-p", "2", "-d", "2",
+                        "--points", "0,0,1")
+    assert result == {"points": [0, 1], "span": [0, 1, 2]}
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this fixlat."""
+    env = dict(os.environ)
+    src = str(Path(fixlat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli_fresh(*args):
+    """The CLI in a new interpreter: (exit code, stdout, stderr)."""
+    proc = subprocess.run([sys.executable, "-m", "fixlat.cli", *args],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cli_calls_in_one_process_match_fresh_processes(capsys, group_file):
+    sequence = [
+        ["group", "dclcheck", "--in", group_file, "--arity", "4", "--seed", "3"],
+        ["group", "fixlattice", "--in", group_file, "--format", "dot"],
+        ["group", "nosuch", "--in", group_file],
+        ["group", "dclcheck", "--in", group_file],
+        ["group", "fixlattice", "--in", group_file],
+        ["geometry", "span", "-p", "2", "-d", "2", "--points", "0,1", "--seed", "9"],
+        ["group", "order", "--in", group_file, "--arity"],
+        ["steiner", "build-pg"],
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in sequence]
+    assert build_parser.cache_info().currsize == 1
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0, 0, 2, 0]
+    assert in_process[0][1] != in_process[3][1]  # --arity and --seed did not stick
+    for argv, got in zip(sequence, in_process):
+        assert got == run_cli_fresh(*argv), argv
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import fixlat.cli as c; "
+            "assert c.build_parser.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
+                   timeout=300)
+
+
 def test_cli_error_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "group", "order", "--in", "missing.json")
     assert code == 2 and "no such file" in err
@@ -380,13 +437,9 @@ def run_cli_limited(*args, address_space=1 << 30):
     """Run the CLI in a child process that limits its own address space, so
     an order matrix allocated past its cap fails there instead of filling
     memory."""
-    env = dict(os.environ)
-    src = str(Path(fixlat.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-c", LIMITED_CLI, str(address_space), *args],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=child_env(), capture_output=True, text=True, timeout=300)
 
 
 def test_cli_order_matrix_cap_on_lattice_input(tmp_path):
