@@ -23,8 +23,8 @@ from .group import (GroupAction, PermutationGroup, PrimitivityResult,
 from .lattice import (FiniteLattice, ReconstructionResult, atoms,
                       boolean_lattice, chain_lattice, diamond_lattice,
                       is_atomistic, is_distributive, join, lattice_automorphisms,
-                      lattice_validate, lower_cone, meet, reconstruct,
-                      stabilizer_separation, stone_ultrafilters)
+                      lower_cone, meet, reconstruct, stabilizer_separation,
+                      stone_ultrafilters)
 from .perm import Permutation
 from .relational import (RelationalStructure, canonical_structure,
                          dcl_vs_fixset_report, relational_dcl)

@@ -13,7 +13,7 @@ rebuilt from the transversals in numpy and filtered in batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
 from typing import Optional, Sequence
 
@@ -27,8 +27,10 @@ from .perm import Permutation, mask_from_points, points_from_mask
 
 AUTOMORPHISM_CAP = 128
 LATTICE_CAP = 200_000
-# Elements of a dense n-by-n order matrix. At peak, covers take about
-# 10 n^2 bytes (640 MiB at the cap) and meet/join tables about 29 n^2.
+# Elements of a dense n-by-n order matrix. At peak, as measured with
+# tracemalloc, covers and transitive closure take about 10 n^2 bytes
+# (640 MiB at the cap), and the int64 meet/join tables with the order
+# matrix and the checks on them about 22 n^2 (1.4 GiB).
 ORDER_MATRIX_CAP = 8_192
 
 
@@ -50,12 +52,17 @@ def _lattice_tables(leq: np.ndarray) -> tuple[list[dict], Optional[np.ndarray],
     """(violations, meet table, join table) of an order matrix, in one pass.
 
     The order axioms are checked first. If they hold, the meet of i and j
-    is the common lower bound whose down-set is the whole common lower
-    cone, and the join dually; the first pair without one, row-major over
-    i <= j with meet before join, is the single violation. The tables are
-    None whenever a violation is listed.
+    is the element whose down-set is the intersection of theirs, and the
+    join dually on up-sets; a pair without one reads -1 in that table. The
+    first such pair, row-major over i <= j with meet before join, is the
+    single violation. The tables are None whenever a violation is listed.
     """
+    leq = np.asarray(leq, dtype=bool)
+    if leq.ndim != 2 or leq.shape[0] != leq.shape[1] or leq.shape[0] < 1:
+        raise ValidationError(
+            f"order matrix shape {leq.shape} is not n-by-n with n >= 1")
     n = leq.shape[0]
+    _check_order_size(n)
     out = []
     if not leq.diagonal().all():
         i = int(np.flatnonzero(~leq.diagonal())[0])
@@ -64,31 +71,40 @@ def _lattice_tables(leq: np.ndarray) -> tuple[list[dict], Optional[np.ndarray],
     if sym.any():
         i, j = map(int, np.argwhere(sym)[0])
         out.append({"kind": "not-antisymmetric", "pair": (i, j)})
-    closure = leq @ leq
-    gaps = closure & ~leq
+    f = leq.astype(np.float32)
+    gaps = ((f @ f) > 0) & ~leq  # exact while n < 2^24
+    del f  # 4 n^2 bytes, not held while the tables are built
     if gaps.any():
         i, j = map(int, np.argwhere(gaps)[0])
         out.append({"kind": "not-transitive", "pair": (i, j)})
     if out:
         return out, None, None
-    down = leq.sum(axis=0, dtype=np.int32)  # |{k : k <= c}|
-    up = leq.sum(axis=1, dtype=np.int32)    # |{k : c <= k}|
-    meet_table = np.empty((n, n), dtype=np.int64)
-    join_table = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        lower = leq & leq[:, i, None]  # lower[k, j]: k <= i and k <= j
-        upper = leq & leq[i, None, :]  # upper[j, k]: i <= k and j <= k
-        meet_table[i] = (lower * down[:, None]).argmax(axis=0)
-        join_table[i] = (upper * up[None, :]).argmax(axis=1)
-        has_meet = down[meet_table[i]] == lower.sum(axis=0)
-        has_join = up[join_table[i]] == upper.sum(axis=1)
-        bad = ~(has_meet & has_join)
-        bad[:i] = False
-        if bad.any():
-            j = int(np.argmax(bad))
-            kind = "missing-join" if has_meet[j] else "missing-meet"
-            return [{"kind": kind, "pair": (i, j)}], None, None
+    meet_table = _bound_table(leq.T)
+    join_table = _bound_table(leq)
+    missing = np.triu((meet_table < 0) | (join_table < 0))
+    if missing.any():
+        i, j = map(int, np.argwhere(missing)[0])
+        kind = "missing-meet" if meet_table[i, j] < 0 else "missing-join"
+        return [{"kind": kind, "pair": (i, j)}], None, None
     return [], meet_table, join_table
+
+
+def _bound_table(sets: np.ndarray) -> np.ndarray:
+    """table[i, j] = the k with sets[k] == sets[i] & sets[j], or -1 if none.
+
+    Each row is packed to bytes (Ait-Kaci, Boyer, Lincoln & Nasr 1989) and
+    the intersections of row i with every row are looked up, exactly, in
+    a dict keyed by those bytes. The rows must be distinct.
+    """
+    n = sets.shape[0]
+    packed = np.ascontiguousarray(np.packbits(sets, axis=1))
+    row = np.dtype((np.void, packed.shape[1]))
+    index = {key: k for k, key in enumerate(packed.view(row).ravel().tolist())}
+    table = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        keys = (packed[i] & packed).view(row).ravel().tolist()
+        table[i] = [index.get(key, -1) for key in keys]
+    return table
 
 
 def containment_order(masks: Sequence[int], width: int) -> np.ndarray:
@@ -121,19 +137,24 @@ def order_covers(leq: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 
 def order_from_covers(size: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Reflexive-transitive closure of cover pairs (i, j), j covering i."""
+    """Reflexive-transitive closure of cover pairs (i, j), j covering i.
+
+    The relation is squared until it stops growing; it is reflexive, so
+    each square contains it. Squares are float32 products, exact while
+    size < 2^24.
+    """
     _check_order_size(size)
     leq = np.eye(size, dtype=bool)
     for i, j in covers:
         if not (0 <= i < size and 0 <= j < size):
             raise ValidationError(f"cover pair {(i, j)} out of range")
         leq[i, j] = True
-    for _ in range(size):
-        new = leq | (leq @ leq)
+    while True:
+        f = leq.astype(np.float32)
+        new = (f @ f) > 0
         if np.array_equal(new, leq):
-            break
+            return leq
         leq = new
-    return leq
 
 
 class FiniteLattice:
@@ -141,7 +162,6 @@ class FiniteLattice:
 
     def __init__(self, leq: np.ndarray, labels: Optional[Sequence] = None):
         leq = np.asarray(leq, dtype=bool)
-        _check_order_size(leq.shape[0])
         problems, self.meet_table, self.join_table = _lattice_tables(leq)
         if problems:
             raise ValidationError(f"not a lattice: {problems[0]}")
@@ -167,42 +187,28 @@ class FiniteLattice:
         return f"FiniteLattice(size={self.size})"
 
 
-@dataclass(frozen=True)
-class LatticeValidation:
-    ok: bool
-    lattice: Optional[FiniteLattice]
-    violations: tuple[dict, ...]
+def _element(L: FiniteLattice, e: int) -> int:
+    """e as an element index of L; negative indices do not wrap."""
+    if not 0 <= e < L.size:
+        raise ValidationError(f"element {e} out of range for a lattice of "
+                              f"size {L.size}")
+    return int(e)
 
 
-def lattice_validate(size: int, leq: np.ndarray) -> LatticeValidation:
-    """Validate an order matrix; violations are data, not exceptions."""
-    leq = np.asarray(leq, dtype=bool)
-    if leq.shape != (size, size):
-        raise ValidationError(f"order matrix shape {leq.shape} != ({size}, {size})")
-    problems = order_violations(leq)
-    if problems:
-        return LatticeValidation(False, None, tuple(problems))
-    return LatticeValidation(True, FiniteLattice(leq), ())
+def _fold(L: FiniteLattice, table: np.ndarray, elements: Sequence[int],
+          name: str) -> int:
+    elems = [_element(L, e) for e in elements]
+    if not elems:
+        raise PreconditionError(f"{name} of an empty set is not defined here")
+    return reduce(lambda a, b: int(table[a, b]), elems)
 
 
 def meet(L: FiniteLattice, elements: Sequence[int]) -> int:
-    elems = list(elements)
-    if not elems:
-        raise PreconditionError("meet of an empty set is not defined here")
-    acc = elems[0]
-    for e in elems[1:]:
-        acc = int(L.meet_table[acc, e])
-    return acc
+    return _fold(L, L.meet_table, elements, "meet")
 
 
 def join(L: FiniteLattice, elements: Sequence[int]) -> int:
-    elems = list(elements)
-    if not elems:
-        raise PreconditionError("join of an empty set is not defined here")
-    acc = elems[0]
-    for e in elems[1:]:
-        acc = int(L.join_table[acc, e])
-    return acc
+    return _fold(L, L.join_table, elements, "join")
 
 
 def atoms(L: FiniteLattice) -> tuple[int, ...]:
@@ -211,18 +217,13 @@ def atoms(L: FiniteLattice) -> tuple[int, ...]:
 
 
 def lower_cone(L: FiniteLattice, l: int) -> tuple[int, ...]:
-    return tuple(int(x) for x in np.flatnonzero(L.leq[:, l]))
+    return tuple(int(x) for x in np.flatnonzero(L.leq[:, _element(L, l)]))
 
 
 def is_atomistic(L: FiniteLattice) -> bool:
-    """Every element is the join of the atoms below it."""
-    ats = atoms(L)
-    for l in range(L.size):
-        below = [a for a in ats if L.leq[a, l]]
-        j = L.bottom if not below else join(L, below)
-        if j != l:
-            return False
-    return True
+    """Every element is the join of the atoms below it; in a finite
+    lattice, that holds iff every join-irreducible is an atom."""
+    return join_irreducibles(L) == atoms(L)
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +529,9 @@ def is_distributive(L: FiniteLattice) -> bool:
 
 
 def is_complemented(L: FiniteLattice) -> bool:
-    n = L.size
-    for x in range(n):
-        if not any(L.meet_table[x, y] == L.bottom and L.join_table[x, y] == L.top
-                   for y in range(n)):
-            return False
-    return True
+    """Every x has some y with x meet y the bottom and x join y the top."""
+    return bool(((L.meet_table == L.bottom) & (L.join_table == L.top))
+                .any(axis=1).all())
 
 
 @dataclass(frozen=True)

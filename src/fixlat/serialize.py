@@ -133,11 +133,10 @@ def lattice_to_obj(L: FiniteLattice) -> dict:
 
 
 def lattice_from_obj(obj: dict) -> FiniteLattice:
-    return FiniteLattice(raw_lattice_from_obj(obj)[1])
+    return FiniteLattice(raw_lattice_from_obj(obj))
 
 
-def raw_lattice_from_obj(obj: dict,
-                         cap: int = LATTICE_CAP) -> tuple[int, np.ndarray]:
+def raw_lattice_from_obj(obj: dict, cap: int = LATTICE_CAP) -> np.ndarray:
     """Order matrix from a covers object without lattice validation.
 
     The size is checked against ``cap`` before the size-by-size matrix is
@@ -153,7 +152,7 @@ def raw_lattice_from_obj(obj: dict,
     if size > cap:
         raise CapacityError(f"lattice size {size} exceeds cap {cap}",
                             cap_name="lattice")
-    return size, order_from_covers(size, covers)
+    return order_from_covers(size, covers)
 
 
 # -- fixset lattices ----------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixlat import exhaustive, lattice
@@ -16,8 +16,8 @@ from fixlat.lattice import (FiniteLattice, atoms, boolean_lattice,
                             chain_lattice, diamond_lattice, family_bijections,
                             is_atomistic, is_complemented, is_distributive,
                             join, join_irreducibles, lattice_automorphisms,
-                            lattice_validate, lower_cone, meet,
-                            order_from_covers, reconstruct,
+                            lower_cone, meet, order_from_covers,
+                            order_violations, reconstruct,
                             stabilizer_separation, stone_ultrafilters)
 from fixlat.perm import mask_from_points
 
@@ -48,27 +48,27 @@ def relabelled(L, seed):
 
 
 def test_validate_chain():
-    res = lattice_validate(3, chain_lattice(3).leq)
-    assert res.ok and res.lattice is not None
+    leq = chain_lattice(3).leq
+    assert order_violations(leq) == []
+    assert FiniteLattice(leq).size == 3
 
 
 def test_validate_bowtie_reports_missing_bound():
     # the minimal pair has no meet and no least upper bound; either way the
     # offending pair is named
-    res = lattice_validate(4, bowtie_leq())
-    assert not res.ok
-    assert res.violations[0]["kind"] in ("missing-meet", "missing-join")
-    assert res.violations[0]["pair"] == (0, 1)
+    violations = order_violations(bowtie_leq())
+    assert violations
+    assert violations[0]["kind"] in ("missing-meet", "missing-join")
+    assert violations[0]["pair"] == (0, 1)
 
 
 def test_validate_pins_first_missing_bound():
     # pairs are scanned row-major over i <= j, the meet before the join
-    assert lattice_validate(4, bowtie_leq()).violations == (
-        {"kind": "missing-meet", "pair": (0, 1)},)
+    assert order_violations(bowtie_leq()) == [
+        {"kind": "missing-meet", "pair": (0, 1)}]
     # a bottom under two incomparable elements, each below two maximal ones
     vee = order_from_covers(5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
-    assert lattice_validate(5, vee).violations == (
-        {"kind": "missing-join", "pair": (1, 2)},)
+    assert order_violations(vee) == [{"kind": "missing-join", "pair": (1, 2)}]
 
 
 def test_meet_join_tables_match_definition():
@@ -83,21 +83,138 @@ def test_meet_join_tables_match_definition():
                 assert L.meet_table[i, j] == m and L.join_table[i, j] == jn
 
 
+def brute_lattice_core(leq):
+    """(violations, meet table, join table) from the definitions alone."""
+    n = len(leq)
+    out = []
+    loose = [i for i in range(n) if not leq[i][i]]
+    if loose:
+        out.append({"kind": "not-reflexive", "element": loose[0]})
+    cycles = [(i, j) for i in range(n) for j in range(n)
+              if i != j and leq[i][j] and leq[j][i]]
+    if cycles:
+        out.append({"kind": "not-antisymmetric", "pair": cycles[0]})
+    gaps = [(i, k) for i in range(n) for k in range(n) if not leq[i][k]
+            and any(leq[i][j] and leq[j][k] for j in range(n))]
+    if gaps:
+        out.append({"kind": "not-transitive", "pair": gaps[0]})
+    if out:
+        return out, None, None
+
+    def greatest(cands):
+        return next((c for c in cands if all(leq[k][c] for k in cands)), -1)
+
+    def least(cands):
+        return next((c for c in cands if all(leq[c][k] for k in cands)), -1)
+
+    meet_t = [[greatest([k for k in range(n) if leq[k][i] and leq[k][j]])
+               for j in range(n)] for i in range(n)]
+    join_t = [[least([k for k in range(n) if leq[i][k] and leq[j][k]])
+               for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if meet_t[i][j] < 0:
+                return [{"kind": "missing-meet", "pair": (i, j)}], None, None
+            if join_t[i][j] < 0:
+                return [{"kind": "missing-join", "pair": (i, j)}], None, None
+    return [], meet_t, join_t
+
+
+@st.composite
+def random_relations(draw):
+    n = draw(st.integers(1, 7))
+    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    leq = np.array(cells, dtype=bool).reshape(n, n)
+    if draw(st.booleans()):
+        np.fill_diagonal(leq, True)
+    return leq
+
+
+@st.composite
+def random_posets(draw):
+    # the transitive closure of a random DAG on 0..n-1, relabelled
+    n = draw(st.integers(1, 7))
+    leq = np.eye(n, dtype=bool)
+    for j in range(n):
+        for i in range(j):
+            if draw(st.booleans()):
+                leq[i, j] = True
+    for k in range(n):
+        leq |= leq[:, k, None] & leq[k, None, :]
+    perm = draw(st.permutations(range(n)))
+    return leq[np.ix_(perm, perm)]
+
+
+@st.composite
+def random_lattices(draw):
+    # a Moore family on three points: random sets closed under intersection,
+    # with the whole set as top, ordered by inclusion and relabelled
+    family = {0b111}
+    for m in draw(st.lists(st.integers(0, 0b111), max_size=4)):
+        family |= {m & f for f in family} | {m}
+    family = sorted(family)
+    assume(len(family) <= 7)
+    perm = draw(st.permutations(family))
+    return np.array([[a & ~b == 0 for b in perm] for a in perm])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(random_relations(), random_posets(), random_lattices()))
+def test_lattice_core_matches_brute_force(leq):
+    violations, meet_t, join_t = brute_lattice_core(leq.tolist())
+    assert order_violations(leq) == violations
+    if violations:
+        with pytest.raises(ValidationError, match="not a lattice"):
+            FiniteLattice(leq)
+        return
+    L = FiniteLattice(leq)
+    assert L.meet_table.tolist() == meet_t and L.join_table.tolist() == join_t
+    n = L.size
+    ats = [a for a in range(n) if a != L.bottom
+           and all(k in (a, L.bottom) for k in range(n) if leq[k, a])]
+    joins_of_atoms = []
+    for x in range(n):
+        acc = L.bottom
+        for a in ats:
+            if leq[a, x]:
+                acc = join_t[acc][a]
+        joins_of_atoms.append(acc)
+    assert is_atomistic(L) == (joins_of_atoms == list(range(n)))
+    assert is_complemented(L) == all(
+        any(meet_t[x][y] == L.bottom and join_t[x][y] == L.top for y in range(n))
+        for x in range(n))
+
+
+def test_boolean_tables_at_scale():
+    # in a relabelled 2^9, meets are intersections and joins unions
+    masks = np.random.default_rng(3).permutation(1 << 9)
+    L = FiniteLattice(lattice.containment_order(masks.tolist(), 9))
+    index = np.argsort(masks)
+    assert (L.meet_table == index[masks[:, None] & masks[None, :]]).all()
+    assert (L.join_table == index[masks[:, None] | masks[None, :]]).all()
+
+
 def test_validate_diamond():
-    assert lattice_validate(6, diamond_lattice(4).leq).ok
+    assert order_violations(diamond_lattice(4).leq) == []
 
 
 def test_validate_rejects_broken_orders():
     not_refl = np.zeros((2, 2), dtype=bool)
-    assert lattice_validate(2, not_refl).violations[0]["kind"] == "not-reflexive"
+    assert order_violations(not_refl)[0]["kind"] == "not-reflexive"
     cyclic = np.eye(2, dtype=bool)
     cyclic[0, 1] = cyclic[1, 0] = True
-    assert (lattice_validate(2, cyclic).violations[0]["kind"]
-            == "not-antisymmetric")
+    assert order_violations(cyclic)[0]["kind"] == "not-antisymmetric"
     gap = np.eye(3, dtype=bool)
     gap[0, 1] = gap[1, 2] = True
-    assert lattice_validate(3, gap).violations == (
-        {"kind": "not-transitive", "pair": (0, 2)},)
+    assert order_violations(gap) == [{"kind": "not-transitive", "pair": (0, 2)}]
+
+
+@pytest.mark.parametrize("build", [FiniteLattice, order_violations])
+@pytest.mark.parametrize("leq", [np.zeros((0, 0), bool), np.ones((2, 3), bool),
+                                 np.ones(3, bool)], ids=["0x0", "2x3", "1d"])
+def test_order_matrix_must_be_square_and_nonempty(build, leq):
+    with pytest.raises(ValidationError, match="not n-by-n"):
+        build(leq)
 
 
 @pytest.mark.parametrize("pair", [(0, 3), (-1, 1), (3, 0)])
@@ -145,6 +262,16 @@ def test_lower_cone():
     c3 = chain_lattice(3)
     assert lower_cone(c3, 1) == (0, 1)
     assert lower_cone(c3, 2) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("element", [-1, 5, np.int64(-5)])
+def test_element_indices_are_checked(element):
+    # negative indices do not wrap around to the top
+    m3 = diamond_lattice(3)
+    for call in (lambda: meet(m3, [element, 1]), lambda: join(m3, [1, element]),
+                 lambda: meet(m3, [element]), lambda: lower_cone(m3, element)):
+        with pytest.raises(ValidationError, match="out of range"):
+            call()
 
 
 def test_automorphism_orders():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import ValidationError
 from fixlat.geometry import pgl_generators, projective_points, subspace_lattice
 from fixlat.group import GroupAction, PermutationGroup
-from fixlat.lattice import diamond_lattice
+from fixlat.lattice import boolean_lattice, diamond_lattice
 from fixlat.relational import canonical_structure, dcl_vs_fixset_report
 from fixlat.steiner import (derivation, steiner_from_affine,
                             steiner_from_affine_planes, steiner_from_projective)
@@ -279,6 +280,91 @@ def test_cli_lattice_subcommands(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "lattice", "stone", "--in", str(cube))
     result = json.loads(out)["result"]
     assert len(result["ultrafilters"]) == 3 and result["injective"]
+
+
+def pinned_lattice_inputs():
+    # the product of a 3-chain and a 4-chain, element 4x + y, relabelled
+    perm = [7, 2, 10, 0, 5, 11, 3, 8, 1, 9, 6, 4]
+    grid = ([[perm[e], perm[e + 4]] for e in range(8)]
+            + [[perm[e], perm[e + 1]] for e in range(12) if e % 4 != 3])
+    return {
+        "grid": {"size": 12, "covers": grid},
+        "pg22": serialize.lattice_to_obj(subspace_lattice(2, 2)),
+        "b4": serialize.lattice_to_obj(boolean_lattice(4)),
+        "bowtie": {"size": 4, "covers": [[0, 2], [0, 3], [1, 2], [1, 3]]},
+        "vee": {"size": 5,
+                "covers": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 3], [2, 4]]},
+    }
+
+
+# sha256 over "<format> <exit code>\n<stdout>" for --format json, then dot
+LATTICE_CLI_DIGESTS = {
+    "validate grid":
+        "1f8b5c3f9b424054028eb07c3bf389178727051da8714b4f76c2a9266639211a",
+    "automorphisms grid":
+        "eb7d5e57f699bed777ece3f291b6b27ca0b71d6c8ed9ab2273bfd4d9a62a7d46",
+    "check-s grid":
+        "65cda9b8b34849f4178948fac6291b0de41a10d60fae0b2f20be5efb386dddff",
+    "reconstruct grid":
+        "493130c0da354455191bcd86756c3d29e7d5a6c21b8ef62632086bf0aa333cdf",
+    "stone grid":
+        "493130c0da354455191bcd86756c3d29e7d5a6c21b8ef62632086bf0aa333cdf",
+    "validate pg22":
+        "1f8b5c3f9b424054028eb07c3bf389178727051da8714b4f76c2a9266639211a",
+    "automorphisms pg22":
+        "c37656bb2e55507eb7d886a845e7b46e76869da9216e819d9ac626fbc40e8117",
+    "check-s pg22":
+        "1999f5b22a48a7389bf35a45363251a18fea48de7e120398112c1325cf077974",
+    "reconstruct pg22":
+        "9bf34aaad2ac894b415c3bffb57a34793d9b2b1ecd66de88f70e5e91a671dafe",
+    "stone pg22":
+        "493130c0da354455191bcd86756c3d29e7d5a6c21b8ef62632086bf0aa333cdf",
+    "validate b4":
+        "1f8b5c3f9b424054028eb07c3bf389178727051da8714b4f76c2a9266639211a",
+    "automorphisms b4":
+        "2ca8f49afc0319aa0bfff549a3003c549439669f927a12911650e9c03d241ed7",
+    "check-s b4":
+        "fbe7824332ef88f00e6231f6e3f0766fa48932d3fee1aeb109632bc956705ce6",
+    "reconstruct b4":
+        "493130c0da354455191bcd86756c3d29e7d5a6c21b8ef62632086bf0aa333cdf",
+    "stone b4":
+        "1653dae05563ae3bcd9d28d43137bfccd2151c17900a9ba5141a6ccdaae09608",
+    "validate bowtie":
+        "8262ba58888bdbadf7c721f6548229c760bccdd06b0d243f56a682a2cff5d06f",
+    "automorphisms bowtie":
+        "493130c0da354455191bcd86756c3d29e7d5a6c21b8ef62632086bf0aa333cdf",
+    "check-s bowtie":
+        "493130c0da354455191bcd86756c3d29e7d5a6c21b8ef62632086bf0aa333cdf",
+    "reconstruct bowtie":
+        "493130c0da354455191bcd86756c3d29e7d5a6c21b8ef62632086bf0aa333cdf",
+    "stone bowtie":
+        "493130c0da354455191bcd86756c3d29e7d5a6c21b8ef62632086bf0aa333cdf",
+    "validate vee":
+        "56e3fc95c5f47ef70ef6f28929704fb04d51156b67e30605cd33eec552face78",
+    "automorphisms vee":
+        "493130c0da354455191bcd86756c3d29e7d5a6c21b8ef62632086bf0aa333cdf",
+    "check-s vee":
+        "493130c0da354455191bcd86756c3d29e7d5a6c21b8ef62632086bf0aa333cdf",
+    "reconstruct vee":
+        "493130c0da354455191bcd86756c3d29e7d5a6c21b8ef62632086bf0aa333cdf",
+    "stone vee":
+        "493130c0da354455191bcd86756c3d29e7d5a6c21b8ef62632086bf0aa333cdf",
+}
+
+
+def test_lattice_cli_bytes_are_pinned(capsys, tmp_path):
+    got = {}
+    for name, obj in pinned_lattice_inputs().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        for sub in ("validate", "automorphisms", "check-s", "reconstruct", "stone"):
+            digest = hashlib.sha256()
+            for fmt in ("json", "dot"):
+                code, out, _ = run_cli(capsys, "lattice", sub, "--in", str(path),
+                                       "--format", fmt)
+                digest.update(f"{fmt} {code}\n{out}".encode())
+            got[f"{sub} {name}"] = digest.hexdigest()
+    assert got == LATTICE_CLI_DIGESTS
 
 
 def test_cli_geometry(capsys):
