@@ -10,6 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def digit_columns(codes: np.ndarray, n: int, k: int):
+    """The digits t_0, ..., t_{k-1} of k-tuple codes over n points, one
+    column at a time, each with its radix n**(k-1-j)."""
+    for j in range(k):
+        radix = n ** (k - 1 - j)
+        yield radix, codes // radix % n
+
+
 def tuple_images(perms: np.ndarray, k: int) -> np.ndarray:
     """Images of every k-tuple code under every permutation.
 
@@ -17,26 +25,20 @@ def tuple_images(perms: np.ndarray, k: int) -> np.ndarray:
     """
     perms = np.ascontiguousarray(perms, dtype=np.int64)
     g, n = perms.shape
-    size = n**k
-    codes = np.arange(size, dtype=np.int64)
-    out = np.zeros((g, size), dtype=np.int64)
-    for j in range(k):
-        radix = n ** (k - 1 - j)
-        digit = (codes // radix) % n
+    out = np.zeros((g, n**k), dtype=np.int64)
+    for radix, digit in digit_columns(np.arange(n**k, dtype=np.int64), n, k):
         out += perms[:, digit] * radix
     return out
 
 
 def distinct_codes_mask(n: int, k: int) -> np.ndarray:
-    size = n**k
-    codes = np.arange(size, dtype=np.int64)
-    ok = np.ones(size, dtype=bool)
-    digits = []
-    for j in range(k):
-        digits.append((codes // n ** (k - 1 - j)) % n)
-    for a in range(k):
-        for b in range(a + 1, k):
-            ok &= digits[a] != digits[b]
+    """Mask of the k-tuple codes whose digits are pairwise distinct."""
+    ok = np.ones(n**k, dtype=bool)
+    seen = []
+    for _, digit in digit_columns(np.arange(n**k, dtype=np.int64), n, k):
+        for earlier in seen:
+            ok &= digit != earlier
+        seen.append(digit)
     return ok
 
 

@@ -3,10 +3,9 @@
 One process may serve many ``main()`` calls; they share one parser, built
 on the first call (not at import), so the ``--cap-lattice`` default is
 ``closure.LATTICE_CAP`` as read at that first call. JSON is the stable
-output surface (canonical bytes for a given config and seed); text is a
-human-oriented rendering and may change; dot emits Hasse diagrams for
-lattice-shaped results. Timings go to stderr so reports stay reproducible
-byte for byte.
+output surface (canonical bytes for a given config and seed); dot emits
+Hasse diagrams for lattice-shaped results. Timings go to stderr so reports
+stay reproducible byte for byte.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error,
 3 capacity exceeded.
@@ -49,25 +48,23 @@ def _load_json(path: str) -> dict:
 
 
 def _config(args) -> dict:
-    """The report's config block. Its order-cap entry is the constant
-    ``exhaustive.ORDER_CAP``, kept so that reports keep their bytes."""
+    """The report's config block. Its order-cap and workers entries are
+    constants (``exhaustive.ORDER_CAP`` and 1), kept so that reports keep
+    their bytes."""
     return {
         "cap_lattice": args.cap_lattice,
         "cap_order": exhaustive.ORDER_CAP,
         "arity": args.arity,
-        "workers": args.workers,
+        "workers": 1,
         "format": args.format,
     }
 
 
-def _emit(args, command: str, result: dict,
-          dot: str | None = None, text: str | None = None) -> None:
+def _emit(args, command: str, result: dict, dot: str | None = None) -> None:
     if args.format == "dot":
         if dot is None:
             raise ValidationError(f"{command} has no dot rendering")
         payload = dot
-    elif args.format == "text":
-        payload = text if text is not None else json.dumps(result, indent=2) + "\n"
     else:
         payload = serialize.canonical_json({
             "tool": "fixlat",
@@ -215,6 +212,8 @@ def cmd_steiner(args) -> int:
         sys_ = steiner.steiner_from_affine(args.q, args.d)
         _emit(args, "steiner build-ag", serialize.steiner_to_obj(sys_))
         return EXIT_OK
+    if args.infile is None:
+        raise ValidationError(f"steiner {sub} needs --in")
     sys_ = serialize.steiner_from_obj(_load_json(args.infile))
     if sub == "verify":
         rep = steiner.verify_steiner(sys_)
@@ -229,6 +228,8 @@ def cmd_steiner(args) -> int:
         _emit(args, "steiner derive", serialize.steiner_to_obj(derived))
         return EXIT_OK
     if sub == "autcheck":
+        if args.group is None:
+            raise ValidationError("steiner autcheck needs --group")
         action = serialize.group_from_obj(_load_json(args.group))
         res = steiner.steiner_automorphism_check(sys_, action.group)
         result = {"preserves_blocks": res.preserves,
@@ -285,18 +286,14 @@ def cmd_geometry(args) -> int:
 def cmd_verify(args) -> int:
     start = time.perf_counter()
     summary, seconds = verify_mod.run_checks(
-        only=args.only, fail_fast=args.fail_fast, workers=args.workers,
-        inject=args.inject)
+        only=args.only, fail_fast=args.fail_fast, inject=args.inject)
     wall = time.perf_counter() - start
-    lines = []
     for chk, secs in zip(summary["checks"], seconds):
         status = "PASS" if chk["passed"] else "FAIL"
-        lines.append(f"{status} {chk['name']} ({secs}s)")
-        sys.stderr.write(lines[-1] + "\n")
+        sys.stderr.write(f"{status} {chk['name']} ({secs}s)\n")
     sys.stderr.write(f"total {wall:.1f}s, {summary['run']} checks, "
                      f"failed: {summary['failed'] or 'none'}\n")
-    _emit(args, "verify", summary,
-          text="\n".join(lines) + "\n")
+    _emit(args, "verify", summary)
     return EXIT_OK if summary["passed"] else EXIT_CHECK_FAILED
 
 
@@ -311,9 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--format", default="json",
-                        choices=["json", "dot", "text"])
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--format", default="json", choices=["json", "dot"])
     common.add_argument("--cap-lattice", type=int, default=closure.LATTICE_CAP)
     common.add_argument("--arity", type=int, default=3)
     common.add_argument("--seed", type=int, default=0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import CapacityError, InternalConsistencyError, PreconditionError
-from .group import PermutationGroup, _fixed_mask
+from .group import PermutationGroup, _fixed_mask, _point_orbits
 from .lattice import LATTICE_CAP, FiniteLattice, containment_order, order_covers
 from .perm import mask_from_points, points_from_mask
 
@@ -161,28 +161,6 @@ def _mask_orbit(mask: int, gens: tuple[tuple[int, ...], ...],
     return orbit
 
 
-def _orbit_minima(mask: int, gens: tuple[tuple[int, ...], ...]) -> list[int]:
-    """The least point of each orbit of gens on the points of a mask.
-
-    gens must map the mask onto itself.
-    """
-    out = []
-    while mask:
-        x = (mask & -mask).bit_length() - 1
-        out.append(x)
-        orbit = 1 << x
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for g in gens:
-                z = g[y]
-                if not orbit >> z & 1:
-                    orbit |= 1 << z
-                    stack.append(z)
-        mask &= ~orbit
-    return out
-
-
 def closed_set_lattice(degree: int, close: Callable[[int], tuple[int, tuple]],
                        cap: int) -> FixsetLattice:
     """Every closed set of a closure operator on point masks, by cover
@@ -231,8 +209,8 @@ def closed_set_lattice(degree: int, close: Callable[[int], tuple[int, tuple]],
     keep(bottom, symmetry)
     while todo:
         a, gens = todo.pop()
-        for x in _orbit_minima(full & ~a, gens):
-            c, c_gens = close(a | 1 << x)
+        for orbit in _point_orbits(full & ~a, gens):
+            c, c_gens = close(a | (orbit & -orbit))
             if c not in found:
                 keep(c, c_gens)
     elements = sorted(map(points_from_mask, found), key=lambda e: (len(e), e))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
 
 import numpy as np
 
@@ -167,7 +166,3 @@ def lattice_automorphism_rows(leq: np.ndarray) -> np.ndarray:
 def lattice_automorphism_count(leq: np.ndarray) -> int:
     """Number of order-automorphisms of a poset, by brute force."""
     return lattice_automorphism_rows(leq).shape[0]
-
-
-def symmetric_order(n: int) -> int:
-    return factorial(n)

@@ -20,7 +20,7 @@ from . import _kernels
 from ._chain import StabilizerChain, compose
 from .errors import CapacityError, PreconditionError, ValidationError
 from .exhaustive import enumerate_elements
-from .perm import Permutation, mask_from_points
+from .perm import Permutation, mask_from_points, points_from_mask
 
 DEGREE_CAP = 4096
 TUPLE_SPACE_CAP = 5_000_000
@@ -56,6 +56,26 @@ def _fixed_mask(degree: int, gens: Iterable[tuple[int, ...]]) -> int:
         if not fixed:
             break
     return fixed
+
+
+def _point_orbits(mask: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
+    """The orbit masks of gens through the points of a mask, in order of
+    least point, by one breadth-first search per orbit. Each orbit is
+    whole: with mask 1 << x, the one orbit returned is that of x."""
+    out = []
+    while mask:
+        x = (mask & -mask).bit_length() - 1
+        orbit = 1 << x
+        queue = [x]
+        for y in queue:
+            for g in gens:
+                z = g[y]
+                if not orbit >> z & 1:
+                    orbit |= 1 << z
+                    queue.append(z)
+        out.append(orbit)
+        mask &= ~orbit
+    return out
 
 
 def _tuple_orbit_labels(gens: Sequence[tuple[int, ...]], n: int, k: int,
@@ -228,29 +248,14 @@ class PermutationGroup:
     def orbit(self, x: int) -> tuple[int, ...]:
         if not (0 <= x < self.degree):
             raise ValidationError(f"point {x} out of range 0..{self.degree - 1}")
-        seen = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g in self._gen_tuples:
-                z = g[y]
-                if z not in seen:
-                    seen.add(z)
-                    queue.append(z)
-        return tuple(sorted(seen))
+        return points_from_mask(_point_orbits(1 << x, self._gen_tuples)[0])
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        done = set()
-        out = []
-        for x in range(self.degree):
-            if x not in done:
-                orb = self.orbit(x)
-                done.update(orb)
-                out.append(orb)
-        return tuple(out)
+        full = (1 << self.degree) - 1
+        return tuple(map(points_from_mask, _point_orbits(full, self._gen_tuples)))
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
+        return len(self.orbits()) == 1
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermutationGroup":
         """Largest subgroup fixing every listed point individually."""

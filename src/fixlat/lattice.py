@@ -13,7 +13,7 @@ rebuilt from the transversals in numpy and filtered in batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import prod
 from typing import Optional, Sequence
 
@@ -181,6 +181,11 @@ class FiniteLattice:
         return cls(order_from_covers(size, covers), labels=labels)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
+        """Cover pairs (i, j), j covering i, computed once per lattice."""
+        return self._covers
+
+    @cached_property
+    def _covers(self) -> tuple[tuple[int, int], ...]:
         return order_covers(self.leq)
 
     def __repr__(self):
@@ -305,7 +310,7 @@ def family_bijections(n: int, family_a, family_b, first: bool = False,
 
 def _lower_covers(L: FiniteLattice) -> list[list[int]]:
     lower = [[] for _ in range(L.size)]
-    for y, x in order_covers(L.leq):
+    for y, x in L.covers():
         lower[x].append(y)
     return lower
 

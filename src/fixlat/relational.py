@@ -32,10 +32,8 @@ SAMPLE_SIZE = 512
 
 
 def _decode(codes: np.ndarray, n: int, k: int) -> np.ndarray:
-    cols = []
-    for j in range(k):
-        cols.append((codes // n ** (k - 1 - j)) % n)
-    return np.stack(cols, axis=1).astype(np.int64)
+    """The digits of m k-tuple codes over n points, as (m, k) rows."""
+    return np.stack([d for _, d in _kernels.digit_columns(codes, n, k)], axis=1)
 
 
 @dataclass

@@ -9,8 +9,9 @@ Formats:
 * fixset lattice: {"degree": n, "elements": [[points], ...],
             "covers": [[i, j], ...]}
 * steiner: {"k": k, "points": n, "blocks": [[...], ...]}
-* structure: {"degree": n, "max_arity": a,
-            "relations": {"2": [[[t0, t1], ...], ...], ...}}
+
+Readers take numbers as JSON integers only: a float, a numeric string or
+a bool where an integer belongs is a ``ValidationError``, never rounded.
 
 JSON output is canonical (sorted keys, two-space indent, ASCII escapes,
 trailing newline), so identical inputs produce identical bytes.
@@ -27,10 +28,7 @@ from .closure import FixsetLattice
 from .errors import CapacityError, ValidationError
 from .group import GroupAction, PermutationGroup, group_from_generators
 from .lattice import LATTICE_CAP, FiniteLattice, order_from_covers
-from .relational import RelationalStructure
 from .steiner import SteinerSystem, make_system
-
-STRUCTURE_DUMP_CAP = 1_000_000
 
 
 def canonical_json(obj: Any) -> str:
@@ -95,6 +93,20 @@ def _key(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
+def _int(value) -> int:
+    """value, if it is a JSON integer (an int, not a bool)."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _list(value) -> list:
+    """value, if it is a JSON array."""
+    if type(value) is not list:
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
 # -- groups -----------------------------------------------------------------
 
 
@@ -114,15 +126,18 @@ def group_to_obj(action: GroupAction | PermutationGroup) -> dict:
 
 def group_from_obj(obj: dict) -> GroupAction:
     try:
-        degree = int(obj["degree"])
-        raw_gens = obj["generators"]
+        degree = _int(obj["degree"])
+        raw_gens = [g if isinstance(g, str) else list(map(_int, _list(g)))
+                    for g in _list(obj["generators"])]
+        labels = obj.get("labels")
+        if labels is not None:
+            labels = tuple(str(x) for x in _list(labels))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad group object: {exc}") from exc
     group = group_from_generators(degree, raw_gens)
-    labels = obj.get("labels")
     if labels is None:
         return GroupAction.unlabeled(group)
-    return GroupAction(group, tuple(str(x) for x in labels))
+    return GroupAction(group, labels)
 
 
 # -- plain lattices -----------------------------------------------------------
@@ -132,10 +147,6 @@ def lattice_to_obj(L: FiniteLattice) -> dict:
     return {"size": L.size, "covers": [list(c) for c in L.covers()]}
 
 
-def lattice_from_obj(obj: dict) -> FiniteLattice:
-    return FiniteLattice(raw_lattice_from_obj(obj))
-
-
 def raw_lattice_from_obj(obj: dict, cap: int = LATTICE_CAP) -> np.ndarray:
     """Order matrix from a covers object without lattice validation.
 
@@ -143,8 +154,8 @@ def raw_lattice_from_obj(obj: dict, cap: int = LATTICE_CAP) -> np.ndarray:
     allocated.
     """
     try:
-        size = int(obj["size"])
-        covers = [(int(i), int(j)) for i, j in obj["covers"]]
+        size = _int(obj["size"])
+        covers = [(_int(i), _int(j)) for i, j in _list(obj["covers"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad lattice object: {exc}") from exc
     if size < 1:
@@ -168,15 +179,6 @@ def fixset_lattice_to_obj(fl: FixsetLattice) -> dict:
     }
 
 
-def fixset_lattice_from_obj(obj: dict) -> FixsetLattice:
-    try:
-        degree = int(obj["degree"])
-        elements = tuple(tuple(int(x) for x in e) for e in obj["elements"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad fixset lattice object: {exc}") from exc
-    return FixsetLattice(degree, elements)
-
-
 # -- Steiner systems ----------------------------------------------------------
 
 
@@ -187,29 +189,10 @@ def steiner_to_obj(sys: SteinerSystem) -> dict:
 
 def steiner_from_obj(obj: dict) -> SteinerSystem:
     try:
-        return make_system(int(obj["k"]), int(obj["points"]),
-                           [[int(x) for x in b] for b in obj["blocks"]])
+        blocks = [list(map(_int, _list(b))) for b in _list(obj["blocks"])]
+        return make_system(_int(obj["k"]), _int(obj["points"]), blocks)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad steiner object: {exc}") from exc
-
-
-# -- relational structures -----------------------------------------------------
-
-
-def structure_to_obj(S: RelationalStructure) -> dict:
-    total = sum(rel.shape[0] for rels in S.relations.values() for rel in rels)
-    if total > STRUCTURE_DUMP_CAP:
-        raise CapacityError(
-            f"structure dump of {total} tuples exceeds cap {STRUCTURE_DUMP_CAP}",
-            cap_name="structure_dump")
-    return {
-        "degree": S.degree,
-        "max_arity": S.max_arity,
-        "relations": {
-            str(arity): [rel.tolist() for rel in rels]
-            for arity, rels in S.relations.items()
-        },
-    }
 
 
 # -- DOT ------------------------------------------------------------------------

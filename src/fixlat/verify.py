@@ -351,43 +351,30 @@ CHECKS: list[tuple[str, Callable]] = [
     ("stone-representation", check_stone_representation),
 ]
 
-CHECK_NAMES = [name for name, _ in CHECKS]
-
-
-def _run_one(name: str, inject: Optional[str]) -> tuple[dict, float]:
-    """A check's result and its wall time in seconds, rounded to ms."""
-    fn = dict(CHECKS)[name]
-    start = time.perf_counter()
-    result = fn(inject)
-    elapsed = time.perf_counter() - start
-    result["name"] = name
-    budget = result.get("budget_seconds")
-    if budget is not None and elapsed > budget:
-        result["passed"] = False
-        result["subchecks"].append([f"finished within {budget}s", False])
-    return result, round(elapsed, 3)
-
 
 def run_checks(only: Optional[str] = None, fail_fast: bool = False,
-               workers: int = 1, inject: Optional[str] = None
-               ) -> tuple[dict, list[float]]:
+               inject: Optional[str] = None) -> tuple[dict, list[float]]:
     """Run the pipeline; ``only`` substring-filters check names.
 
     Returns the summary, which holds no timings and so is the same on
-    every run, and each check's seconds in the summary's check order.
+    every run, and each check's wall time in seconds, rounded to ms, in
+    the summary's check order.
     """
-    selected = [n for n in CHECK_NAMES if only is None or only in n]
     runs = []
-    if workers > 1 and not fail_fast:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, n, inject) for n in selected]
-            runs = [f.result() for f in futures]
-    else:
-        for n in selected:
-            runs.append(_run_one(n, inject))
-            if fail_fast and not runs[-1][0]["passed"]:
-                break
+    for name, fn in CHECKS:
+        if only is not None and only not in name:
+            continue
+        start = time.perf_counter()
+        result = fn(inject)
+        elapsed = time.perf_counter() - start
+        result["name"] = name
+        budget = result.get("budget_seconds")
+        if budget is not None and elapsed > budget:
+            result["passed"] = False
+            result["subchecks"].append([f"finished within {budget}s", False])
+        runs.append((result, round(elapsed, 3)))
+        if fail_fast and not result["passed"]:
+            break
     results = [r for r, _ in runs]
     return {
         "checks": results,

@@ -73,10 +73,6 @@ CASES = {
     "galois_report": (
         closure, "LATTICE_CAP", 200_000, 16, fano,
         closure.galois_report, CapacityError, "lattice"),
-    "structure_to_obj": (
-        serialize, "STRUCTURE_DUMP_CAP", 1_000_000, 6 * 5,
-        lambda: relational.canonical_structure(PermutationGroup.dihedral(6), 2),
-        serialize.structure_to_obj, CapacityError, "structure_dump"),
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import networkx as nx
 import numpy as np
@@ -499,7 +500,7 @@ def test_reconstruct_fano_lattice():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_reconstruct_diamonds(n):
     r = reconstruct(diamond_lattice(n))
-    assert r.atom_action.group.order() == exhaustive.symmetric_order(n)
+    assert r.atom_action.group.order() == math.factorial(n)
     assert r.image_size == n + 2
     # the symmetric group's fixsets exclude co-singletons, so the ambient
     # lattice has 2^n - n elements; the closure is non-trivial, with closed

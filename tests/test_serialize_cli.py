@@ -8,14 +8,15 @@ from pathlib import Path
 import pytest
 
 import fixlat
-from fixlat import exhaustive, serialize
+from fixlat import exhaustive, lattice, serialize
 from fixlat.cli import build_parser, main
 from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import ValidationError
 from fixlat.geometry import pgl_generators, projective_points, subspace_lattice
 from fixlat.group import GroupAction, PermutationGroup
-from fixlat.lattice import boolean_lattice, diamond_lattice
-from fixlat.relational import canonical_structure, dcl_vs_fixset_report
+from fixlat.lattice import (FiniteLattice, boolean_lattice, diamond_lattice,
+                            order_covers)
+from fixlat.relational import dcl_vs_fixset_report
 from fixlat.steiner import (derivation, steiner_from_affine,
                             steiner_from_affine_planes, steiner_from_projective)
 
@@ -41,21 +42,59 @@ def test_group_rejects_bad_objects():
         serialize.group_from_obj({"degree": 3, "generators": [[0, 0, 1]]})
 
 
+MALFORMED_INPUTS = [
+    ("group order", {"degree": 3, "generators": 5}),
+    ("group order", {"degree": 3, "generators": [None]}),
+    ("group order", {"degree": 3, "generators": [], "labels": 7}),
+    ("group order", {"degree": 2.5, "generators": []}),
+    ("group order", {"degree": "3", "generators": []}),
+    ("group order", {"degree": True, "generators": []}),
+    ("group order", {"degree": 3, "generators": [[1, 2, 0.0]]}),
+    ("group order", {"degree": 2, "generators": [[True, False]]}),
+    ("group dclcheck", {"degree": 3, "generators": 5}),
+    ("group dclcheck", {"degree": 3, "generators": [None]}),
+    ("group dclcheck", {"degree": 3, "generators": [], "labels": 7}),
+    ("lattice validate", {"size": 2.9, "covers": [[0, 1.7]]}),
+    ("lattice validate", {"size": 2, "covers": [[0, 1.7]]}),
+    ("lattice validate", {"size": "3", "covers": []}),
+    ("lattice validate", {"size": 2, "covers": [[False, True]]}),
+    ("lattice validate", {"size": 2, "covers": 1}),
+    ("steiner verify", {"k": 2.0, "points": 7, "blocks": [[0, 1, 2]]}),
+    ("steiner verify", {"k": "2", "points": 7, "blocks": [[0, 1, 2]]}),
+    ("steiner verify", {"k": 2, "points": 7.5, "blocks": [[0, 1, 2]]}),
+    ("steiner verify", {"k": 2, "points": "7", "blocks": [[0, 1, 2]]}),
+    ("steiner verify", {"k": 2, "points": 7, "blocks": [[0, 1, 2.0]]}),
+    ("steiner verify", {"k": 2, "points": 7, "blocks": 3}),
+]
+
+
+@pytest.mark.parametrize("command, obj", MALFORMED_INPUTS)
+def test_cli_rejects_malformed_input(capsys, tmp_path, command, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *command.split(), "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad ") and err.count("\n") == 1
+    reader = {"group": serialize.group_from_obj,
+              "lattice": serialize.raw_lattice_from_obj,
+              "steiner": serialize.steiner_from_obj}[command.split()[0]]
+    with pytest.raises(ValidationError):
+        reader(obj)
+
+
 def test_lattice_roundtrip():
     L = subspace_lattice(2, 2)
-    obj = serialize.lattice_to_obj(L)
-    back = serialize.lattice_from_obj(json.loads(json.dumps(obj)))
+    obj = json.loads(json.dumps(serialize.lattice_to_obj(L)))
+    back = FiniteLattice(serialize.raw_lattice_from_obj(obj))
     assert back.size == L.size
     assert (back.leq == L.leq).all()
 
 
 def test_fixset_lattice_roundtrip(d6):
     fl = enumerate_fixset_lattice(d6)
-    obj = serialize.fixset_lattice_to_obj(fl)
-    back = serialize.fixset_lattice_from_obj(json.loads(json.dumps(obj)))
-    assert back.elements == fl.elements
-    # the same object is accepted by the lattice reader (shared shape)
-    as_lattice = serialize.lattice_from_obj(obj)
+    obj = json.loads(json.dumps(serialize.fixset_lattice_to_obj(fl)))
+    # the object is also valid lattice input (shared shape)
+    as_lattice = FiniteLattice(serialize.raw_lattice_from_obj(obj))
     assert as_lattice.size == len(fl.elements)
     assert set(as_lattice.covers()) == set(fl.covers())
 
@@ -65,13 +104,6 @@ def test_steiner_roundtrip():
     obj = serialize.steiner_to_obj(sys)
     back = serialize.steiner_from_obj(json.loads(json.dumps(obj)))
     assert back == sys
-
-
-def test_structure_dump_shape(d6):
-    S = canonical_structure(d6, 2)
-    obj = serialize.structure_to_obj(S)
-    assert obj["degree"] == 6
-    assert sorted(len(r) for r in obj["relations"]["2"]) == [6, 12, 12]
 
 
 def test_dot_output():
@@ -179,9 +211,9 @@ def test_cli_fixlattice_and_formats(capsys, group_file):
     code, dot, _ = run_cli(capsys, "group", "fixlattice", "--in", group_file,
                            "--format", "dot")
     assert code == 0 and dot.startswith("digraph")
-    code, text, _ = run_cli(capsys, "group", "order", "--in", group_file,
-                            "--format", "text")
-    assert code == 0 and "order" in text
+    code, out, err = run_cli(capsys, "group", "order", "--in", group_file,
+                             "--format", "text")
+    assert code == 2 and out == "" and "invalid choice: 'text'" in err
 
 
 def test_cli_reports_are_byte_identical(capsys, group_file):
@@ -219,6 +251,22 @@ def test_cli_steiner_derive_and_autcheck(capsys, tmp_path, fano_group):
                            "--group", str(gpath))
     assert code == 0
     assert json.loads(out)["result"]["preserves_blocks"] is True
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify"], "--in"),
+    (["derive", "--point", "1"], "--in"),
+    (["autcheck"], "--in"),
+    (["autcheck", "--in", "FANO"], "--group"),
+])
+def test_cli_steiner_missing_input_flag(capsys, tmp_path, argv, flag):
+    fano = tmp_path / "fano.json"
+    fano.write_text(json.dumps(serialize.steiner_to_obj(
+        steiner_from_projective(2, 2))))
+    argv = [str(fano) if a == "FANO" else a for a in argv]
+    code, out, err = run_cli(capsys, "steiner", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: steiner {argv[0]} needs {flag}\n"
 
 
 def test_cli_steiner_build_ag(capsys):
@@ -280,6 +328,21 @@ def test_cli_lattice_subcommands(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "lattice", "stone", "--in", str(cube))
     result = json.loads(out)["result"]
     assert len(result["ultrafilters"]) == 3 and result["injective"]
+
+
+@pytest.mark.parametrize("sub", ["automorphisms", "reconstruct", "check-s"])
+def test_cli_lattice_computes_covers_once(capsys, tmp_path, monkeypatch, sub):
+    path = tmp_path / "pg22.json"
+    path.write_text(json.dumps(serialize.lattice_to_obj(subspace_lattice(2, 2))))
+    calls = []
+
+    def counted(leq):
+        calls.append(leq.shape[0])
+        return order_covers(leq)
+
+    monkeypatch.setattr(lattice, "order_covers", counted)
+    code, _, _ = run_cli(capsys, "lattice", sub, "--in", str(path))
+    assert code == 0 and calls == [16]
 
 
 def pinned_lattice_inputs():
@@ -365,6 +428,201 @@ def test_lattice_cli_bytes_are_pinned(capsys, tmp_path):
                 digest.update(f"{fmt} {code}\n{out}".encode())
             got[f"{sub} {name}"] = digest.hexdigest()
     assert got == LATTICE_CLI_DIGESTS
+
+
+def pinned_command_inputs(tmp_path) -> dict:
+    """Input files of the pinned group and Steiner commands, by name."""
+    fano_blocks = serialize.steiner_to_obj(steiner_from_projective(2, 2))
+    broken = dict(fano_blocks, blocks=[[0, 1, 3]] + fano_blocks["blocks"][1:])
+    objs = {
+        "d6": serialize.group_to_obj(PermutationGroup.dihedral(6)),
+        "fano": serialize.group_to_obj(pgl_generators(2, 2)),
+        "pgl25": serialize.group_to_obj(GroupAction(
+            pgl_generators(5, 1), tuple("abcdef"))),
+        "split": {"degree": 7, "generators": ["(0 1 2)", "(3 4)(5 6)"]},
+        "s7": serialize.group_to_obj(PermutationGroup.symmetric(7)),
+        "fano-system": fano_blocks,
+        "broken-system": broken,
+        "pg32-system": serialize.steiner_to_obj(steiner_from_projective(2, 3)),
+        "ag32-planes": serialize.steiner_to_obj(steiner_from_affine_planes(3)),
+    }
+    paths = {}
+    for name, obj in objs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(obj))
+    return paths
+
+
+def pinned_commands(paths: dict) -> dict:
+    """Each pinned command line by name; none is covered by another pin."""
+    commands = {}
+    for g in ("d6", "fano", "pgl25", "split"):
+        for sub, extra in [("orbits", []), ("order", []),
+                           ("stab", ["--points", "0"]),
+                           ("stab", ["--points", "0,1"]), ("stab", []),
+                           ("transitivity", []),
+                           ("transitivity", ["--k-max", "2"]),
+                           ("primitivity", []), ("jordan", [])]:
+            commands[" ".join(["group", sub, g, *extra])] = [
+                "group", sub, "--in", paths[g], *extra]
+    for sub, q, d in [("build-pg", 2, 2), ("build-pg", 3, 2), ("build-pg", 2, 3),
+                      ("build-ag", 3, 2), ("build-ag", 2, 3), ("build-ag", 4, 2)]:
+        commands[f"steiner {sub} {q} {d}"] = ["steiner", sub, "-q", str(q),
+                                              "-d", str(d)]
+    for system in ("fano-system", "broken-system", "pg32-system"):
+        commands[f"steiner verify {system}"] = ["steiner", "verify", "--in",
+                                                paths[system]]
+    for system, point in [("ag32-planes", "5"), ("ag32-planes", "0"),
+                          ("pg32-system", "0")]:
+        commands[f"steiner derive {system} {point}"] = [
+            "steiner", "derive", "--in", paths[system], "--point", point]
+    for system, g in [("fano-system", "fano"), ("fano-system", "s7"),
+                      ("broken-system", "fano")]:
+        commands[f"steiner autcheck {system} {g}"] = [
+            "steiner", "autcheck", "--in", paths[system], "--group", paths[g]]
+    for sub, p, d, extra in [("points", 2, 2, []), ("points", 3, 2, []),
+                             ("span", 2, 3, ["--points", "0,1,2"]),
+                             ("span", 3, 2, ["--points", "4 9"]),
+                             ("pgl", 2, 2, []), ("pgl", 3, 1, []),
+                             ("oracle-iso", 2, 2, []), ("oracle-iso", 3, 2, [])]:
+        commands[" ".join(["geometry", sub, str(p), str(d), *extra])] = [
+            "geometry", sub, "-p", str(p), "-d", str(d), *extra]
+    commands["verify fano"] = ["verify", "--only", "fano"]
+    return commands
+
+
+# sha256 over "<exit code>\n<stdout>" of each of pinned_commands, recorded
+# before --workers and --format text were removed
+COMMAND_DIGESTS = {
+    "geometry oracle-iso 2 2":
+        "5721fd37acf333cc3e6dc1342da265a94578cb3067976dd941ecea7c4fc3d00b",
+    "geometry oracle-iso 3 2":
+        "a7f018c1822389f101a7d76c55abc700b8a8c776b94ac9ec8960035af2bf1576",
+    "geometry pgl 2 2":
+        "09149dadc410e3b3ede3a160af3f2c57b78ecb8d05826b584c7d5aa7a6ff3097",
+    "geometry pgl 3 1":
+        "654bd0f96726cce64c04a4bd9c55b5f3d3f259e3dd7918ba83b8367eadc14ba4",
+    "geometry points 2 2":
+        "28bc323df93b9f03a7484a0ee54743af7b4cc4f4299f17833c45bac42a8b3ef9",
+    "geometry points 3 2":
+        "f30e2b0aa0f75d069cc38d35111d478be123413182cfe9d1c0094a6db277ce39",
+    "geometry span 2 3 --points 0,1,2":
+        "4c400b40f652a93c7f49cf9228480684a8ef7352dc2a4bc2528bbece366db24f",
+    "geometry span 3 2 --points 4 9":
+        "3833f40a78f74db6e8947f3fd2315b40840b306ac4c71b32e39e0b85df4ef2e9",
+    "group jordan d6":
+        "5123e32a950626d7d40e60105b7045e3e65676c0bf74eadee56574067535128a",
+    "group jordan fano":
+        "d7b6ce0c56d35783ab1869630284a9150520af114abe23a216207c77795bfe1b",
+    "group jordan pgl25":
+        "6e052adc9c557334c53eba82d932529cec0e0f5f6d29855a83f297404f3cc19a",
+    "group jordan split":
+        "21f0f3422a76a2deff1dea89aba6abae13e4bdf2d5d4bb27118f6cd8cc2c5ace",
+    "group orbits d6":
+        "716f4b06aa1e706ec4a594d667682efd7e2a0a35940177af384943a991fde2a2",
+    "group orbits fano":
+        "67e3e7e9669d1c6d0fc508de406f9d07a787d6cb8b8cee5df0cdb47c37f5f3b6",
+    "group orbits pgl25":
+        "716f4b06aa1e706ec4a594d667682efd7e2a0a35940177af384943a991fde2a2",
+    "group orbits split":
+        "53b1f538ad7846c431a66a7b2ac00d7eae52b6c8150ed8f149056e15eaa5115d",
+    "group order d6":
+        "2a38fd520da49754893b312fb7d66af5e6dc0b158d822802488c2450e7fc88a6",
+    "group order fano":
+        "c221a9630725d2b3cfe42602aa3c9cad9af5835e45b98df280987e8ce0d53ae4",
+    "group order pgl25":
+        "f4d6f451eea067182322b5a1a46c5cd514bd046c7c2d141bfd5a1c3bba5fc078",
+    "group order split":
+        "4ebb985b89a81175c65b88ba8b023fb5b3429b1919c2b20ef9e814aa45c7b7ea",
+    "group primitivity d6":
+        "ac19c6617dcc5c63c2724a42aa55bf2a0d94e8d693e2edf1de8a732c1b689fb9",
+    "group primitivity fano":
+        "5cbdab43e4c6a672a62bf11ff99a466a1a957d8e00ac5f66a45a92a6e9114c5c",
+    "group primitivity pgl25":
+        "5cbdab43e4c6a672a62bf11ff99a466a1a957d8e00ac5f66a45a92a6e9114c5c",
+    "group primitivity split":
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "group stab d6":
+        "202302cfd1bc2bb132d45001f15af7c60bae03a8c30faf0a23fd95948c753b2e",
+    "group stab d6 --points 0":
+        "fb5e0ee501a78bd36a8b37a88a382d55a857a46fe77530d44a83dc32a34042e6",
+    "group stab d6 --points 0,1":
+        "8a17457bef99193b66e92a1b3563b245b897700feae88f4739ffc74f409cd2f4",
+    "group stab fano":
+        "12b83d3b2713876e85df3807d229d2497af04204a3cf5ea84b24c10555beb92d",
+    "group stab fano --points 0":
+        "0697a1b69d9bdc5af7447df57a0f3034b3d05c6075ca6053799f8c3df0888092",
+    "group stab fano --points 0,1":
+        "892e08351dd03a344ca7b960f854d39decf372201bfbdbcf5510c5ff421c490b",
+    "group stab pgl25":
+        "960922602b8b553cb5fae4909323dcda3c05785487478dd9fde21713071146bc",
+    "group stab pgl25 --points 0":
+        "1b71333ad9b065d1d3766ea72a15d5366c88d4b1f15181e37e1660a252d55de1",
+    "group stab pgl25 --points 0,1":
+        "efd38d0d170387ebc3be5425ce77fde6d4d651e8b92fb4956977ce5ef26f5232",
+    "group stab split":
+        "bf0f77ce0cb48ee5bdaac6e5910b6473ff77ed9f551b85f8752f4e0d949be994",
+    "group stab split --points 0":
+        "05719abb431bbfbf5a9014d4e3c58d4cbaa5677622ee6e55b062b2ac14b40b41",
+    "group stab split --points 0,1":
+        "a20a1746f95fff1d6d5df13a551a381587f56ac0dcec3fc974fc4d8dfbea2fd5",
+    "group transitivity d6":
+        "2359de28c25eef807f7239a4927182fd75181791ee8b56dabbbdf8eb4f130a65",
+    "group transitivity d6 --k-max 2":
+        "93fb25de4ede46d124e67f931559ec760e997669fb9323b3f15fd290cf3644cb",
+    "group transitivity fano":
+        "8fb6b41096dbdc682c6cd80670c5b88d9d5a7ad92af8123f152d4c98644078eb",
+    "group transitivity fano --k-max 2":
+        "614badebc605d91ed275facdf3a166b62c685a058810ccc5a31ac07f329d4d17",
+    "group transitivity pgl25":
+        "f47f02d29c19d207f44bbc41410db6a584d26a4f3f251ba7f8eb5dbed6e5dc05",
+    "group transitivity pgl25 --k-max 2":
+        "614badebc605d91ed275facdf3a166b62c685a058810ccc5a31ac07f329d4d17",
+    "group transitivity split":
+        "7dc84108c14c3089af3ab8a6d29ed027ddf6de632273c38eadef4b66211556a4",
+    "group transitivity split --k-max 2":
+        "9d48082f8dbe272389af53b7bbff9ad076c764c93e2e57776c57bb0a34667647",
+    "steiner autcheck broken-system fano":
+        "9f469e0e117d034e55ff8288a1bb0494196c1e41aa3a34623edddc2101136a3b",
+    "steiner autcheck fano-system fano":
+        "4fa81bbc1305719dbee4efdfd22278a6eaedd3a9430282686e2795177d7dbfa0",
+    "steiner autcheck fano-system s7":
+        "eff220d60f8792527bab5a63f907180c4348270ded472931fafebb8f95c7020e",
+    "steiner build-ag 2 3":
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "steiner build-ag 3 2":
+        "f7033deed451dfff45b3ec6dbcbc9a50ddebdde6af8d8c5bd5d4b50c84d668ac",
+    "steiner build-ag 4 2":
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "steiner build-pg 2 2":
+        "ea86ba39a3111e364646c21b5aba8e3ed9cbe5f63dae1849acfa3ec90959a9f0",
+    "steiner build-pg 2 3":
+        "63195e63745aab29005c7b8cbbc291507bf1f54e64fa374ff0244ed6cf203fa8",
+    "steiner build-pg 3 2":
+        "816b3c4faa61cf19ff134712a5083061977f4251448bf3163c8768c83c6ba85e",
+    "steiner derive ag32-planes 0":
+        "74ba73bd94214c1f6e685ef101df72913cb0515cb90b512ed63780a19a5f013a",
+    "steiner derive ag32-planes 5":
+        "6325d032d28882ac84ead26a4be7172cd7ef7bad556ad43894f7bc6fdb53e0c4",
+    "steiner derive pg32-system 0":
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "steiner verify broken-system":
+        "dfa26a2801480676c3899c2b9aad70a11f384a19b0c30723017c4f3a12f33980",
+    "steiner verify fano-system":
+        "6d8885a3b95fbfa023989b04699377a421b19b0a8422cf752e0173596e2a2176",
+    "steiner verify pg32-system":
+        "6d8885a3b95fbfa023989b04699377a421b19b0a8422cf752e0173596e2a2176",
+    "verify fano":
+        "e2b7574f23a04d23b5f23f98ea3d156570e46d2051bec2552fd9da59df999406",
+}
+
+
+def test_command_bytes_are_pinned(capsys, tmp_path):
+    got = {}
+    for name, argv in pinned_commands(pinned_command_inputs(tmp_path)).items():
+        code, out, _ = run_cli(capsys, *argv)
+        got[name] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert got == COMMAND_DIGESTS
 
 
 def test_cli_geometry(capsys):
@@ -630,14 +888,7 @@ def test_cli_verify_negative_control(capsys):
     assert json.loads(out)["result"]["failed"] == ["steiner-derivation"]
 
 
-def test_cli_verify_worker_pool_matches_serial(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--only", "fano", "--workers", "2")
-    parallel = json.loads(out)["result"]
-    code, out, _ = run_cli(capsys, "verify", "--only", "fano")
-    serial = json.loads(out)["result"]
-    assert [c["name"] for c in parallel["checks"]] == \
-        [c["name"] for c in serial["checks"]]
-    assert [c["passed"] for c in parallel["checks"]] == \
-        [c["passed"] for c in serial["checks"]]
-    assert [c["subchecks"] for c in parallel["checks"]] == \
-        [c["subchecks"] for c in serial["checks"]]
+def test_cli_verify_workers_flag_is_gone(capsys):
+    code, out, err = run_cli(capsys, "verify", "--only", "fano", "--workers", "2")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --workers 2" in err
