@@ -68,10 +68,17 @@ def min_labels(images: np.ndarray) -> np.ndarray:
 
 def gather_candidates(params: np.ndarray, values: np.ndarray,
                       member: np.ndarray) -> np.ndarray:
-    """values[i] for every row i of params lying entirely inside member."""
-    if params.size == 0:
-        return values[:0]
-    return values[member[params].all(axis=1)]
+    """Points forced in each membership row: out[s, values[i]] is set for
+    every table row i of params lying entirely inside member[s].
+
+    params: (r, w) points, values: (r,) points, member: (m, n+1) bool
+    rows. Returns (m, n+1) bool; the (m, r, w) intermediate is the
+    caller's to bound.
+    """
+    out = np.zeros_like(member)
+    s, r = np.nonzero(member[:, params].all(axis=2))
+    out[s, values[r]] = True
+    return out
 
 
 def tuple_orbit_labels(perms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ def _validate_images(images: Sequence[int]) -> tuple[int, ...]:
     n = len(images)
     seen = [False] * n
     for x in images:
-        if not isinstance(x, int) or not (0 <= x < n) or seen[x]:
+        if type(x) is not int or not (0 <= x < n) or seen[x]:
             raise ValidationError(f"not a bijection of 0..{n - 1}: {list(images)!r}")
         seen[x] = True
     return tuple(images)
@@ -133,7 +133,7 @@ def mask_from_points(points: Iterable[int], degree: int) -> int:
     """Pack a point set into a bit mask, validating the range."""
     mask = 0
     for x in points:
-        if not isinstance(x, int) or not (0 <= x < degree):
+        if type(x) is not int or not (0 <= x < degree):
             raise ValidationError(f"point {x!r} out of range 0..{degree - 1}")
         mask |= 1 << x
     return mask

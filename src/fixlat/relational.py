@@ -9,8 +9,10 @@ closure: it never overshoots it, and with enough arity it often meets it.
 
 Whether a parameter set forces a point does not depend on the orbit, slot
 or order it came from, so each arity limit gets one deduplicated table of
-(parameter set, forced point) rows, and each round of the fixpoint is one
-membership-gated gather over that table.
+(parameter set, forced point) rows. Point sets travel as bit masks and are
+closed in batches: each round of the fixpoint is one membership-gated
+gather of that table over every set still growing, so a whole report costs
+a few gathers per arity limit rather than a few per subset.
 """
 
 from __future__ import annotations
@@ -29,11 +31,16 @@ from .perm import points_from_mask
 ARITY_CAP = 4
 EXHAUSTIVE_SUBSET_LIMIT = 12
 SAMPLE_SIZE = 512
+# bound on the (sets x table rows x width) bool intermediate of one gather
+GATHER_CHUNK_BYTES = 16 << 20
 
 
 def _decode(codes: np.ndarray, n: int, k: int) -> np.ndarray:
     """The digits of m k-tuple codes over n points, as (m, k) rows."""
-    return np.stack([d for _, d in _kernels.digit_columns(codes, n, k)], axis=1)
+    out = np.empty((codes.size, k), dtype=np.int64)
+    for j, (_, digit) in enumerate(_kernels.digit_columns(codes, n, k)):
+        out[:, j] = digit
+    return out
 
 
 @dataclass
@@ -71,7 +78,8 @@ class RelationalStructure:
         """The table for ``limit``: the one below it, padded, plus new rows.
 
         Parameter sets of arity-``limit`` rows have limit - 1 points, more
-        than any lower row, so only those rows need deduplicating here. The
+        than any lower row, so only those rows need deduplicating here. All
+        relations of the arity are scanned together, one slot at a time. The
         table comes back as a one-item list of (params, values) pairs, the
         shape the benchmark's row counter reads.
         """
@@ -82,18 +90,37 @@ class RelationalStructure:
         else:
             params, values = np.empty((0, 1), dtype=np.int64), np.empty(0, dtype=np.int64)
         radix = n ** np.arange(limit - 1, -1, -1, dtype=np.int64)
+        rels = self.relations.get(limit, ())
+        tuples = np.concatenate(rels) if rels else np.empty((0, limit), dtype=np.int64)
+        # keyed by (relation, rest code), one sort per slot serves every
+        # relation: a slot is forced where no other tuple of its relation
+        # shares the rest. Deduplicating each slot's rows keeps the list small.
+        rel_key = np.repeat(np.arange(len(rels), dtype=np.int64) * n ** (limit - 1),
+                            [rel.shape[0] for rel in rels])
         codes = [np.empty(0, dtype=np.int64)]
-        for rel in self.relations.get(limit, ()):
-            for slot in range(limit):
-                rest = np.delete(rel, slot, axis=1)
-                _, inverse, counts = np.unique(rest @ radix[1:], return_inverse=True,
-                                               return_counts=True)
-                single = counts[inverse] == 1
-                codes.append(np.hstack([np.sort(rest[single], axis=1),
-                                        rel[single, slot:slot + 1]]) @ radix)
+        for slot in range(limit):
+            others = [j for j in range(limit) if j != slot]
+            key = rel_key.copy()
+            for j, r in zip(others, radix[1:]):
+                key += tuples[:, j] * r
+            single = np.flatnonzero(_once(key))
+            rest = tuples[np.ix_(single, others)]
+            rest.sort(axis=1)
+            codes.append(np.unique(rest @ radix[:-1] + tuples[single, slot]))
         rows = _decode(np.unique(np.concatenate(codes)), n, limit)
         return [(np.vstack([params, rows[:, :-1]]),
                  np.concatenate([values, rows[:, -1]]))]
+
+
+def _once(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of keys that occur exactly once."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    edge = np.ones(keys.size + 1, dtype=bool)
+    edge[1:-1] = ranked[1:] != ranked[:-1]
+    once = np.empty(keys.size, dtype=bool)
+    once[order] = edge[:-1] & edge[1:]
+    return once
 
 
 def canonical_structure(G: PermutationGroup, max_arity: int = 3) -> RelationalStructure:
@@ -108,35 +135,69 @@ def canonical_structure(G: PermutationGroup, max_arity: int = 3) -> RelationalSt
             continue
         labels, active = _tuple_orbit_labels(G._gen_tuples, n, arity,
                                              TUPLE_SPACE_CAP)
-        labels = np.where(active, labels, -1)
-        reps = np.unique(labels[active])
-        rels = []
-        for rep in reps:
-            codes = np.flatnonzero(labels == rep)
-            rels.append(_decode(codes, n, arity))
-        relations[arity] = tuple(rels)
+        codes = np.flatnonzero(active)
+        labels = labels[codes]
+        # a stable sort by orbit keeps each orbit's codes ascending, and the
+        # label (the orbit's least code) orders the orbits by least tuple
+        order = np.argsort(labels, kind="stable")
+        codes, labels = codes[order], labels[order]
+        cuts = np.flatnonzero(np.diff(labels)) + 1
+        relations[arity] = tuple(np.split(_decode(codes, n, arity), cuts))
     return RelationalStructure(n, max_arity, relations)
 
 
-def relational_dcl(S: RelationalStructure, points: Iterable[int],
-                   arity_limit: Optional[int] = None) -> tuple[int, ...]:
-    """Least fixpoint of unique-completion over the structure's relations."""
+def relational_dcl(S: RelationalStructure, masks: Iterable[int],
+                   arity_limit: Optional[int] = None) -> list[int]:
+    """Least fixpoints of unique-completion, one per point mask, in order.
+
+    Each mask is a set of points 0..degree-1 packed as bits, as
+    ``closure.closure_mask`` takes them, and comes back as the mask of its
+    definable closure over the relations of arity up to ``arity_limit``
+    (default: the structure's ``max_arity``). All masks are closed together:
+    each round is one gather over the (subset x point) membership rows still
+    live, and a row leaves once it is full or did not grow. Rows go to the
+    gather in chunks whose intermediate stays under ``GATHER_CHUNK_BYTES``.
+    """
     params, values = S.completion_table(arity_limit)
     n = S.degree
-    pts = list(points)
-    for x in pts:
-        if not isinstance(x, int) or not (0 <= x < n):
-            raise ValidationError(f"point {x!r} out of range 0..{n - 1}")
-    member = np.zeros(n + 1, dtype=bool)
-    member[np.array(pts, dtype=np.int64)] = True
-    member[n] = True  # the padding sentinel
-    while params.shape[0] and not member.all():
-        forced = _kernels.gather_candidates(params, values, member)
-        new = forced[~member[forced]]
-        if new.size == 0:
-            break
-        member[new] = True
-    return tuple(int(x) for x in np.flatnonzero(member[:n]))
+    masks = list(masks)
+    for mask in masks:
+        if type(mask) is not int or mask < 0 or mask >> n:
+            raise ValidationError(
+                f"mask {mask!r} out of range: need an int in 0..2**{n} - 1")
+    if not params.shape[0]:
+        return masks
+    member = _mask_rows(masks, n)
+    step = max(1, GATHER_CHUNK_BYTES // params.size)
+    for start in range(0, len(masks), step):
+        chunk = member[start:start + step]
+        live = np.flatnonzero(~chunk.all(axis=1))
+        while live.size:
+            rows = chunk[live]
+            grown = _kernels.gather_candidates(params, values, rows) & ~rows
+            rows |= grown
+            chunk[live] = rows
+            live = live[grown.any(axis=1) & ~rows.all(axis=1)]
+    return _row_masks(member, n)
+
+
+def _mask_rows(masks: list[int], n: int) -> np.ndarray:
+    """(m, n+1) membership rows of the masks, with the sentinel column set."""
+    width = n // 8 + 1
+    sentinel = 1 << n
+    raw = b"".join((mask | sentinel).to_bytes(width, "little") for mask in masks)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width),
+                         axis=1, bitorder="little")
+    return bits[:, :n + 1].astype(bool)
+
+
+def _row_masks(member: np.ndarray, n: int) -> list[int]:
+    """The masks of (m, n+1) membership rows, without the sentinel."""
+    raw = np.packbits(member, axis=1, bitorder="little").tobytes()
+    width = n // 8 + 1
+    points = (1 << n) - 1
+    return [int.from_bytes(raw[i:i + width], "little") & points
+            for i in range(0, len(raw), width)]
 
 
 @dataclass(frozen=True)
@@ -177,30 +238,27 @@ def dcl_vs_fixset_report(G: PermutationGroup, max_arity: int = 3,
             chosen.add(rng.getrandbits(n))
         subsets = sorted(chosen)
     S = canonical_structure(G, max_arity)
-    per_arity_ok = {a: True for a in range(2, max_arity + 1)}
+    fix = [closure_mask(G, mask) for mask in subsets]
+    # dcl only grows with the arity limit, so each limit starts from the last
+    dcl = subsets
+    sufficient = None
+    for a in range(2, max_arity + 1):
+        dcl = relational_dcl(S, dcl, arity_limit=a)
+        if sufficient is None and dcl == fix:
+            sufficient = a
     disagreements = []
-    agreements = 0
     sound = True
-    for mask in subsets:
-        pts = points_from_mask(mask)
-        fix = points_from_mask(closure_mask(G, mask))
-        top = relational_dcl(S, pts)
-        if top == fix:
-            agreements += 1
-        else:
-            disagreements.append({"points": pts, "dcl": top, "fixset": fix})
-            if not set(top) <= set(fix):
+    for mask, top, closed in zip(subsets, dcl, fix):
+        if top != closed:
+            disagreements.append({"points": points_from_mask(mask),
+                                  "dcl": points_from_mask(top),
+                                  "fixset": points_from_mask(closed)})
+            if top & ~closed:
                 sound = False
-        for a in range(2, max_arity):
-            if per_arity_ok[a] and relational_dcl(S, pts, arity_limit=a) != fix:
-                per_arity_ok[a] = False
-        if top != fix:
-            per_arity_ok[max_arity] = False
-    sufficient = next((a for a in range(2, max_arity + 1) if per_arity_ok[a]), None)
     return DclComparisonReport(
         max_arity=max_arity,
         subsets_tested=len(subsets),
-        agreements=agreements,
+        agreements=len(subsets) - len(disagreements),
         disagreements=tuple(disagreements),
         sufficient_arity=sufficient,
         sound=sound,

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import closure, exhaustive, geometry, lattice, relational, steiner
 from .group import PermutationGroup
+from .perm import points_from_mask
 
 
 def _subchecks(pairs) -> tuple[bool, list]:
@@ -253,10 +254,11 @@ def check_dcl_vs_span(_inject=None) -> dict:
     G = _fano_group()
     space = geometry.projective_points(2, 2)
     S = relational.canonical_structure(G, 3)
+    masks = list(range(1 << 7))
     all_agree = True
-    for mask in range(1 << 7):
-        pts = [x for x in range(7) if mask >> x & 1]
-        d = relational.relational_dcl(S, pts)
+    for mask, dcl in zip(masks, relational.relational_dcl(S, masks)):
+        pts = points_from_mask(mask)
+        d = points_from_mask(dcl)
         f = closure.fixset_closure(G, pts).points
         s = geometry.span_closure(space, pts)
         if not (d == f == s):

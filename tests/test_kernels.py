@@ -80,14 +80,20 @@ def test_min_labels_backends_agree():
 def test_gather_backends_agree():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        m = int(rng.integers(0, 200))
-        params = rng.integers(0, 16, size=(m, 3), dtype=np.int64)
-        values = rng.integers(0, 16, size=m, dtype=np.int64)
-        member = rng.random(16) < 0.4
+        r = int(rng.integers(0, 200))
+        m = int(rng.integers(0, 20))
+        params = rng.integers(0, 17, size=(r, 3), dtype=np.int64)
+        values = rng.integers(0, 16, size=r, dtype=np.int64)
+        member = rng.random((m, 17)) < 0.4
+        member[:, 16] = True  # the sentinel column
         got = _kernels.gather_candidates(params, values, member)
-        expected = [v for row, v in zip(params.tolist(), values.tolist())
-                    if all(member[x] for x in row)]
-        assert got.tolist() == expected
+        expected = np.zeros((m, 17), dtype=bool)
+        for s in range(m):
+            for row, v in zip(params.tolist(), values.tolist()):
+                if all(member[s, x] for x in row):
+                    expected[s, v] = True
+        assert got.shape == (m, 17) and got.dtype == bool
+        assert got.tolist() == expected.tolist()
 
 
 def test_orbit_counts_match_known_groups():

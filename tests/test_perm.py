@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fixlat.errors import ValidationError
+from fixlat.group import PermutationGroup
 from fixlat.perm import (Permutation, format_cycles, mask_from_points,
                          parse_cycles, points_from_mask)
 
@@ -13,7 +14,8 @@ def test_identity_and_call():
     assert [p(i) for i in range(5)] == list(range(5))
 
 
-@pytest.mark.parametrize("bad", [[0, 0, 1], [1, 2], [0, 1, 3], [-1, 0, 1]])
+@pytest.mark.parametrize("bad", [[0, 0, 1], [1, 2], [0, 1, 3], [-1, 0, 1],
+                                 [True, False, 2], [0, 2, True]])
 def test_rejects_non_bijections(bad):
     with pytest.raises(ValidationError):
         Permutation(bad)
@@ -67,3 +69,13 @@ def test_mask_helpers():
     assert points_from_mask(m) == (0, 2, 5)
     with pytest.raises(ValidationError):
         mask_from_points([6], 6)
+
+
+def test_bools_are_not_points():
+    # bool is an int subclass, so an isinstance check alone lets it through
+    with pytest.raises(ValidationError):
+        mask_from_points([True], 3)
+    with pytest.raises(ValidationError):
+        mask_from_points([0, False], 3)
+    with pytest.raises(ValidationError):
+        PermutationGroup(3, [[True, False, 2]])

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from collections import defaultdict
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from fixlat.errors import ValidationError
 from fixlat.exhaustive import relational_closure
 from fixlat.geometry import pgl_generators
 from fixlat.group import PermutationGroup, group_from_generators
+from fixlat.perm import mask_from_points, points_from_mask
 from fixlat.relational import (canonical_structure, dcl_vs_fixset_report,
                                relational_dcl)
 
@@ -18,6 +20,12 @@ from fixlat.relational import (canonical_structure, dcl_vs_fixset_report,
 def all_subsets(n):
     for mask in range(1 << n):
         yield tuple(x for x in range(n) if mask >> x & 1)
+
+
+def dcl(S, points, arity_limit=None):
+    """relational_dcl of one point set, as a sorted point tuple."""
+    (closed,) = relational_dcl(S, [mask_from_points(points, S.degree)], arity_limit)
+    return points_from_mask(closed)
 
 
 def test_trivial_group_has_one_relation_per_tuple():
@@ -80,12 +88,12 @@ def test_arity_bounds(sym4):
 
 def test_dcl_of_full_domain(fano_group):
     S = canonical_structure(fano_group, 3)
-    assert relational_dcl(S, range(7)) == tuple(range(7))
+    assert dcl(S, range(7)) == tuple(range(7))
 
 
 def test_dcl_completes_fano_lines(fano_group):
     S = canonical_structure(fano_group, 3)
-    assert relational_dcl(S, [0, 1]) == (0, 1, 2)
+    assert dcl(S, [0, 1]) == (0, 1, 2)
 
 
 def test_dcl_trivial_on_symmetric_group():
@@ -93,37 +101,40 @@ def test_dcl_trivial_on_symmetric_group():
     S = canonical_structure(s5, 2)
     for pts in all_subsets(5):
         if len(pts) <= 3:  # uniqueness first appears at arity 5 here
-            assert relational_dcl(S, pts) == pts
+            assert dcl(S, pts) == pts
 
 
 def test_dcl_reaches_antipode(d6):
     S = canonical_structure(d6, 2)
-    assert relational_dcl(S, [0]) == (0, 3)
-    assert relational_dcl(S, [3, 0, 3]) == (0, 3)
+    assert dcl(S, [0]) == (0, 3)
+    assert dcl(S, [3, 0, 3]) == (0, 3)
 
 
-@pytest.mark.parametrize("bad", [7, -1, 1.0])
+@pytest.mark.parametrize("bad", [lambda n: 1 << n, lambda n: -1, lambda n: 1.0,
+                                 lambda n: True],
+                         ids=["1<<n", "-1", "1.0", "True"])
 def test_dcl_rejects_points_outside_the_domain(fano_group, sym4, bad):
-    # the Sym(4) table is empty, the Fano one is not
+    # the Sym(4) table is empty, the Fano one is not; a bool or a float is
+    # not a mask even where it equals one
     for S in (canonical_structure(fano_group, 3), canonical_structure(sym4, 2)):
         with pytest.raises(ValidationError, match="out of range"):
-            relational_dcl(S, [0, bad])
+            relational_dcl(S, [1, bad(S.degree)])
 
 
 def test_dcl_closure_axioms(fano_group):
     S = canonical_structure(fano_group, 3)
     for pts in all_subsets(7):
-        c = relational_dcl(S, pts)
+        c = dcl(S, pts)
         assert set(pts) <= set(c)
-        assert relational_dcl(S, c) == c
+        assert dcl(S, c) == c
 
 
 def test_dcl_sound_and_monotone_in_arity(fano_group, d6):
     for G in (fano_group, d6):
         S = canonical_structure(G, 3)
         for pts in all_subsets(G.degree):
-            low = relational_dcl(S, pts, arity_limit=2)
-            high = relational_dcl(S, pts, arity_limit=3)
+            low = dcl(S, pts, arity_limit=2)
+            high = dcl(S, pts, arity_limit=3)
             fix = fixset_closure(G, pts).points
             assert set(low) <= set(high) <= set(fix)
 
@@ -135,8 +146,8 @@ def test_dcl_commutes_with_group_elements(fano_group):
     for _ in range(25):
         g = rng.choice(elements)
         pts = rng.sample(range(7), rng.randrange(8))
-        lhs = tuple(sorted(g(x) for x in relational_dcl(S, pts)))
-        assert lhs == relational_dcl(S, [g(x) for x in pts])
+        lhs = tuple(sorted(g(x) for x in dcl(S, pts)))
+        assert lhs == dcl(S, [g(x) for x in pts])
 
 
 def test_fano_report_full_agreement(fano_group):
@@ -195,7 +206,7 @@ def test_report_tests_every_subset_when_the_sample_would_cover_them(monkeypatch,
 def test_arity_limit_outside_the_structure_is_rejected(fano_group, limit):
     S = canonical_structure(fano_group, 3)
     with pytest.raises(ValidationError):
-        relational_dcl(S, [0, 1], arity_limit=limit)
+        dcl(S, [0, 1], arity_limit=limit)
     with pytest.raises(ValidationError):
         S.completion_table(limit)
 
@@ -218,19 +229,23 @@ def test_merged_tables_deduplicate_orbits_and_slots():
 
 
 def test_fano_dcl_gathers_at_most_twice(fano_group, monkeypatch):
+    # one call closes all 128 subsets: the first gather takes every row but
+    # the full one, the second only the rows that grew and are not full
     S = canonical_structure(fano_group, 3)
     calls = []
     real = _kernels.gather_candidates
 
     def counted(params, values, member):
-        calls.append(params.shape[0])
+        calls.append(member.shape[0])
         return real(params, values, member)
 
     monkeypatch.setattr(_kernels, "gather_candidates", counted)
-    for pts in all_subsets(7):
-        calls.clear()
-        relational_dcl(S, pts)
-        assert len(calls) <= 2
+    masks = list(range(1 << 7))
+    closed = relational_dcl(S, masks)
+    assert len(calls) <= 2
+    assert calls[0] == 127
+    assert closed == [mask_from_points(dcl(S, points_from_mask(m)), 7)
+                      for m in masks]
 
 
 @st.composite
@@ -247,5 +262,97 @@ def test_dcl_matches_brute_force_relational_closure(G):
     elements = G.elements_array()
     for pts in all_subsets(G.degree):
         for limit in (2, 3, 4):
-            assert (relational_dcl(S, pts, arity_limit=limit)
+            assert (dcl(S, pts, arity_limit=limit)
                     == relational_closure(elements, pts, limit))
+
+
+def reference_orbits(G, k):
+    """Orbits of distinct k-tuples, each sorted, in order of least tuple."""
+    elements = G.elements_array()
+    seen, orbits = set(), []
+    for t in permutations(range(G.degree), k):  # lexicographic order
+        if t not in seen:
+            orbit = sorted(set(map(tuple, elements[:, list(t)].tolist())))
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
+
+
+def reference_table(G, limit):
+    """Completion rows for arities 2..limit, built orbit by orbit and slot by
+    slot: lower rows first, padded by the sentinel, then the new rows in
+    order of (sorted parameters, value)."""
+    n = G.degree
+    rows = []
+    for k in range(2, limit + 1):
+        new = set()
+        for orbit in reference_orbits(G, k):
+            for slot in range(k):
+                completions = defaultdict(set)
+                for u in orbit:
+                    completions[u[:slot] + u[slot + 1:]].add(u[slot])
+                new |= {tuple(sorted(rest)) + (v,)
+                        for rest, (v, *more) in completions.items() if not more}
+        rows = [row[:-1] + (n, row[-1]) for row in rows] + sorted(new)
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(small_groups())
+def test_structure_matches_per_orbit_reference(G):
+    S = canonical_structure(G, 4)
+    for k in (2, 3, 4):
+        assert [rel.tolist() for rel in S.relations[k]] == [
+            [list(t) for t in orbit] for orbit in reference_orbits(G, k)]
+        params, values = S.completion_table(k)
+        got = [tuple(p) + (v,) for p, v in zip(params.tolist(), values.tolist())]
+        assert got == reference_table(G, k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(small_groups(), st.integers(2, 4))
+def test_report_matches_per_subset_reference(G, max_arity):
+    rep = dcl_vs_fixset_report(G, max_arity)
+    elements = G.elements_array()
+    agrees = dict.fromkeys(range(2, max_arity + 1), True)
+    disagreements = []
+    for pts in all_subsets(G.degree):
+        fix = fixset_closure(G, pts).points
+        for a in agrees:
+            top = relational_closure(elements, pts, a)
+            agrees[a] = agrees[a] and top == fix
+        if top != fix:
+            disagreements.append({"points": pts, "dcl": top, "fixset": fix})
+    assert rep.subsets_tested == 1 << G.degree
+    assert rep.agreements == rep.subsets_tested - len(disagreements)
+    assert rep.disagreements == tuple(disagreements)
+    assert rep.sufficient_arity == next((a for a in agrees if agrees[a]), None)
+    assert rep.sound == all(set(d["dcl"]) <= set(d["fixset"])
+                            for d in disagreements)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1000])
+def test_chunked_gathers_match_one_batch(monkeypatch, pgl42, d6, chunk_bytes):
+    def closures():
+        rng = random.Random(4)
+        out = []
+        for G, arity in [(pgl42, 3), (d6, 3), (PermutationGroup.cyclic(9), 4)]:
+            S = canonical_structure(G, arity)
+            masks = [rng.getrandbits(G.degree) for _ in range(300)]
+            out.append([relational_dcl(S, masks, a) for a in range(2, arity + 1)])
+            out.append(dcl_vs_fixset_report(G, arity, seed=2))
+        return out
+
+    whole = closures()
+    rows = []
+    real = _kernels.gather_candidates
+
+    def counted(params, values, member):
+        rows.append((member.shape[0] * params.size, params.size))
+        return real(params, values, member)
+
+    monkeypatch.setattr(relational, "GATHER_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(_kernels, "gather_candidates", counted)
+    assert closures() == whole
+    # one gather's intermediate stays under the bound, or is a single row
+    assert rows and all(r <= max(chunk_bytes, size) for r, size in rows)
