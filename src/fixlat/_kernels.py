@@ -18,6 +18,15 @@ def digit_columns(codes: np.ndarray, n: int, k: int):
         yield radix, codes // radix % n
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array in increasing order, as np.unique
+    gives them, from one sort and a mask of neighbours that differ."""
+    out = np.sort(values)
+    keep = np.ones(out.size, dtype=bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
+
+
 def tuple_images(perms: np.ndarray, k: int) -> np.ndarray:
     """Images of every k-tuple code under every permutation.
 

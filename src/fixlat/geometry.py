@@ -57,6 +57,7 @@ class ProjectiveSpace:
     d: int
     points: tuple[tuple[int, ...], ...]
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _lines: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._index.update({v: i for i, v in enumerate(self.points)})
@@ -67,6 +68,22 @@ class ProjectiveSpace:
 
     def index_of(self, vec: tuple[int, ...]) -> int:
         return self._index[vec]
+
+    def line_mask(self, a: int, x: int) -> int:
+        """Mask of the line through distinct points a and x, kept once asked
+        for: {a} and every [c·a + x], c in GF(p), with a < x."""
+        if a > x:
+            a, x = x, a
+        mask = self._lines.get((a, x))
+        if mask is None:
+            p, inv = self.p, inverse_table(self.p)
+            va, vx = self.points[a], self.points[x]
+            mask = 1 << a
+            for c in range(p):
+                vec = tuple((c * u + w) % p for u, w in zip(va, vx))
+                mask |= 1 << self._index[normalize(vec, p, inv)]
+            self._lines[(a, x)] = mask
+        return mask
 
 
 def projective_point_count(p: int, d: int) -> int:
@@ -94,49 +111,21 @@ def projective_points(p: int, d: int) -> ProjectiveSpace:
     return ProjectiveSpace(p, d, tuple(pts))
 
 
-def _row_reduce(vectors: list[tuple[int, ...]], p: int,
-                inv: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Row-echelon basis of the span, pivots scaled to 1."""
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    width = len(vectors[0]) if vectors else 0
-    for vec in vectors:
-        row = list(vec)
-        for b, piv in zip(basis, pivots):
-            if row[piv]:
-                c = row[piv]
-                row = [(x - c * y) % p for x, y in zip(row, b)]
-        piv = next((i for i in range(width) if row[i]), None)
-        if piv is None:
-            continue
-        scale = inv[row[piv]]
-        row = [(x * scale) % p for x in row]
-        at = next((k for k, q in enumerate(pivots) if q > piv), len(pivots))
-        basis.insert(at, row)
-        pivots.insert(at, piv)
-    return [tuple(b) for b in basis]
-
-
 def span_closure(space: ProjectiveSpace, points: Iterable[int]) -> tuple[int, ...]:
-    """All points in the projective subspace spanned by the given ones."""
-    pts = sorted(set(points))
-    for x in pts:
-        if not (0 <= x < space.num_points):
-            raise ValidationError(f"point {x} out of range")
-    if not pts:
-        return ()
-    p = space.p
-    inv = inverse_table(p)
-    basis = _row_reduce([space.points[i] for i in pts], p, inv)
-    width = space.d + 1
-    out = set()
-    for coeffs in product(range(p), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        vec = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % p
-                    for i in range(width))
-        out.add(space.index_of(normalize(vec, p, inv)))
-    return tuple(sorted(out))
+    """All points in the projective subspace spanned by the given ones.
+
+    Points join one at a time: a subspace A grows by x to A, x and the
+    lines from x to A, since every [αa + βx] lies on the line through a, x.
+    """
+    todo = mask_from_points(points, space.num_points)
+    span = 0
+    while todo:
+        x = (todo & -todo).bit_length() - 1
+        for a in points_from_mask(span):
+            span |= space.line_mask(a, x)
+        span |= 1 << x
+        todo &= ~span
+    return points_from_mask(span)
 
 
 def pgl_order(p: int, d: int) -> int:

@@ -277,7 +277,7 @@ class PermutationGroup:
             return len(self.orbits())
         labels, active = _tuple_orbit_labels(self._gen_tuples, n, k,
                                              TUPLE_SPACE_CAP)
-        return int(np.unique(labels[active]).size)
+        return int(_kernels.sorted_unique(labels[active]).size)
 
     def transitivity_degree(self, k_max: int) -> int:
         """Largest k <= k_max with a single orbit on distinct k-tuples."""

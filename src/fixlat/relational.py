@@ -106,8 +106,9 @@ class RelationalStructure:
             single = np.flatnonzero(_once(key))
             rest = tuples[np.ix_(single, others)]
             rest.sort(axis=1)
-            codes.append(np.unique(rest @ radix[:-1] + tuples[single, slot]))
-        rows = _decode(np.unique(np.concatenate(codes)), n, limit)
+            codes.append(_kernels.sorted_unique(
+                rest @ radix[:-1] + tuples[single, slot]))
+        rows = _decode(_kernels.sorted_unique(np.concatenate(codes)), n, limit)
         return [(np.vstack([params, rows[:, :-1]]),
                  np.concatenate([values, rows[:, -1]]))]
 

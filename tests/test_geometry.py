@@ -1,13 +1,49 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import fixlat.geometry as geo
 from fixlat.closure import fixset_closure
 from fixlat.errors import InternalConsistencyError, ValidationError
-from fixlat.geometry import (gaussian_binomial, oracle_iso_check,
-                             pgl_generators, pgl_order, projective_points,
-                             span_closure, subspace_count, subspace_lattice)
+from fixlat.geometry import (gaussian_binomial, inverse_table, normalize,
+                             oracle_iso_check, pgl_generators, pgl_order,
+                             projective_points, span_closure, subspace_count,
+                             subspace_lattice)
+
+
+def row_reduce(vectors, p, inv):
+    """Row-echelon basis of the span of vectors over GF(p), pivots scaled to 1."""
+    basis, pivots = [], []
+    width = len(vectors[0]) if vectors else 0
+    for vec in vectors:
+        row = list(vec)
+        for b, piv in zip(basis, pivots):
+            if row[piv]:
+                c = row[piv]
+                row = [(x - c * y) % p for x, y in zip(row, b)]
+        piv = next((i for i in range(width) if row[i]), None)
+        if piv is None:
+            continue
+        scale = inv[row[piv]]
+        row = [(x * scale) % p for x in row]
+        at = next((k for k, q in enumerate(pivots) if q > piv), len(pivots))
+        basis.insert(at, row)
+        pivots.insert(at, piv)
+    return basis
+
+
+def row_reduction_span(space, points):
+    """Oracle span: every nonzero combination of a row-reduced basis."""
+    p, inv = space.p, inverse_table(space.p)
+    basis = row_reduce([space.points[i] for i in sorted(set(points))], p, inv)
+    out = set()
+    for coeffs in product(range(p), repeat=len(basis)):
+        if any(coeffs):
+            vec = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % p
+                        for i in range(space.d + 1))
+            out.add(space.index_of(normalize(vec, p, inv)))
+    return tuple(sorted(out))
 
 
 def test_point_counts():
@@ -51,6 +87,39 @@ def test_span_is_a_closure_operator():
         assert span_closure(space, c) == c
 
 
+@pytest.mark.parametrize("p,d", [(2, 2), (5, 1)])
+def test_span_matches_row_reduction_on_every_subset(p, d):
+    space = projective_points(p, d)
+    for mask in range(1 << space.num_points):
+        pts = [x for x in range(space.num_points) if mask >> x & 1]
+        assert span_closure(space, pts) == row_reduction_span(space, pts)
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (3, 3), (5, 2), (2, 4)])
+def test_span_matches_row_reduction_on_random_subsets(p, d):
+    space = projective_points(p, d)
+    rng = random.Random(100 * p + d)
+    for _ in range(200):
+        pts = rng.sample(range(space.num_points), rng.randrange(d + 3))
+        assert span_closure(space, pts) == row_reduction_span(space, pts)
+
+
+@pytest.mark.parametrize("bad", [[True], [1.0], ["1"], [-1], [7]])
+def test_span_rejects_non_points(bad):
+    with pytest.raises(ValidationError):
+        span_closure(projective_points(2, 2), bad)
+
+
+def test_line_table_holds_requested_lines():
+    space = projective_points(3, 2)
+    assert span_closure(space, [0, 5]) == row_reduction_span(space, [0, 5])
+    assert list(space._lines) == [(0, 5)]
+    lines = {space.line_mask(a, x) for a, x in combinations(range(13), 2)}
+    assert len(lines) == 13
+    assert all(bin(m).count("1") == 4 for m in lines)
+    assert space.line_mask(5, 0) == space.line_mask(0, 5)
+
+
 def test_pgl_orders_match_closed_form(fano_group, pgl25, pgl42):
     assert fano_group.order() == pgl_order(2, 2) == 168
     assert pgl25.order() == pgl_order(5, 1) == 120
@@ -65,6 +134,27 @@ def test_subspace_lattice_counts():
     assert gaussian_binomial(3, 1, 2) == gaussian_binomial(3, 2, 2) == 7
     assert gaussian_binomial(4, 2, 2) == 35
     assert subspace_count(2, 3) == 67
+
+
+@pytest.mark.parametrize("p,d,count", [(2, 4, 374), (3, 3, 212), (5, 2, 64)])
+def test_subspace_lattice_counts_and_labels_are_spans(p, d, count):
+    L = subspace_lattice(p, d)
+    assert L.size == subspace_count(p, d) == count
+    space = projective_points(p, d)
+    assert all(row_reduction_span(space, lab) == lab for lab in L.labels)
+
+
+def test_subspace_lattice_closes_through_span_closure(monkeypatch):
+    calls = []
+    inner = geo.span_closure
+
+    def counted(space, points):
+        calls.append(1)
+        return inner(space, points)
+
+    monkeypatch.setattr(geo, "span_closure", counted)
+    assert subspace_lattice(2, 3).size == 67
+    assert calls
 
 
 def test_subspace_lattice_is_every_span():
@@ -125,7 +215,6 @@ def test_fixset_closure_equals_span_pg32(pgl42):
 
 
 def test_generator_verification_guard(monkeypatch):
-    import fixlat.geometry as geo
     broken = [[[1 if r == c else 0 for c in range(3)] for r in range(3)]]
     monkeypatch.setattr(geo, "_matrices", lambda p, n: broken)
     with pytest.raises(InternalConsistencyError):

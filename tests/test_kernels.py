@@ -96,6 +96,16 @@ def test_gather_backends_agree():
         assert got.tolist() == expected.tolist()
 
 
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(3)
+    for size in (0, 1, 2, 50, 6000):
+        codes = rng.integers(0, max(1, size // 3), size=size, dtype=np.int64)
+        got = _kernels.sorted_unique(codes)
+        expected = np.unique(codes)
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+
+
 def test_orbit_counts_match_known_groups():
     s5 = PermutationGroup.symmetric(5)
     perms = np.array([g.images for g in s5.generators], dtype=np.int64)

@@ -483,6 +483,11 @@ def pinned_commands(paths: dict) -> dict:
     for sub, p, d, extra in [("points", 2, 2, []), ("points", 3, 2, []),
                              ("span", 2, 3, ["--points", "0,1,2"]),
                              ("span", 3, 2, ["--points", "4 9"]),
+                             ("span", 3, 3, ["--points", "1,7,22"]),
+                             ("span", 5, 2, ["--points", "2,13"]),
+                             ("subspaces", 2, 2, []), ("subspaces", 3, 2, []),
+                             ("subspaces", 2, 3, []),
+                             ("subspaces", 2, 2, ["--format", "dot"]),
                              ("pgl", 2, 2, []), ("pgl", 3, 1, []),
                              ("oracle-iso", 2, 2, []), ("oracle-iso", 3, 2, [])]:
         commands[" ".join(["geometry", sub, str(p), str(d), *extra])] = [
@@ -492,7 +497,8 @@ def pinned_commands(paths: dict) -> dict:
 
 
 # sha256 over "<exit code>\n<stdout>" of each of pinned_commands, recorded
-# before --workers and --format text were removed
+# before --workers and --format text were removed (the PG(3,3), PG(2,5) span
+# and subspaces pins before spans became line closures)
 COMMAND_DIGESTS = {
     "geometry oracle-iso 2 2":
         "5721fd37acf333cc3e6dc1342da265a94578cb3067976dd941ecea7c4fc3d00b",
@@ -510,6 +516,18 @@ COMMAND_DIGESTS = {
         "4c400b40f652a93c7f49cf9228480684a8ef7352dc2a4bc2528bbece366db24f",
     "geometry span 3 2 --points 4 9":
         "3833f40a78f74db6e8947f3fd2315b40840b306ac4c71b32e39e0b85df4ef2e9",
+    "geometry span 3 3 --points 1,7,22":
+        "648a78f674afed83db9948ae80823bfa3110f59d06a9d382c2a7b31673a762e4",
+    "geometry span 5 2 --points 2,13":
+        "9ac01c883f74b8b3d2e7110664b57d24b8a1e0a0e190d82186f016b8cd2d656e",
+    "geometry subspaces 2 2":
+        "dd15d2cdb3f107c691683c15f558be6e077ee1447d9190a70f75983a07713299",
+    "geometry subspaces 2 2 --format dot":
+        "3702ae9405e337c812d33161ff644dc2f82827177653f1be06b41efbc13febb8",
+    "geometry subspaces 2 3":
+        "78030511dd80261acd8f0bb307906d97db658cf1b0318359a4fdf01c910ede08",
+    "geometry subspaces 3 2":
+        "b431a3d117d14ad1293690f3eccc20791b9fbfc6edebf3eb8bab4801ce35a965",
     "group jordan d6":
         "5123e32a950626d7d40e60105b7045e3e65676c0bf74eadee56574067535128a",
     "group jordan fano":
