@@ -5,8 +5,7 @@ stabilizer chains. As G_S = G_F for the closed set F = fix(G_S), pointwise
 stabilizers live in a tower keyed by point mask: G under 0, and G_{F+x}
 under F | {x} for each closed F reached and point x outside it. Each is a
 level of an existing chain conjugated by a known permutation, so a fresh
-chain is built only when x lies outside that level's basic orbit. Orbit
-counts on k-tuple spaces go through the array kernels.
+chain is built only when x lies outside that level's basic orbit.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from ._chain import StabilizerChain, compose
 from .errors import CapacityError, PreconditionError, ValidationError
 from .exhaustive import enumerate_elements
@@ -76,18 +74,6 @@ def _point_orbits(mask: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
         out.append(orbit)
         mask &= ~orbit
     return out
-
-
-def _tuple_orbit_labels(gens: Sequence[tuple[int, ...]], n: int, k: int,
-                        cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_kernels.tuple_orbit_labels`` over the g distinct generators in
-    gens, raising before its g x n^k image tables would pass ``cap``."""
-    perms = np.unique(np.array(gens, dtype=np.int64).reshape(-1, n), axis=0)
-    if max(len(perms), 1) * n**k > cap:
-        raise CapacityError(
-            f"tuple tables {len(perms)} x {n}^{k} exceed cap {cap}",
-            cap_name="tuple_space")
-    return _kernels.tuple_orbit_labels(perms, k)
 
 
 def _stab_record(chain: StabilizerChain, level: int, w: tuple,
@@ -246,9 +232,8 @@ class PermutationGroup:
                 and all(other.contains(g) for g in self.generators))
 
     def orbit(self, x: int) -> tuple[int, ...]:
-        if not (0 <= x < self.degree):
-            raise ValidationError(f"point {x} out of range 0..{self.degree - 1}")
-        return points_from_mask(_point_orbits(1 << x, self._gen_tuples)[0])
+        mask = mask_from_points([x], self.degree)
+        return points_from_mask(_point_orbits(mask, self._gen_tuples)[0])
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         full = (1 << self.degree) - 1
@@ -264,31 +249,21 @@ class PermutationGroup:
         group._order = rec.order
         return group
 
-    # -- orbit counting on tuple spaces ---------------------------------------
-
-    def tuple_orbit_count(self, k: int) -> int:
-        """Number of orbits on k-tuples of pairwise distinct points."""
-        n = self.degree
-        if k < 1:
-            raise ValidationError("tuple length must be positive")
-        if k > n:
-            return 0
-        if k == 1:
-            return len(self.orbits())
-        labels, active = _tuple_orbit_labels(self._gen_tuples, n, k,
-                                             TUPLE_SPACE_CAP)
-        return int(_kernels.sorted_unique(labels[active]).size)
-
     def transitivity_degree(self, k_max: int) -> int:
-        """Largest k <= k_max with a single orbit on distinct k-tuples."""
+        """Largest k <= k_max with a single orbit on distinct k-tuples.
+
+        G is k-transitive iff, for every i < k, the pointwise stabilizer of
+        the points 0..i-1 has one orbit on the other points.
+        """
         if k_max < 1:
             raise ValidationError("k_max must be at least 1")
-        best = 0
-        for k in range(1, min(k_max, self.degree) + 1):
-            if self.tuple_orbit_count(k) != 1:
-                break
-            best = k
-        return best
+        full = (1 << self.degree) - 1
+        k = min(k_max, self.degree)
+        for i in range(k):
+            fixed = (1 << i) - 1
+            if _point_orbits(1 << i, self._stabilizer(fixed).gens)[0] != full & ~fixed:
+                return i
+        return k
 
     # -- primitivity -----------------------------------------------------------
 

@@ -193,11 +193,12 @@ class FiniteLattice:
 
 
 def _element(L: FiniteLattice, e: int) -> int:
-    """e as an element index of L; negative indices do not wrap."""
-    if not 0 <= e < L.size:
-        raise ValidationError(f"element {e} out of range for a lattice of "
+    """e as an element index of L: a plain int (not a bool or a float),
+    and negative indices do not wrap."""
+    if type(e) is not int or not 0 <= e < L.size:
+        raise ValidationError(f"element {e!r} out of range for a lattice of "
                               f"size {L.size}")
-    return int(e)
+    return e
 
 
 def _fold(L: FiniteLattice, table: np.ndarray, elements: Sequence[int],

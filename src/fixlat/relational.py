@@ -24,8 +24,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError
-from .group import TUPLE_SPACE_CAP, PermutationGroup, _tuple_orbit_labels
+from .errors import CapacityError, ValidationError
+from .group import TUPLE_SPACE_CAP, PermutationGroup
 from .perm import points_from_mask
 
 ARITY_CAP = 4
@@ -129,13 +129,20 @@ def canonical_structure(G: PermutationGroup, max_arity: int = 3) -> RelationalSt
     if not (2 <= max_arity <= ARITY_CAP):
         raise ValidationError(f"max_arity must lie in 2..{ARITY_CAP}")
     n = G.degree
+    perms = np.unique(np.array(G._gen_tuples, dtype=np.int64).reshape(-1, n),
+                      axis=0)
     relations: dict[int, tuple[np.ndarray, ...]] = {}
     for arity in range(2, max_arity + 1):
         if arity > n:
             relations[arity] = ()
             continue
-        labels, active = _tuple_orbit_labels(G._gen_tuples, n, arity,
-                                             TUPLE_SPACE_CAP)
+        # the g x n^arity image tables of the distinct generators are
+        # checked against the cap before they are allocated
+        if max(len(perms), 1) * n**arity > TUPLE_SPACE_CAP:
+            raise CapacityError(
+                f"tuple tables {len(perms)} x {n}^{arity} exceed cap "
+                f"{TUPLE_SPACE_CAP}", cap_name="tuple_space")
+        labels, active = _kernels.tuple_orbit_labels(perms, arity)
         codes = np.flatnonzero(active)
         labels = labels[codes]
         # a stable sort by orbit keeps each orbit's codes ascending, and the

@@ -17,9 +17,9 @@ from .closure import LATTICE_CAP, enumerate_fixset_lattice
 from .errors import (CapacityError, InternalConsistencyError,
                      PreconditionError, ValidationError)
 from .geometry import is_prime, projective_points, span_closure
-from .group import TUPLE_SPACE_CAP, PermutationGroup
+from .group import TUPLE_SPACE_CAP, PermutationGroup, _point_orbits
 from .lattice import family_bijections
-from .perm import mask_from_points
+from .perm import mask_from_points, points_from_mask
 
 VERIFY_POINT_CAP = 64
 
@@ -281,13 +281,13 @@ def jordan_report(G: PermutationGroup, k_max: int = 5,
                   lattice_cap: int = LATTICE_CAP) -> JordanReport:
     lattice = enumerate_fixset_lattice(G, cap=lattice_cap)
     entries = []
-    domain = set(range(G.degree))
+    full = (1 << G.degree) - 1
     for pts in lattice.elements:
         if not pts or len(pts) == G.degree:
             continue
-        H = G.pointwise_stabilizer(pts)
-        complement = domain - set(pts)
-        orbits = tuple(o for o in H.orbits() if o[0] in complement)
+        mask = mask_from_points(pts, G.degree)
+        orbits = tuple(map(points_from_mask, _point_orbits(
+            full & ~mask, G._stabilizer(mask).gens)))
         entries.append(JordanEntry(
             fixset=pts,
             complement_orbit_count=len(orbits),

@@ -7,7 +7,7 @@ on a larger input; at exactly that size the call goes through.
 
 import pytest
 
-from fixlat import closure, exhaustive, geometry, group, relational
+from fixlat import closure, exhaustive, geometry, relational
 from fixlat import serialize, steiner
 from fixlat.cli import main
 from fixlat.errors import CapacityError
@@ -25,14 +25,6 @@ def fano_system():
 
 # (module, constant, default, size needed, inputs, call, error, cap name)
 CASES = {
-    "tuple_orbit_count": (
-        group, "TUPLE_SPACE_CAP", 5_000_000, 2 * 5**3,
-        lambda: PermutationGroup.symmetric(5),
-        lambda G: G.tuple_orbit_count(3), CapacityError, "tuple_space"),
-    "transitivity_degree": (
-        group, "TUPLE_SPACE_CAP", 5_000_000, 2 * 5**3,
-        lambda: PermutationGroup.symmetric(5),
-        lambda G: G.transitivity_degree(3), CapacityError, "tuple_space"),
     "elements_array": (
         exhaustive, "ORDER_CAP", 1_000_000, 168, fano,
         lambda G: G.elements_array(), CapacityError, "order"),
@@ -92,9 +84,7 @@ def test_cap_constant_fires_at_its_bound(monkeypatch, name):
 def test_duplicate_generators_count_once_against_the_tuple_cap(monkeypatch):
     cycle = PermutationGroup.cyclic(5).generators[0]
     G = PermutationGroup(5, [cycle] * 60)
-    monkeypatch.setattr(group, "TUPLE_SPACE_CAP", 5**3)
     monkeypatch.setattr(relational, "TUPLE_SPACE_CAP", 5**3)
-    assert G.tuple_orbit_count(3) == 12
     assert len(relational.canonical_structure(G, 3).relations[3]) == 12
 
 

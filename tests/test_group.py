@@ -86,6 +86,10 @@ def test_orbit_examples(d6):
 def test_orbit_range_check(sym4):
     with pytest.raises(ValidationError):
         sym4.orbit(4)
+    # a float is not a point, and True is not point 1
+    for x in (1.0, True):
+        with pytest.raises(ValidationError, match="out of range"):
+            sym4.orbit(x)
 
 
 def test_orbits_partition(sym4):
@@ -174,10 +178,22 @@ def test_transitivity_degree_intransitive():
 
 
 def test_tuple_orbit_counts_match_burnside(fano_group, pgl25, d6):
-    for G in (fano_group, pgl25, d6):
+    # k-transitive exactly when the orbit-counting lemma finds one orbit
+    # on distinct k-tuples
+    intransitive = group_from_generators(5, ["(0 1 2)", "(3 4)"])
+    for G in (fano_group, pgl25, d6, PermutationGroup.symmetric(5),
+              PermutationGroup.alternating(6), intransitive):
         table = G.elements_array()
-        for k in (2, 3):
-            assert G.tuple_orbit_count(k) == exhaustive.tuple_orbit_count(table, k)
+        for k in range(1, G.degree + 1):
+            assert ((G.transitivity_degree(k) == k)
+                    == (exhaustive.tuple_orbit_count(table, k) == 1))
+
+
+def test_transitivity_degree_beyond_the_tuple_tables():
+    # 30^5 five-tuple codes per generator: the stabilizer tower answers
+    # from five orbit computations
+    assert PermutationGroup.symmetric(30).transitivity_degree(5) == 5
+    assert PermutationGroup.alternating(30).transitivity_degree(30) == 28
 
 
 def test_primitivity():

@@ -265,9 +265,10 @@ def test_lower_cone():
     assert lower_cone(c3, 2) == (0, 1, 2)
 
 
-@pytest.mark.parametrize("element", [-1, 5, np.int64(-5)])
+@pytest.mark.parametrize("element", [-1, 5, np.int64(-5), 1.5, True, np.int64(1)])
 def test_element_indices_are_checked(element):
-    # negative indices do not wrap around to the top
+    # negative indices do not wrap around to the top, floats are not
+    # truncated, and only plain ints are indices (True is not 1)
     m3 = diamond_lattice(3)
     for call in (lambda: meet(m3, [element, 1]), lambda: join(m3, [1, element]),
                  lambda: meet(m3, [element]), lambda: lower_cone(m3, element)):

@@ -182,6 +182,15 @@ def test_cli_group_transitivity(capsys, group_file, d6):
     assert result == {"k_max": 3, "transitivity_degree": d6.transitivity_degree(3)}
 
 
+def test_cli_group_transitivity_of_sym30(capsys, tmp_path):
+    # the tuple-table route exited 3 here: 2 x 30^5 codes pass its cap
+    path = tmp_path / "sym30.json"
+    path.write_text(serialize.canonical_json(serialize.group_to_obj(
+        GroupAction.unlabeled(PermutationGroup.symmetric(30)))))
+    result = cli_result(capsys, "group", "transitivity", "--in", str(path))
+    assert result == {"k_max": 5, "transitivity_degree": 5}
+
+
 def test_cli_group_primitivity(capsys, group_file, d6):
     result = cli_result(capsys, "group", "primitivity", "--in", group_file)
     res = d6.primitivity()

@@ -3,12 +3,15 @@ from math import comb
 
 import pytest
 
+from fixlat import _kernels, exhaustive, group
 from fixlat._chain import StabilizerChain
+from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import (InternalConsistencyError, PreconditionError,
                            ValidationError)
 from fixlat.geometry import pgl_generators
 from fixlat.group import PermutationGroup, group_from_generators
-from fixlat.steiner import (SteinerSystem, blocks_pointwise_stabilized,
+from fixlat.steiner import (JordanEntry, SteinerSystem,
+                            blocks_pointwise_stabilized,
                             counting_identity_holds, derivation, jordan_report,
                             make_system, steiner_automorphism_check,
                             steiner_from_affine, steiner_from_affine_planes,
@@ -199,6 +202,55 @@ def test_jordan_report_reuses_stabilizer_chains(monkeypatch):
     rep = jordan_report(pgl_generators(5, 2))
     assert len(rep.entries) == 5177 and not rep.all_jordan
     assert len(builds) <= 600
+
+
+def reference_jordan_entries(G):
+    """Jordan entries from a PermutationGroup per fixset and its orbits."""
+    entries = []
+    for pts in enumerate_fixset_lattice(G).elements:
+        if not pts or len(pts) == G.degree:
+            continue
+        orbits = tuple(o for o in G.pointwise_stabilizer(pts).orbits()
+                       if o[0] not in pts)
+        entries.append(JordanEntry(pts, len(orbits), len(orbits) == 1, orbits))
+    return tuple(entries)
+
+
+def sym5_times_sym3():
+    return group_from_generators(8, ["(0 1)", "(0 1 2 3 4)", "(5 6)", "(5 6 7)"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PermutationGroup.dihedral(6), lambda: pgl_generators(2, 2),
+    lambda: pgl_generators(5, 1), lambda: pgl_generators(3, 2),
+    sym5_times_sym3], ids=["D6", "PGL(3,2)", "PGL(2,5)", "PGL(3,3)", "S5xS3"])
+def test_jordan_report_matches_stabilizer_groups(make):
+    G = make()
+    rep = jordan_report(G)
+    reference = reference_jordan_entries(make())
+    assert len(rep.entries) == len(reference)
+    for got, want in zip(rep.entries, reference):
+        assert got.fixset == want.fixset
+        assert got.complement_orbit_count == want.complement_orbit_count
+        assert got.jordan == want.jordan
+        assert got.complement_orbits == want.complement_orbits
+    assert rep.all_jordan == all(e.jordan for e in reference)
+    table = G.elements_array()
+    assert rep.transitivity_degree == max(
+        [0] + [k for k in range(1, min(5, G.degree) + 1)
+               if exhaustive.tuple_orbit_count(table, k) == 1])
+
+
+def test_transitivity_and_jordan_never_label_tuples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tuple-orbit labelling called")
+
+    assert not hasattr(group, "_kernels")
+    monkeypatch.setattr(_kernels, "tuple_orbit_labels", refuse)
+    assert PermutationGroup.symmetric(8).transitivity_degree(5) == 5
+    assert pgl_generators(3, 2).transitivity_degree(5) == 2
+    assert not jordan_report(pgl_generators(3, 2)).all_jordan
+    assert jordan_report(sym5_times_sym3()).transitivity_degree == 0
 
 
 def test_jordan_report_hexagon(d6):
