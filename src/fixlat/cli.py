@@ -36,6 +36,13 @@ def _parse_points(text: str) -> list[int]:
         raise ValidationError(f"bad point list {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -309,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument("--format", default="json", choices=["json", "dot"])
-    common.add_argument("--cap-lattice", type=int, default=closure.LATTICE_CAP)
+    common.add_argument("--cap-lattice", type=_positive_int,
+                        default=closure.LATTICE_CAP)
     common.add_argument("--arity", type=int, default=3)
     common.add_argument("--seed", type=int, default=0)
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
+import numpy as np
+
 from .errors import CapacityError, InternalConsistencyError, PreconditionError
 from .group import PermutationGroup, _fixed_mask, _point_orbits
 from .lattice import LATTICE_CAP, FiniteLattice, containment_order, order_covers
@@ -27,10 +29,6 @@ class FixSet:
     group: PermutationGroup
     points: tuple[int, ...]
 
-    @property
-    def mask(self) -> int:
-        return mask_from_points(self.points, self.group.degree)
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -40,7 +38,7 @@ class FixSet:
 
 def _as_mask(G: PermutationGroup, pts: PointsLike) -> int:
     if isinstance(pts, FixSet):
-        return pts.mask
+        pts = pts.points
     return mask_from_points(pts, G.degree)
 
 
@@ -226,6 +224,33 @@ def enumerate_fixset_lattice(G: PermutationGroup,
         return closure_mask(G, mask), G._stabilizer(mask).gens
 
     return closed_set_lattice(G.degree, close, cap)
+
+
+def closure_table(G: PermutationGroup) -> list[int]:
+    """The closure of every point mask 0..2^n - 1, in order.
+
+    Closed sets are closed under intersection, so the closure of S is the
+    intersection of the closed sets containing it. With a[m] = m on the
+    closed masks and the full mask elsewhere, one pass per bit b sets
+    a[m] &= a[m | 1 << b] for every m without b; after the passes for bits
+    0..b, a[m] is the intersection of the closed supersets of m that differ
+    from it only in those bits (a superset-zeta sweep with AND as the sum).
+    The closed sets come from ``enumerate_fixset_lattice``, so the tower is
+    walked once per orbit extension rather than once per mask. The 2^n
+    table is checked against ``LATTICE_CAP`` before it is allocated.
+    """
+    size = 1 << G.degree
+    if size > LATTICE_CAP:
+        raise CapacityError(
+            f"closure table of 2^{G.degree} masks exceeds cap {LATTICE_CAP}",
+            cap_name="lattice")
+    closed = np.array(enumerate_fixset_lattice(G, cap=size).masks(), dtype=np.int64)
+    a = np.full(size, size - 1, dtype=np.int64)
+    a[closed] = closed
+    for b in range(G.degree):
+        pairs = a.reshape(-1, 2, 1 << b)
+        pairs[:, 0] &= pairs[:, 1]
+    return a.tolist()
 
 
 @dataclass(frozen=True)

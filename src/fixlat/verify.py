@@ -256,10 +256,11 @@ def check_dcl_vs_span(_inject=None) -> dict:
     S = relational.canonical_structure(G, 3)
     masks = list(range(1 << 7))
     all_agree = True
-    for mask, dcl in zip(masks, relational.relational_dcl(S, masks)):
+    for mask, dcl, fix in zip(masks, relational.relational_dcl(S, masks),
+                              closure.closure_table(G)):
         pts = points_from_mask(mask)
         d = points_from_mask(dcl)
-        f = closure.fixset_closure(G, pts).points
+        f = points_from_mask(fix)
         s = geometry.span_closure(space, pts)
         if not (d == f == s):
             all_agree = False

@@ -65,6 +65,9 @@ CASES = {
     "galois_report": (
         closure, "LATTICE_CAP", 200_000, 16, fano,
         closure.galois_report, CapacityError, "lattice"),
+    "closure_table": (
+        closure, "LATTICE_CAP", 200_000, 1 << 7, fano,
+        closure.closure_table, CapacityError, "lattice"),
 }
 
 

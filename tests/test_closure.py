@@ -12,7 +12,7 @@ from fixlat.closure import (FixsetLattice, closed_set_lattice,
                             enumerate_fixset_lattice, fix_join, fix_meet,
                             fixed_points, fixset_closure, galois_report,
                             is_fixset)
-from fixlat.errors import CapacityError, PreconditionError
+from fixlat.errors import CapacityError, PreconditionError, ValidationError
 from fixlat.geometry import gaussian_binomial, pgl_generators, subspace_lattice
 from fixlat.group import PermutationGroup, group_from_generators
 from fixlat.perm import points_from_mask
@@ -107,6 +107,19 @@ def test_meet_join_reject_non_fixsets(fano_group):
         fix_meet(fano_group, (0, 1), (0, 3))
     with pytest.raises(PreconditionError):
         fix_join(fano_group, (0, 1), (0, 3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda G, a: fixset_closure(G, a),
+    lambda G, a: is_fixset(G, a),
+    lambda G, a: fix_meet(G, a, (0, 1, 2)),
+    lambda G, a: fix_join(G, (0, 1, 2), a),
+], ids=["fixset_closure", "is_fixset", "fix_meet", "fix_join"])
+def test_fixset_of_a_larger_group_is_checked_against_the_degree(call):
+    # a FixSet carries its own group; its points must still fit this one
+    outside = fixset_closure(PermutationGroup.symmetric(6), [4, 5])
+    with pytest.raises(ValidationError):
+        call(PermutationGroup.symmetric(3), outside)
 
 
 def test_join_contains_union_and_detects_closed_unions(fano_group):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixlat import _kernels, relational
-from fixlat.closure import fixset_closure
+from fixlat import _kernels, closure, relational
+from fixlat.closure import closure_mask, closure_table, fixset_closure
 from fixlat.errors import ValidationError
 from fixlat.exhaustive import relational_closure
 from fixlat.geometry import pgl_generators
@@ -329,6 +329,48 @@ def test_report_matches_per_subset_reference(G, max_arity):
     assert rep.sufficient_arity == next((a for a in agrees if agrees[a]), None)
     assert rep.sound == all(set(d["dcl"]) <= set(d["fixset"])
                             for d in disagreements)
+
+
+def assert_table_matches_tower_walks(G):
+    fresh = PermutationGroup(G.degree, G.generators)
+    assert closure_table(G) == [closure_mask(fresh, m) for m in range(1 << G.degree)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(small_groups())
+def test_closure_table_matches_closure_mask_on_small_groups(G):
+    assert_table_matches_tower_walks(G)
+
+
+def blocks_of(size, count):
+    """Sym(size) on each of count consecutive blocks of points."""
+    cycles = []
+    for b in range(0, size * count, size):
+        cycles += [f"({b} {b + 1})", "(" + " ".join(map(str, range(b, b + size))) + ")"]
+    return PermutationGroup.from_cycles(size * count, cycles)
+
+
+@pytest.mark.parametrize("G", [
+    PermutationGroup.trivial(12), PermutationGroup.cyclic(12),
+    PermutationGroup.dihedral(12), blocks_of(3, 4), blocks_of(2, 6),
+    PermutationGroup.from_cycles(12, ["(0 1)", "(0 1 2)"]),
+], ids=["trivial12", "C12", "D12", "Sym3^4", "Sym2^6", "Sym3+9fixed"])
+def test_closure_table_matches_closure_mask_on_twelve_points(G):
+    assert_table_matches_tower_walks(G)
+
+
+def test_exhaustive_report_walks_the_tower_once_per_closed_extension(monkeypatch):
+    calls = []
+    real = closure.closure_mask
+
+    def counted(G, mask):
+        calls.append(mask)
+        return real(G, mask)
+
+    monkeypatch.setattr(closure, "closure_mask", counted)
+    rep = dcl_vs_fixset_report(PermutationGroup.symmetric(8), 3)
+    assert rep.subsets_tested == 1 << 8
+    assert len(calls) < 1 << 8
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 1000])

@@ -779,6 +779,25 @@ def test_cli_reconstruct_capacity_exit_code(capsys, tmp_path):
     assert "capacity error (lattice)" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["group", "fixlattice", "--in"], ["group", "jordan", "--in"],
+    ["lattice", "reconstruct", "--in"], ["steiner", "build-pg"],
+    ["geometry", "subspaces"], ["verify"]])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cli_cap_lattice_below_one_is_a_usage_error(capsys, group_file, command,
+                                                    cap):
+    args = command + [group_file] * (command[-1] == "--in")
+    code, out, err = run_cli(capsys, *args, "--cap-lattice", cap)
+    assert code == 2 and out == ""
+    assert "--cap-lattice: must be at least 1" in err
+
+
+def test_cli_cap_lattice_of_one_still_parses(capsys, group_file):
+    code, _, err = run_cli(capsys, "group", "fixlattice", "--in", group_file,
+                           "--cap-lattice", "1")
+    assert code == 3 and "capacity error (lattice)" in err
+
+
 @pytest.mark.parametrize("size, code, message", [
     (10**9, 3, "capacity error (lattice)"),
     (0, 2, "error: bad lattice object"),
