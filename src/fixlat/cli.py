@@ -22,6 +22,7 @@ import time
 from . import __version__, closure, exhaustive, geometry, lattice, relational
 from . import serialize, steiner, verify as verify_mod
 from .errors import CapacityError, FixlatError, ValidationError
+from .perm import mask_from_points, points_from_mask
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -125,7 +126,7 @@ def cmd_group(args) -> int:
         _emit(args, f"group {sub}", result, dot=dot)
         return EXIT_OK
     elif sub == "jordan":
-        rep = steiner.jordan_report(G, lattice_cap=args.cap_lattice)
+        rep = steiner.jordan_report(G, args.k_max, lattice_cap=args.cap_lattice)
         witness = rep.first_witness()
         result = {
             "all_jordan": rep.all_jordan,
@@ -262,8 +263,8 @@ def cmd_geometry(args) -> int:
     elif sub == "span":
         space = geometry.projective_points(p, d)
         pts = _parse_points(args.points)
-        result = {"points": sorted(set(pts)),
-                  "span": list(geometry.span_closure(space, pts))}
+        span = geometry.span_closure(space, mask_from_points(pts, space.num_points))
+        result = {"points": sorted(set(pts)), "span": list(points_from_mask(span))}
     elif sub == "pgl":
         G = geometry.pgl_generators(p, d)
         result = {"degree": G.degree, "order": G.order(),

@@ -3,13 +3,15 @@
 Pointwise stabilization sends a point set S to the set of points fixed by
 every element of its stabilizer. That map is a closure operator; its
 closed sets ("fixsets") form a complete lattice in which meet is
-intersection and join is the closure of the union. Point sets travel as
-bit masks internally and as sorted tuples at the API.
+intersection and join is the closure of the union. The closure operators
+take and return point masks, and closed-set families store masks; sorted
+point tuples are made only for result fields and JSON.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -97,33 +99,27 @@ class FixsetLattice:
     """The closed sets of a closure operator on points, ordered by containment:
     the fixsets of an action, or the subspaces of a projective space.
 
-    Elements are sorted by (size, points); the first element is the
-    closure of the empty set and the last is the full domain.
+    The closed sets are point masks, sorted by (size, points); the first
+    is the closure of the empty set and the last is the full domain.
+    ``elements`` lists them as sorted point tuples.
     """
 
     degree: int
-    elements: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.masks)
 
-    @property
-    def bottom(self) -> tuple[int, ...]:
-        return self.elements[0]
-
-    @property
-    def top(self) -> tuple[int, ...]:
-        return self.elements[-1]
-
-    def masks(self) -> list[int]:
-        return [mask_from_points(p, self.degree) for p in self.elements]
+    @cached_property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(points_from_mask, self.masks))
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j) where element j covers element i."""
-        return order_covers(containment_order(self.masks(), self.degree))
+        return order_covers(containment_order(self.masks, self.degree))
 
     def to_finite_lattice(self) -> FiniteLattice:
-        return FiniteLattice(containment_order(self.masks(), self.degree),
+        return FiniteLattice(containment_order(self.masks, self.degree),
                              labels=self.elements)
 
 
@@ -185,8 +181,9 @@ def closed_set_lattice(degree: int, close: Callable[[int], tuple[int, tuple]],
     every closed set C: the bottom lies inside C, and for a set A in F
     strictly inside C and any y in C but not in A, close(A | {y}) lies
     strictly above A and inside C and is in F; so a largest set of F
-    inside C is C itself. Elements are sorted by (size, points), so the
-    numbering does not depend on discovery order.
+    inside C is C itself. The masks are sorted by (size, points), so the
+    numbering does not depend on discovery order; among sets of one size,
+    that is descending order of the binary digits read from point 0 up.
 
     Raises ``CapacityError`` before an orbit that would take the family
     past ``cap`` sets is added.
@@ -211,8 +208,10 @@ def closed_set_lattice(degree: int, close: Callable[[int], tuple[int, tuple]],
             c, c_gens = close(a | (orbit & -orbit))
             if c not in found:
                 keep(c, c_gens)
-    elements = sorted(map(points_from_mask, found), key=lambda e: (len(e), e))
-    return FixsetLattice(degree, tuple(elements))
+    bits = f"0{degree}b"
+    masks = sorted(found, key=lambda m: format(m, bits)[::-1], reverse=True)
+    masks.sort(key=int.bit_count)
+    return FixsetLattice(degree, tuple(masks))
 
 
 def enumerate_fixset_lattice(G: PermutationGroup,
@@ -244,7 +243,7 @@ def closure_table(G: PermutationGroup) -> list[int]:
         raise CapacityError(
             f"closure table of 2^{G.degree} masks exceeds cap {LATTICE_CAP}",
             cap_name="lattice")
-    closed = np.array(enumerate_fixset_lattice(G, cap=size).masks(), dtype=np.int64)
+    closed = np.array(enumerate_fixset_lattice(G, cap=size).masks, dtype=np.int64)
     a = np.full(size, size - 1, dtype=np.int64)
     a[closed] = closed
     for b in range(G.degree):
@@ -277,7 +276,7 @@ def galois_report(G: PermutationGroup,
     """
     if lattice is None:
         lattice = enumerate_fixset_lattice(G, cap=LATTICE_CAP)
-    masks = lattice.masks()
+    masks = lattice.masks
     mask_set = set(masks)
     stabs = [G.pointwise_stabilizer(pts) for pts in lattice.elements]
 

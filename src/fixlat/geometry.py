@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable
 
 from .closure import LATTICE_CAP, closed_set_lattice, enumerate_fixset_lattice
 from .errors import CapacityError, InternalConsistencyError, ValidationError
 from .group import PermutationGroup
 from .lattice import FiniteLattice
-from .perm import Permutation, mask_from_points, points_from_mask
+from .perm import Permutation, check_mask, points_from_mask
 
 POINT_CAP = 100_000
 
@@ -111,13 +110,13 @@ def projective_points(p: int, d: int) -> ProjectiveSpace:
     return ProjectiveSpace(p, d, tuple(pts))
 
 
-def span_closure(space: ProjectiveSpace, points: Iterable[int]) -> tuple[int, ...]:
-    """All points in the projective subspace spanned by the given ones.
+def span_closure(space: ProjectiveSpace, mask: int) -> int:
+    """Mask of the projective subspace spanned by the points of a mask.
 
     Points join one at a time: a subspace A grows by x to A, x and the
     lines from x to A, since every [αa + βx] lies on the line through a, x.
     """
-    todo = mask_from_points(points, space.num_points)
+    todo = check_mask(mask, space.num_points)
     span = 0
     while todo:
         x = (todo & -todo).bit_length() - 1
@@ -125,7 +124,7 @@ def span_closure(space: ProjectiveSpace, points: Iterable[int]) -> tuple[int, ..
             span |= space.line_mask(a, x)
         span |= 1 << x
         todo &= ~span
-    return points_from_mask(span)
+    return span
 
 
 def pgl_order(p: int, d: int) -> int:
@@ -206,12 +205,9 @@ def subspace_lattice(p: int, d: int, cap: int = LATTICE_CAP) -> FiniteLattice:
     labels are the subspaces as sorted point tuples.
     """
     space = projective_points(p, d)
-    n = space.num_points
-
-    def span_mask(mask: int) -> tuple[int, tuple]:
-        return mask_from_points(span_closure(space, points_from_mask(mask)), n), ()
-
-    return closed_set_lattice(n, span_mask, cap).to_finite_lattice()
+    return closed_set_lattice(space.num_points,
+                              lambda mask: (span_closure(space, mask), ()),
+                              cap).to_finite_lattice()
 
 
 def oracle_iso_check(p: int, d: int, cap: int = LATTICE_CAP) -> bool:

@@ -479,7 +479,7 @@ class ReconstructionResult:
 
 
 def reconstruct(L: FiniteLattice, cap: int = LATTICE_CAP) -> ReconstructionResult:
-    from .closure import enumerate_fixset_lattice, fixset_closure
+    from .closure import closure_mask, enumerate_fixset_lattice
 
     if not is_atomistic(L):
         raise PreconditionError("reconstruction requires an atomistic lattice")
@@ -499,18 +499,18 @@ def reconstruct(L: FiniteLattice, cap: int = LATTICE_CAP) -> ReconstructionResul
     atom_group = PermutationGroup(len(ats), atom_gens)
     action = GroupAction(atom_group, tuple(str(a) for a in ats))
     fl = enumerate_fixset_lattice(atom_group, cap=cap)
-    embedding = []
-    for l in range(L.size):
-        below = tuple(pos[a] for a in ats if L.leq[a, l])
-        embedding.append(fixset_closure(atom_group, below).points)
-    embedding = tuple(embedding)
-    image = set(embedding)
+    closed = [closure_mask(atom_group, sum(1 << i for i, a in enumerate(ats)
+                                           if L.leq[a, l]))
+              for l in range(L.size)]
+    image = set(closed)
     if len(image) != L.size:
         # for an atomistic lattice, separated cone stabilizers in the element
         # action are the same thing as an injective atom-action embedding
         raise InternalConsistencyError(
             "embedding is not injective despite separation")
     closure_trivial = len(image) == len(fl)
+    elements = dict(zip(fl.masks, fl.elements))
+    embedding = tuple(elements[m] for m in closed)
     return ReconstructionResult(
         atom_action=action,
         fixset_lattice=fl,

@@ -139,6 +139,14 @@ def mask_from_points(points: Iterable[int], degree: int) -> int:
     return mask
 
 
+def check_mask(mask: int, degree: int) -> int:
+    """The mask, if it is a plain int (not a bool) in 0..2**degree - 1."""
+    if type(mask) is not int or mask < 0 or mask >> degree:
+        raise ValidationError(
+            f"mask {mask!r} out of range: need an int in 0..2**{degree} - 1")
+    return mask
+
+
 def points_from_mask(mask: int) -> tuple[int, ...]:
     out = []
     while mask:

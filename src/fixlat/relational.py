@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .errors import CapacityError, ValidationError
 from .group import TUPLE_SPACE_CAP, PermutationGroup
-from .perm import points_from_mask
+from .perm import check_mask, points_from_mask
 
 ARITY_CAP = 4
 EXHAUSTIVE_SUBSET_LIMIT = 12
@@ -168,11 +168,7 @@ def relational_dcl(S: RelationalStructure, masks: Iterable[int],
     """
     params, values = S.completion_table(arity_limit)
     n = S.degree
-    masks = list(masks)
-    for mask in masks:
-        if type(mask) is not int or mask < 0 or mask >> n:
-            raise ValidationError(
-                f"mask {mask!r} out of range: need an int in 0..2**{n} - 1")
+    masks = [check_mask(mask, n) for mask in masks]
     if not params.shape[0]:
         return masks
     member = _mask_rows(masks, n)

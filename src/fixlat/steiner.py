@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from .closure import LATTICE_CAP, enumerate_fixset_lattice
 from .errors import (CapacityError, InternalConsistencyError,
                      PreconditionError, ValidationError)
-from .geometry import is_prime, projective_points, span_closure
+from .geometry import is_prime, projective_point_count, projective_points
 from .group import TUPLE_SPACE_CAP, PermutationGroup, _point_orbits
 from .lattice import family_bijections
 from .perm import mask_from_points, points_from_mask
@@ -104,9 +104,12 @@ def steiner_from_projective(q: int, d: int) -> SteinerSystem:
     if d < 2:
         raise ValidationError("need projective dimension at least 2")
     space = projective_points(q, d)
-    lines = {span_closure(space, pair)
-             for pair in combinations(range(space.num_points), 2)}
-    return make_system(2, space.num_points, lines)
+    n = space.num_points
+    if comb(n, 2) > TUPLE_SPACE_CAP:
+        raise CapacityError(f"{comb(n, 2)} point pairs exceed cap "
+                            f"{TUPLE_SPACE_CAP}", cap_name="tuple_space")
+    lines = {space.line_mask(a, b) for a, b in combinations(range(n), 2)}
+    return make_system(2, n, map(points_from_mask, lines))
 
 
 def _affine_points(q: int, d: int) -> list[tuple[int, ...]]:
@@ -122,6 +125,10 @@ def steiner_from_affine(q: int, d: int) -> SteinerSystem:
                               "blocks must be larger than 2")
     if d < 2:
         raise ValidationError("need affine dimension at least 2")
+    pairs = q**d * projective_point_count(q, d - 1)
+    if pairs > TUPLE_SPACE_CAP:
+        raise CapacityError(f"{pairs} base-direction pairs exceed cap "
+                            f"{TUPLE_SPACE_CAP}", cap_name="tuple_space")
     pts = _affine_points(q, d)
     idx = {v: i for i, v in enumerate(pts)}
     # a direction is a point of PG(d-1, q): first nonzero coordinate 1
@@ -282,14 +289,13 @@ def jordan_report(G: PermutationGroup, k_max: int = 5,
     lattice = enumerate_fixset_lattice(G, cap=lattice_cap)
     entries = []
     full = (1 << G.degree) - 1
-    for pts in lattice.elements:
-        if not pts or len(pts) == G.degree:
+    for mask in lattice.masks:
+        if not mask or mask == full:
             continue
-        mask = mask_from_points(pts, G.degree)
         orbits = tuple(map(points_from_mask, _point_orbits(
             full & ~mask, G._stabilizer(mask).gens)))
         entries.append(JordanEntry(
-            fixset=pts,
+            fixset=points_from_mask(mask),
             complement_orbit_count=len(orbits),
             jordan=len(orbits) == 1,
             complement_orbits=orbits,

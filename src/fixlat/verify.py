@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import closure, exhaustive, geometry, lattice, relational, steiner
+from .errors import ValidationError
 from .group import PermutationGroup
 from .perm import points_from_mask
 
@@ -72,15 +73,10 @@ def check_fano_meet_join(_inject=None) -> dict:
         if index[j] != lattice.join(sl, [index[ea], index[eb]]):
             ok_pairs = False
     for combo in combinations(range(len(fl)), 3):
-        pts = [fl.elements[i] for i in combo]
-        meet_pts = tuple(sorted(set(pts[0]) & set(pts[1]) & set(pts[2])))
-        join_mask = 0
-        for p in pts:
-            for x in p:
-                join_mask |= 1 << x
-        join_pts = closure.fixset_closure(G, [x for x in range(7)
-                                              if join_mask >> x & 1]).points
-        idxs = [index[p] for p in pts]
+        a, b, c = (fl.masks[i] for i in combo)
+        meet_pts = points_from_mask(a & b & c)
+        join_pts = points_from_mask(closure.closure_mask(G, a | b | c))
+        idxs = [index[fl.elements[i]] for i in combo]
         if index.get(meet_pts) != lattice.meet(sl, idxs):
             ok_triples = False
         if index.get(join_pts) != lattice.join(sl, idxs):
@@ -255,16 +251,9 @@ def check_dcl_vs_span(_inject=None) -> dict:
     space = geometry.projective_points(2, 2)
     S = relational.canonical_structure(G, 3)
     masks = list(range(1 << 7))
-    all_agree = True
-    for mask, dcl, fix in zip(masks, relational.relational_dcl(S, masks),
-                              closure.closure_table(G)):
-        pts = points_from_mask(mask)
-        d = points_from_mask(dcl)
-        f = points_from_mask(fix)
-        s = geometry.span_closure(space, pts)
-        if not (d == f == s):
-            all_agree = False
-            break
+    dcl = relational.relational_dcl(S, masks)
+    all_agree = all(d == f == geometry.span_closure(space, m)
+                    for m, d, f in zip(masks, dcl, closure.closure_table(G)))
     passed, detail = _subchecks([
         ("relational = fixset = span on all 128 subsets", all_agree),
     ])
@@ -357,12 +346,15 @@ CHECKS: list[tuple[str, Callable]] = [
 
 def run_checks(only: Optional[str] = None, fail_fast: bool = False,
                inject: Optional[str] = None) -> tuple[dict, list[float]]:
-    """Run the pipeline; ``only`` substring-filters check names.
+    """Run the pipeline; ``only`` substring-filters check names and must
+    match one, or ``ValidationError`` is raised.
 
     Returns the summary, which holds no timings and so is the same on
     every run, and each check's wall time in seconds, rounded to ms, in
     the summary's check order.
     """
+    if only is not None and not any(only in name for name, _ in CHECKS):
+        raise ValidationError(f"--only {only!r} matches no check")
     runs = []
     for name, fn in CHECKS:
         if only is not None and only not in name:

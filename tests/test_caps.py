@@ -62,6 +62,14 @@ CASES = {
         steiner, "VERIFY_POINT_CAP", 64, 7, fano_system,
         lambda s: steiner.steiner_isomorphism(s, s), CapacityError,
         "steiner_points"),
+    "steiner_from_projective": (
+        steiner, "TUPLE_SPACE_CAP", 5_000_000, 21, lambda: (2, 2),
+        lambda qd: steiner.steiner_from_projective(*qd), CapacityError,
+        "tuple_space"),
+    "steiner_from_affine": (
+        steiner, "TUPLE_SPACE_CAP", 5_000_000, 9 * 4, lambda: (3, 2),
+        lambda qd: steiner.steiner_from_affine(*qd), CapacityError,
+        "tuple_space"),
     "galois_report": (
         closure, "LATTICE_CAP", 200_000, 16, fano,
         closure.galois_report, CapacityError, "lattice"),
@@ -96,6 +104,17 @@ def test_brute_lattice_cap_default_bound():
     with pytest.raises(CapacityError) as info:
         exhaustive.lattice_automorphism_count(chain_lattice(11).leq)
     assert info.value.cap_name == "brute_lattice"
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["build-pg", "-q", "2", "-d", "11"], "8382465 point pairs"),
+    (["build-ag", "-q", "3", "-d", "8"], "21520080 base-direction pairs"),
+])
+def test_steiner_builds_exit_3_past_the_tuple_cap(capsys, argv, count):
+    assert main(["steiner", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"capacity error (tuple_space): {count} exceed cap 5000000" in captured.err
 
 
 def test_cap_order_flag_is_gone(tmp_path, capsys):

@@ -1,21 +1,24 @@
 import hashlib
 import json
 import random
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixlat import closure, exhaustive
-from fixlat.closure import (FixsetLattice, closed_set_lattice,
-                            enumerate_fixset_lattice, fix_join, fix_meet,
-                            fixed_points, fixset_closure, galois_report,
-                            is_fixset)
+from fixlat import closure, exhaustive, perm
+from fixlat.closure import (LATTICE_CAP, FixsetLattice, closed_set_lattice,
+                            closure_table, enumerate_fixset_lattice, fix_join,
+                            fix_meet, fixed_points, fixset_closure,
+                            galois_report, is_fixset)
 from fixlat.errors import CapacityError, PreconditionError, ValidationError
-from fixlat.geometry import gaussian_binomial, pgl_generators, subspace_lattice
+from fixlat.geometry import (gaussian_binomial, pgl_generators,
+                             projective_points, span_closure, subspace_lattice)
 from fixlat.group import PermutationGroup, group_from_generators
-from fixlat.perm import points_from_mask
+from fixlat.perm import mask_from_points, points_from_mask
+from test_relational import small_groups
 
 
 def all_subsets(n):
@@ -154,8 +157,8 @@ def test_bottom_is_fix_of_the_whole_group():
     # empty set
     G = group_from_generators(4, ["(1 2 3)"])
     fl = enumerate_fixset_lattice(G)
-    assert fl.bottom == (0,)
-    assert () not in fl.elements
+    assert fl.elements[0] == (0,)
+    assert 0 not in fl.masks
 
 
 def test_fano_lattice_shape(fano_group):
@@ -163,8 +166,8 @@ def test_fano_lattice_shape(fano_group):
     assert len(fl) == 16
     sizes = sorted(len(e) for e in fl.elements)
     assert sizes == [0] + [1] * 7 + [3] * 7 + [7]
-    assert fl.bottom == ()
-    assert fl.top == tuple(range(7))
+    assert fl.masks[0] == 0 and fl.masks[-1] == 0b1111111
+    assert fl.elements[0] == () and fl.elements[-1] == tuple(range(7))
 
 
 def test_fano_lattice_matches_brute_force(fano_group):
@@ -291,13 +294,56 @@ def test_covers_match_definition(fano_group, pgl25, d6):
     lattices = [enumerate_fixset_lattice(G) for G in
                 (PermutationGroup.symmetric(5), d6, fano_group, pgl25, pgl25_sym3)]
     pg23 = subspace_lattice(3, 2)
-    lattices.append(FixsetLattice(13, pg23.labels))
+    lattices.append(FixsetLattice(
+        13, tuple(mask_from_points(lab, 13) for lab in pg23.labels)))
     assert len(lattices[4]) == 23 * 5  # the product of the factor lattices
     for fl in lattices:
         expected = reference_covers(fl.elements)
         assert fl.covers() == expected
         assert fl.to_finite_lattice().covers() == expected
     assert pg23.covers() == reference_covers(pg23.labels)
+
+
+def assert_size_points_order(fl):
+    tuples = [points_from_mask(m) for m in fl.masks]
+    assert tuples == sorted(set(tuples), key=lambda t: (len(t), t))
+    assert fl.elements == tuple(tuples)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(small_groups())
+def test_fixset_masks_sort_by_size_then_points(G):
+    assert_size_points_order(enumerate_fixset_lattice(G))
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2)])
+def test_subspace_masks_sort_by_size_then_points(p, d):
+    space = projective_points(p, d)
+    fl = closed_set_lattice(space.num_points,
+                            lambda mask: (span_closure(space, mask), ()),
+                            LATTICE_CAP)
+    assert_size_points_order(fl)
+    assert fl.elements == subspace_lattice(p, d).labels
+
+
+def test_closure_table_and_subspaces_make_no_point_tuples_into_masks(monkeypatch):
+    G = PermutationGroup.symmetric(6)
+    calls = []
+    real = perm.mask_from_points
+
+    def counted(points, degree):
+        calls.append(degree)
+        return real(points, degree)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fixlat") and getattr(module, "mask_from_points",
+                                                 None) is real:
+            monkeypatch.setattr(module, "mask_from_points", counted)
+    closure_table(G)
+    subspace_lattice(2, 3)
+    assert calls == []
+    fixset_closure(G, [0])  # the counter sees a call through the point API
+    assert calls == [6]
 
 
 def test_lattice_cap():
@@ -355,8 +401,9 @@ def test_galois_report_passes(fano_group, pgl25, sym4):
 
 def test_galois_report_detects_corruption(fano_group):
     fl = enumerate_fixset_lattice(fano_group)
-    # drop one line from the element list
-    broken = FixsetLattice(7, tuple(e for e in fl.elements if e != (0, 1, 2)))
+    # drop the line {0, 1, 2} from the closed sets
+    assert 0b111 in fl.masks
+    broken = FixsetLattice(7, tuple(m for m in fl.masks if m != 0b111))
     rep = galois_report(fano_group, lattice=broken)
     assert not rep.passed
     assert rep.first_failure is not None

@@ -10,6 +10,7 @@ from fixlat.geometry import (gaussian_binomial, inverse_table, normalize,
                              oracle_iso_check, pgl_generators, pgl_order,
                              projective_points, span_closure, subspace_count,
                              subspace_lattice)
+from fixlat.perm import mask_from_points, points_from_mask
 
 
 def row_reduce(vectors, p, inv):
@@ -46,6 +47,12 @@ def row_reduction_span(space, points):
     return tuple(sorted(out))
 
 
+def span(space, points):
+    """span_closure on a point list, as a sorted point tuple."""
+    return points_from_mask(span_closure(
+        space, mask_from_points(points, space.num_points)))
+
+
 def test_point_counts():
     assert projective_points(2, 2).num_points == 7
     assert projective_points(5, 1).num_points == 6
@@ -70,20 +77,20 @@ def test_non_prime_rejected():
 
 def test_span_examples():
     fano = projective_points(2, 2)
-    assert span_closure(fano, [0, 1]) == (0, 1, 2)
-    assert span_closure(fano, [3]) == (3,)
-    assert span_closure(fano, []) == ()
+    assert span_closure(fano, 0b11) == 0b111
+    assert span_closure(fano, 0b1000) == 0b1000
+    assert span_closure(fano, 0) == 0
     # three non-collinear points span everything
-    assert span_closure(fano, [0, 1, 3]) == tuple(range(7))
+    assert span_closure(fano, 0b1011) == 0b1111111
 
 
 def test_span_is_a_closure_operator():
     space = projective_points(3, 2)
     rng = random.Random(0)
     for _ in range(40):
-        pts = rng.sample(range(13), rng.randrange(5))
-        c = span_closure(space, pts)
-        assert set(pts) <= set(c)
+        mask = mask_from_points(rng.sample(range(13), rng.randrange(5)), 13)
+        c = span_closure(space, mask)
+        assert mask & c == mask
         assert span_closure(space, c) == c
 
 
@@ -91,8 +98,8 @@ def test_span_is_a_closure_operator():
 def test_span_matches_row_reduction_on_every_subset(p, d):
     space = projective_points(p, d)
     for mask in range(1 << space.num_points):
-        pts = [x for x in range(space.num_points) if mask >> x & 1]
-        assert span_closure(space, pts) == row_reduction_span(space, pts)
+        assert (points_from_mask(span_closure(space, mask))
+                == row_reduction_span(space, points_from_mask(mask)))
 
 
 @pytest.mark.parametrize("p,d", [(3, 2), (3, 3), (5, 2), (2, 4)])
@@ -101,18 +108,22 @@ def test_span_matches_row_reduction_on_random_subsets(p, d):
     rng = random.Random(100 * p + d)
     for _ in range(200):
         pts = rng.sample(range(space.num_points), rng.randrange(d + 3))
-        assert span_closure(space, pts) == row_reduction_span(space, pts)
+        assert span(space, pts) == row_reduction_span(space, pts)
 
 
-@pytest.mark.parametrize("bad", [[True], [1.0], ["1"], [-1], [7]])
+BAD_MASKS = [True, 1.0, "1", -1, 1 << 7, [0, 1], False]
+
+
+@pytest.mark.parametrize("bad", BAD_MASKS,
+                         ids=[f"bad{i}" for i in range(len(BAD_MASKS))])
 def test_span_rejects_non_points(bad):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="out of range"):
         span_closure(projective_points(2, 2), bad)
 
 
 def test_line_table_holds_requested_lines():
     space = projective_points(3, 2)
-    assert span_closure(space, [0, 5]) == row_reduction_span(space, [0, 5])
+    assert span(space, [0, 5]) == row_reduction_span(space, [0, 5])
     assert list(space._lines) == [(0, 5)]
     lines = {space.line_mask(a, x) for a, x in combinations(range(13), 2)}
     assert len(lines) == 13
@@ -148,9 +159,9 @@ def test_subspace_lattice_closes_through_span_closure(monkeypatch):
     calls = []
     inner = geo.span_closure
 
-    def counted(space, points):
+    def counted(space, mask):
         calls.append(1)
-        return inner(space, points)
+        return inner(space, mask)
 
     monkeypatch.setattr(geo, "span_closure", counted)
     assert subspace_lattice(2, 3).size == 67
@@ -159,8 +170,7 @@ def test_subspace_lattice_closes_through_span_closure(monkeypatch):
 
 def test_subspace_lattice_is_every_span():
     space = projective_points(2, 2)
-    spans = {span_closure(space, pts) for r in range(8)
-             for pts in combinations(range(7), r)}
+    spans = {points_from_mask(span_closure(space, mask)) for mask in range(1 << 7)}
     assert subspace_lattice(2, 2).labels == tuple(
         sorted(spans, key=lambda t: (len(t), t)))
 
@@ -184,24 +194,21 @@ def test_oracle_iso_fails_over_gf3():
     G = pgl_generators(3, 2)
     assert fixset_closure(G, [0, 1]).points == (0, 1)
     space = projective_points(3, 2)
-    assert len(span_closure(space, [0, 1])) == 4
+    assert span_closure(space, 0b11).bit_count() == 4
 
 
 def test_fixset_closure_within_span(fano_group):
     # closure never escapes the span; they coincide over GF(2)
     space = projective_points(2, 2)
     for mask in range(1 << 7):
-        pts = [x for x in range(7) if mask >> x & 1]
-        fix = set(fixset_closure(fano_group, pts).points)
-        span = set(span_closure(space, pts))
-        assert fix == span
+        pts = points_from_mask(mask)
+        assert fixset_closure(fano_group, pts).points == span(space, pts)
     space3 = projective_points(3, 2)
     G3 = pgl_generators(3, 2)
     rng = random.Random(1)
     for _ in range(60):
         pts = rng.sample(range(13), rng.randrange(6))
-        assert (set(fixset_closure(G3, pts).points)
-                <= set(span_closure(space3, pts)))
+        assert set(fixset_closure(G3, pts).points) <= set(span(space3, pts))
 
 
 def test_fixset_closure_equals_span_pg32(pgl42):
@@ -209,9 +216,9 @@ def test_fixset_closure_equals_span_pg32(pgl42):
     rng = random.Random(2)
     for _ in range(60):
         pts = rng.sample(range(15), rng.randrange(6))
-        assert fixset_closure(pgl42, pts).points == span_closure(space, pts)
+        assert fixset_closure(pgl42, pts).points == span(space, pts)
     for pair in combinations(range(15), 2):
-        assert fixset_closure(pgl42, pair).points == span_closure(space, pair)
+        assert fixset_closure(pgl42, pair).points == span(space, pair)
 
 
 def test_generator_verification_guard(monkeypatch):

@@ -536,9 +536,9 @@ def test_reconstruct_collision_is_an_internal_error(monkeypatch):
     # separation guarantees an injective embedding on atomistic lattices,
     # so two elements with one image can only come from a broken closure
     from fixlat import closure
-    orig = closure.fixset_closure
-    monkeypatch.setattr(closure, "fixset_closure",
-                        lambda G, points: orig(G, tuple(points)[:1]))
+    orig = closure.closure_mask
+    monkeypatch.setattr(closure, "closure_mask",
+                        lambda G, mask: orig(G, mask & -mask))
     with pytest.raises(InternalConsistencyError, match="not injective"):
         reconstruct(diamond_lattice(3))
 

@@ -148,6 +148,16 @@ def test_cli_group_jordan_witness(capsys, group_file):
     assert result["witness"]["complement_orbits"] == [[1, 5], [2, 4]]
 
 
+def test_cli_group_jordan_reads_k_max(capsys, tmp_path):
+    path = tmp_path / "sym6.json"
+    path.write_text(serialize.canonical_json(serialize.group_to_obj(
+        GroupAction.unlabeled(PermutationGroup.symmetric(6)))))
+    degrees = {k: cli_result(capsys, "group", "jordan", "--in", str(path),
+                             *(["--k-max", k] if k else []))["transitivity_degree"]
+               for k in ("2", "4", None)}
+    assert degrees == {"2": 2, "4": 4, None: 5}
+
+
 def test_cli_group_stab_and_orbits(capsys, group_file, d6):
     code, out, _ = run_cli(capsys, "group", "stab", "--in", group_file,
                            "--points", "0")
@@ -685,6 +695,14 @@ def test_cli_group_stab_reports_repeated_points_once(capsys, group_file):
                                 "--points", "1")
 
 
+@pytest.mark.parametrize("points", ["7", "-1", "0,9"])
+def test_cli_geometry_span_rejects_outside_points(capsys, points):
+    code, out, err = run_cli(capsys, "geometry", "span", "-p", "2", "-d", "2",
+                             "--points", points)
+    assert code == 2 and out == ""
+    assert "out of range 0..6" in err
+
+
 def test_cli_geometry_span_reports_repeated_points_once(capsys):
     result = cli_result(capsys, "geometry", "span", "-p", "2", "-d", "2",
                         "--points", "0,0,1")
@@ -904,6 +922,13 @@ def test_cli_verify_subset(capsys):
     assert report["result"]["run"] == 1
     assert report["result"]["checks"][0]["name"] == "stone-representation"
     assert "PASS stone-representation" in err
+
+
+@pytest.mark.parametrize("only", ["nosuchcheck", "stone-representation-x"])
+def test_cli_verify_filter_matching_no_check_is_a_usage_error(capsys, only):
+    code, out, err = run_cli(capsys, "verify", "--only", only)
+    assert code == 2 and out == ""
+    assert f"--only {only!r} matches no check" in err
 
 
 def test_cli_verify_report_is_canonical(capsys):
