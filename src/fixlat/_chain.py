@@ -90,50 +90,37 @@ def sims_filter(degree, gens):
 
 
 def sims_filter_rows(degree, rows):
-    """sims_filter over the rows of an (N, degree) array, batched.
+    """sims_filter over the rows of an (N, degree) array, one level at a time.
 
-    The table changes only when an entry is inserted, so every row is
-    divided as far as the filled slots take it; then the residue of the
-    first row blocked at an empty slot fills that slot, and only the rows
-    blocked at that slot resume. Entries are inserted in increasing row
-    order and a row divides only by entries of earlier rows, so the table
-    and its insertion order are exactly those of sims_filter.
+    A residue meets slot (u, v) only once it fixes 0..u-1, and dividing by
+    that slot's entry makes it fix u as well. So the rows can move through
+    the levels u together. A slot is filled when a row arrives exactly if
+    an earlier row arrived there, and then it holds the residue of the
+    earliest such row. Hence at level u the first row moving u to v fills
+    (u, v), and every row moving u, that one included, is divided by the
+    entry of its slot, which turns the filler into the identity. The
+    entries, in the order of the rows that filled them, are exactly those
+    of sims_filter. Rows are held as int16 columns, so degree is at most
+    2^15, and each division is one flat np.take into the level's table of
+    inverses, whose entry 0 is the identity.
     """
-    rows = np.array(rows, dtype=np.intp).reshape(-1, degree)
-    ident = np.arange(degree)
-    entry = np.full(degree * degree, -1)  # slot u * degree + v -> entry index
-    inverses = np.empty((0, degree), dtype=np.intp)
-    slot = np.full(len(rows), -1)  # empty slot each row waits at, else -1
-    gens = []
-
-    def sift(idx):
-        r = rows[idx]
-        while idx.size:
-            u = (r != ident).argmax(axis=1)
-            v = r[np.arange(len(r)), u]
-            live = u != v  # u = v = 0 only on the identity
-            idx, r = idx[live], r[live]
-            s = u[live] * degree + v[live]
-            e = entry[s]
-            held = e < 0
-            slot[idx[held]] = s[held]
-            rows[idx[held]] = r[held]
-            go = ~held
-            idx, r = idx[go], inverses[e[go, None], r[go]]
-
-    sift(np.arange(len(rows)))
-    while True:
-        waiting = np.flatnonzero(slot >= 0)
-        if not waiting.size:
-            return gens
-        s = slot[waiting[0]]
-        waiting = waiting[slot[waiting] == s]
-        g = rows[waiting[0]]
-        entry[s] = len(gens)
-        gens.append(tuple(g.tolist()))
-        inverses = np.vstack([inverses, np.argsort(g)[None, :]])
-        slot[waiting] = -1
-        sift(waiting[1:])
+    cols = np.asarray(rows, dtype=np.int16).reshape(-1, degree).T.copy()
+    ident = np.arange(degree, dtype=np.int16)
+    found = {}  # filler row -> its entry
+    for u in range(degree - 1):  # a row fixing 0..degree-2 fixes all
+        col = cols[u]
+        movers = np.flatnonzero(col != u)
+        if not movers.size:
+            continue
+        images, first = np.unique(col[movers], return_index=True)
+        fill = movers[first]
+        entries = cols[:, fill].T
+        found.update(zip(fill.tolist(), map(tuple, entries.tolist())))
+        inverses = np.vstack([ident, np.argsort(entries, axis=1)]).astype(np.int16)
+        offset = np.zeros(degree, dtype=np.intp)  # v -> where (u, v)'s inverse starts
+        offset[images] = np.arange(1, len(fill) + 1) * degree
+        cols[u:] = np.take(inverses, cols[u:] + offset[col])
+    return [found[r] for r in sorted(found)]
 
 
 class StabilizerChain:

@@ -7,7 +7,11 @@ as transversals along the join-irreducibles 0..m-1, from a few pinned
 runs of the set-family bijection search that also compares Steiner
 systems. The printed generators are those the Sims filter keeps from
 the lexicographic listing of all automorphisms, so that listing is
-rebuilt from the transversals in numpy and filtered in batches.
+rebuilt from the transversals in numpy, as int16, and filtered with all
+rows moving through the filter's levels together
+(``_chain.sims_filter_rows``). The listing's length is the group order,
+so the stabilizer chain of the filtered generators is built against it,
+which also checks it.
 """
 
 from __future__ import annotations
@@ -133,7 +137,8 @@ def order_covers(leq: np.ndarray) -> tuple[tuple[int, int], ...]:
     lt = leq & ~np.eye(leq.shape[0], dtype=bool)
     f = lt.astype(np.float32)
     strict = lt & ((f @ f) == 0)
-    return tuple((int(i), int(j)) for i, j in np.argwhere(strict))
+    i, j = np.nonzero(strict)
+    return tuple(zip(i.tolist(), j.tolist()))
 
 
 def order_from_covers(size: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -357,7 +362,7 @@ def _listing(m: int, levels) -> np.ndarray:
     which keep those images and send i to s(u), sorted by that image.
     Distinct rows differ on 0..i-1, so the order stays lexicographic.
     """
-    rows = np.arange(m)[None, :]
+    rows = np.arange(m, dtype=np.int16)[None, :]
     for level in levels:
         images = np.array(list(level), dtype=np.intp)
         reps = np.array(list(level.values()), dtype=np.intp).reshape(len(level), m)
@@ -388,7 +393,7 @@ def _irreducible_automorphisms(L: FiniteLattice) -> np.ndarray:
         raise CapacityError(
             f"listing {count} automorphisms of {L.size} elements exceeds cap "
             f"{TUPLE_SPACE_CAP} entries", cap_name="automorphisms")
-    lifted = np.full((count, L.size), L.bottom, dtype=np.intp)
+    lifted = np.full((count, L.size), L.bottom, dtype=np.int16)
     lifted[:, irr] = irr[_listing(m, levels)]
     # any other x above the bottom is the join of two of its lower covers
     for x in np.argsort(L.leq.sum(axis=0), kind="stable"):
@@ -410,7 +415,8 @@ def _general_automorphisms(L: FiniteLattice) -> np.ndarray:
 def lattice_automorphisms(L: FiniteLattice) -> PermutationGroup:
     """The group of order-preserving bijections, acting on element indices.
 
-    Its generators are those sims_filter keeps from the full listing.
+    Its generators are those sims_filter keeps from the full listing, and
+    its order is the listing's length.
     """
     if L.size > AUTOMORPHISM_CAP:
         raise CapacityError(
@@ -419,11 +425,15 @@ def lattice_automorphisms(L: FiniteLattice) -> PermutationGroup:
     autos = (_atomistic_automorphisms(L) if is_atomistic(L)
              else _general_automorphisms(L))
     gens = sims_filter_rows(L.size, autos)
-    G = PermutationGroup(L.size, [Permutation(g) for g in gens])
-    if G.order() != len(autos):
-        raise InternalConsistencyError(
-            f"{len(autos)} automorphisms listed, but they generate a group "
-            f"of order {G.order()}")
+    return _known_order(PermutationGroup(L.size, [Permutation(g) for g in gens]),
+                        len(autos))
+
+
+def _known_order(G: PermutationGroup, order: int) -> PermutationGroup:
+    """G, told its order; its chain is built against that order and raises
+    InternalConsistencyError if the generators give another."""
+    G._order = order
+    G._base_chain()
     return G
 
 
@@ -496,7 +506,9 @@ def reconstruct(L: FiniteLattice, cap: int = LATTICE_CAP) -> ReconstructionResul
             f"witness pair {sep.witness}")
     pos = {a: i for i, a in enumerate(ats)}
     atom_gens = [Permutation([pos[g(a)] for a in ats]) for g in G.generators]
-    atom_group = PermutationGroup(len(ats), atom_gens)
+    # faithful: an automorphism of an atomistic lattice fixing every atom
+    # fixes every join of atoms
+    atom_group = _known_order(PermutationGroup(len(ats), atom_gens), G.order())
     action = GroupAction(atom_group, tuple(str(a) for a in ats))
     fl = enumerate_fixset_lattice(atom_group, cap=cap)
     closed = [closure_mask(atom_group, sum(1 << i for i, a in enumerate(ats)

@@ -108,7 +108,20 @@ def steiner_from_projective(q: int, d: int) -> SteinerSystem:
     if comb(n, 2) > TUPLE_SPACE_CAP:
         raise CapacityError(f"{comb(n, 2)} point pairs exceed cap "
                             f"{TUPLE_SPACE_CAP}", cap_name="tuple_space")
-    lines = {space.line_mask(a, b) for a, b in combinations(range(n), 2)}
+    # each line once, from its least point a and the least b on no line
+    # through a found so far; covered[x] is the union of the lines found
+    # through x, and it holds every point below a once a is reached
+    covered = [1 << x for x in range(n)]
+    lines = []
+    for a in range(n):
+        rest = ((1 << n) - 1) & ~covered[a]
+        while rest:
+            b = (rest & -rest).bit_length() - 1
+            line = space.line_mask(a, b)
+            lines.append(line)
+            for x in points_from_mask(line):
+                covered[x] |= line
+            rest &= ~line
     return make_system(2, n, map(points_from_mask, lines))
 
 

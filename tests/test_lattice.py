@@ -377,14 +377,14 @@ def test_listing_equals_backtrack_on_random_families(case):
 
 
 @st.composite
-def row_lists(draw):
+def row_lists(draw, max_degree=9, max_rows=40):
     """Rows built as products of a few permutations, so that many sift to
     earlier entries, with identity rows and duplicates mixed in."""
-    n = draw(st.integers(1, 9))
+    n = draw(st.integers(1, max_degree))
     base = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
     rows = []
     for word in draw(st.lists(st.lists(st.integers(0, len(base) - 1), max_size=4),
-                              max_size=40)):
+                              max_size=max_rows)):
         p = list(range(n))
         for k in word:
             p = [base[k][x] for x in p]
@@ -402,10 +402,54 @@ def test_batched_replay_equals_sims_filter(case):
     assert sims_filter_rows(n, rows) == sims_filter(n, rows)
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(row_lists(max_degree=14, max_rows=400))
+def test_level_filter_equals_sims_filter_on_long_streams(case):
+    n, rows = case
+    assert sims_filter_rows(n, rows) == sims_filter(n, rows)
+
+
 def test_batched_replay_on_a_full_listing():
     L = relabelled(diamond_lattice(5), 3)
     rows = lattice._atomistic_automorphisms(L)
     assert sims_filter_rows(L.size, rows) == sims_filter(L.size, rows.tolist())
+
+
+def first_occurrence_table(rows):
+    """Each slot (least moved point, its image) of an undivided row, filled
+    by the first row there: sims_filter without its divisions."""
+    table = {}
+    for r in rows:
+        u = next((i for i, x in enumerate(r) if i != x), None)
+        if u is not None:
+            table.setdefault((u, r[u]), tuple(r))
+    return list(table.values())
+
+
+@pytest.mark.parametrize("n, seed", [(4, 2), (5, 1), (5, 2)])
+def test_level_filter_where_first_occurrence_is_wrong(n, seed):
+    # a row reaches later levels only divided by earlier entries, so which
+    # row fills a slot, and with what, is not read off the undivided rows
+    L = relabelled(boolean_lattice(n), seed)
+    rows = lattice._atomistic_automorphisms(L).tolist()
+    kept = sims_filter_rows(L.size, rows)
+    assert kept == sims_filter(L.size, rows)
+    assert kept != first_occurrence_table(rows)
+
+
+def test_automorphism_generators_are_checked_against_the_order(monkeypatch):
+    # the filter keeps redundant generators (any single one of M7's 21 can
+    # go), but the first half generate Sym(5) only, and the chain built
+    # against the listing's 5040 says so
+    kept = lattice.sims_filter_rows
+
+    def first_half(n, rows):
+        gens = kept(n, rows)
+        return gens[:len(gens) // 2]
+
+    monkeypatch.setattr(lattice, "sims_filter_rows", first_half)
+    with pytest.raises(InternalConsistencyError, match="below the known order 5040"):
+        lattice_automorphisms(diamond_lattice(7))
 
 
 # SHA-256 of json.dumps of the printed generator image lists, computed once

@@ -752,6 +752,18 @@ def test_importing_the_cli_builds_no_parser():
                    timeout=300)
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["--version"], fixlat.__version__),
+    (["verify", "--only", "stone-representation"], "PASS stone-representation"),
+], ids=["version", "verify-only"])
+def test_python_m_fixlat_runs_the_cli(argv, says):
+    proc = subprocess.run([sys.executable, "-m", "fixlat", *argv],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert says in proc.stdout + proc.stderr
+
+
 def test_cli_error_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "group", "order", "--in", "missing.json")
     assert code == 2 and "no such file" in err

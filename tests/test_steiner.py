@@ -3,13 +3,14 @@ from math import comb
 
 import pytest
 
-from fixlat import _kernels, exhaustive, group
+from fixlat import _kernels, exhaustive, group, steiner
 from fixlat._chain import StabilizerChain
 from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import (InternalConsistencyError, PreconditionError,
                            ValidationError)
-from fixlat.geometry import pgl_generators
+from fixlat.geometry import pgl_generators, projective_points
 from fixlat.group import PermutationGroup, group_from_generators
+from fixlat.perm import points_from_mask
 from fixlat.steiner import (JordanEntry, SteinerSystem,
                             blocks_pointwise_stabilized,
                             counting_identity_holds, derivation, jordan_report,
@@ -74,6 +75,27 @@ def test_projective_constructions():
     assert pg23.num_points == 13
     assert len(pg23.blocks) == 13
     assert pg23.block_size == 4
+
+
+@pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
+def test_projective_lines_found_once_each(monkeypatch, q, d):
+    # the walk finds the lines of the pairwise build, asking the line table
+    # once per line: the Gaussian binomial [d+1 choose 2]_q of them
+    spaces = []
+
+    def recorded(p, dim):
+        spaces.append(projective_points(p, dim))
+        return spaces[-1]
+
+    monkeypatch.setattr(steiner, "projective_points", recorded)
+    sys = steiner_from_projective(q, d)
+    space = projective_points(q, d)
+    pairwise = {space.line_mask(a, b)
+                for a, b in combinations(range(space.num_points), 2)}
+    assert sys == make_system(2, space.num_points, map(points_from_mask, pairwise))
+    lines = ((q ** (d + 1) - 1) * (q ** (d + 1) - q)
+             // ((q ** 2 - 1) * (q ** 2 - q)))
+    assert len(sys.blocks) == len(spaces[0]._lines) == lines
 
 
 def test_non_prime_field_rejected():
