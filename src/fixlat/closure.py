@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CapacityError, InternalConsistencyError, PreconditionError
 from .group import PermutationGroup, _fixed_mask, _point_orbits
 from .lattice import LATTICE_CAP, FiniteLattice, containment_order, order_covers
-from .perm import mask_from_points, points_from_mask
+from .perm import check_mask, mask_from_points, points_from_mask
 
 PointsLike = Union["FixSet", Iterable[int]]
 
@@ -50,8 +50,8 @@ def fixed_points(H: PermutationGroup) -> tuple[int, ...]:
 
 
 def closure_mask(G: PermutationGroup, mask: int) -> int:
-    """Closure of a point mask, memoized per group."""
-    cached = G._closure_cache.get(mask)
+    """Closure of a point mask (an int in 0..2^n - 1), memoized per group."""
+    cached = G._closure_cache.get(check_mask(mask, G.degree))
     if cached is None:
         cached = G._closure_cache[mask] = G._stabilizer(mask).fixed
     return cached
@@ -155,10 +155,10 @@ def _mask_orbit(mask: int, gens: tuple[tuple[int, ...], ...],
     return orbit
 
 
-def closed_set_lattice(degree: int, close: Callable[[int], tuple[int, tuple]],
-                       cap: int) -> FixsetLattice:
+def closed_masks(degree: int, close: Callable[[int], tuple[int, tuple]],
+                 cap: int) -> set[int]:
     """Every closed set of a closure operator on point masks, by cover
-    generation up to symmetry.
+    generation up to symmetry, in no particular order.
 
     ``close(S)`` returns the closed mask of S and generators (image tuples)
     of a group H_S of symmetries of the closure, each fixing S pointwise;
@@ -181,9 +181,7 @@ def closed_set_lattice(degree: int, close: Callable[[int], tuple[int, tuple]],
     every closed set C: the bottom lies inside C, and for a set A in F
     strictly inside C and any y in C but not in A, close(A | {y}) lies
     strictly above A and inside C and is in F; so a largest set of F
-    inside C is C itself. The masks are sorted by (size, points), so the
-    numbering does not depend on discovery order; among sets of one size,
-    that is descending order of the binary digits read from point 0 up.
+    inside C is C itself.
 
     Raises ``CapacityError`` before an orbit that would take the family
     past ``cap`` sets is added.
@@ -208,48 +206,83 @@ def closed_set_lattice(degree: int, close: Callable[[int], tuple[int, tuple]],
             c, c_gens = close(a | (orbit & -orbit))
             if c not in found:
                 keep(c, c_gens)
+    return found
+
+
+def closed_set_lattice(degree: int, close: Callable[[int], tuple[int, tuple]],
+                       cap: int) -> FixsetLattice:
+    """The closed sets of ``closed_masks`` sorted by (size, points), so the
+    numbering does not depend on discovery order; among sets of one size,
+    that is descending order of the binary digits read from point 0 up.
+    """
     bits = f"0{degree}b"
-    masks = sorted(found, key=lambda m: format(m, bits)[::-1], reverse=True)
+    masks = sorted(closed_masks(degree, close, cap),
+                   key=lambda m: format(m, bits)[::-1], reverse=True)
     masks.sort(key=int.bit_count)
     return FixsetLattice(degree, tuple(masks))
 
 
-def enumerate_fixset_lattice(G: PermutationGroup,
-                             cap: int = LATTICE_CAP) -> FixsetLattice:
-    """Every fixset of the action (see ``closed_set_lattice``): the closure
-    of S is fix(G_S), and G_S is its symmetry."""
+def _fixset_close(G: PermutationGroup) -> Callable[[int], tuple[int, tuple]]:
+    """The closure of S is fix(G_S), and G_S is its symmetry."""
 
     def close(mask: int) -> tuple[int, tuple]:
         return closure_mask(G, mask), G._stabilizer(mask).gens
 
-    return closed_set_lattice(G.degree, close, cap)
+    return close
+
+
+def enumerate_fixset_lattice(G: PermutationGroup,
+                             cap: int = LATTICE_CAP) -> FixsetLattice:
+    """Every fixset of the action (see ``closed_set_lattice``)."""
+    return closed_set_lattice(G.degree, _fixset_close(G), cap)
+
+
+def closures(G: PermutationGroup, masks: Iterable[int]) -> list[int]:
+    """The closure of each point mask, in order.
+
+    Closed sets are closed under intersection, so the closure of S is the
+    intersection of the closed sets containing it. When 2^n is within
+    ``LATTICE_CAP``, the closed sets are walked once with a cap of one set
+    per requested mask. If the walk finishes, every closure is read off
+    them: with a[m] = m on the closed masks and the full mask elsewhere,
+    one pass per bit b sets a[m] &= a[m | 1 << b] for every m without b;
+    after the passes for bits 0..b, a[m] is the intersection of the closed
+    supersets of m that differ from it only in those bits (a superset-zeta
+    sweep with AND as the sum). A larger family, or 2^n above the cap,
+    takes one ``closure_mask`` tower walk per mask; those walks reuse the
+    tower records that an abandoned family walk left. Every mask is
+    checked before any is used.
+    """
+    n = G.degree
+    masks = [check_mask(mask, n) for mask in masks]
+    size = 1 << n
+    if size <= LATTICE_CAP:
+        try:
+            closed = closed_masks(n, _fixset_close(G), len(masks))
+        except CapacityError:
+            pass
+        else:
+            closed = np.fromiter(closed, dtype=np.int64, count=len(closed))
+            a = np.full(size, size - 1, dtype=np.int64)
+            a[closed] = closed
+            for b in range(n):
+                pairs = a.reshape(-1, 2, 1 << b)
+                pairs[:, 0] &= pairs[:, 1]
+            return a[masks].tolist()
+    return [closure_mask(G, mask) for mask in masks]
 
 
 def closure_table(G: PermutationGroup) -> list[int]:
-    """The closure of every point mask 0..2^n - 1, in order.
-
-    Closed sets are closed under intersection, so the closure of S is the
-    intersection of the closed sets containing it. With a[m] = m on the
-    closed masks and the full mask elsewhere, one pass per bit b sets
-    a[m] &= a[m | 1 << b] for every m without b; after the passes for bits
-    0..b, a[m] is the intersection of the closed supersets of m that differ
-    from it only in those bits (a superset-zeta sweep with AND as the sum).
-    The closed sets come from ``enumerate_fixset_lattice``, so the tower is
-    walked once per orbit extension rather than once per mask. The 2^n
-    table is checked against ``LATTICE_CAP`` before it is allocated.
+    """The closure of every point mask 0..2^n - 1, in order, from one walk
+    of the closed sets (see ``closures``). The 2^n table is checked against
+    ``LATTICE_CAP`` before it is allocated.
     """
     size = 1 << G.degree
     if size > LATTICE_CAP:
         raise CapacityError(
             f"closure table of 2^{G.degree} masks exceeds cap {LATTICE_CAP}",
             cap_name="lattice")
-    closed = np.array(enumerate_fixset_lattice(G, cap=size).masks, dtype=np.int64)
-    a = np.full(size, size - 1, dtype=np.int64)
-    a[closed] = closed
-    for b in range(G.degree):
-        pairs = a.reshape(-1, 2, 1 << b)
-        pairs[:, 0] &= pairs[:, 1]
-    return a.tolist()
+    return closures(G, range(size))
 
 
 @dataclass(frozen=True)

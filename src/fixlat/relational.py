@@ -231,25 +231,25 @@ def dcl_vs_fixset_report(G: PermutationGroup, max_arity: int = 3,
     """Compare the two closures on every subset, or on a seeded sample of
     ``SAMPLE_SIZE`` subsets above ``EXHAUSTIVE_SUBSET_LIMIT`` points.
 
-    On every subset the fixed-point side is ``closure.closure_table``, read
-    from the closed-set family; a sampled subset takes one ``closure_mask``
-    tower walk. The dcl side closes all tested subsets in one batch per
-    arity limit.
+    The fixed-point side is one ``closure.closures`` call: it reads every
+    tested subset's closure off the closed-set family when the family has
+    no more sets than subsets are tested, and walks the tower once per
+    subset otherwise. The dcl side closes all tested subsets in one batch
+    per arity limit.
     """
-    from .closure import closure_mask, closure_table
+    from .closure import closures
 
     n = G.degree
     S = canonical_structure(G, max_arity)
     if n <= EXHAUSTIVE_SUBSET_LIMIT or (1 << n) <= SAMPLE_SIZE:
         subsets = range(1 << n)
-        fix = closure_table(G)
     else:
         rng = random.Random(seed)
         chosen = {0, (1 << n) - 1}
         while len(chosen) < SAMPLE_SIZE:
             chosen.add(rng.getrandbits(n))
         subsets = sorted(chosen)
-        fix = [closure_mask(G, mask) for mask in subsets]
+    fix = closures(G, subsets)
     # dcl only grows with the arity limit, so each limit starts from the last
     dcl = subsets
     sufficient = None

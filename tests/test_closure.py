@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from fixlat import closure, exhaustive, perm
 from fixlat.closure import (LATTICE_CAP, FixsetLattice, closed_set_lattice,
-                            closure_table, enumerate_fixset_lattice, fix_join,
-                            fix_meet, fixed_points, fixset_closure,
+                            closure_table, closures, enumerate_fixset_lattice,
+                            fix_join, fix_meet, fixed_points, fixset_closure,
                             galois_report, is_fixset)
 from fixlat.errors import CapacityError, PreconditionError, ValidationError
 from fixlat.geometry import (gaussian_binomial, pgl_generators,
@@ -241,6 +242,109 @@ def test_closure_calls_one_per_stabilizer_orbit(monkeypatch):
     monkeypatch.setattr(closure, "closure_mask", counted)
     assert len(enumerate_fixset_lattice(G)) == 374
     assert 1 <= len(calls) <= 32
+
+
+BAD_MASKS = [True, 1.0, "1", -1, 1 << 4, [0, 1], False]
+
+
+@pytest.mark.parametrize("bad", BAD_MASKS,
+                         ids=[f"bad{i}" for i in range(len(BAD_MASKS))])
+def test_closures_reject_non_points(bad, sym4):
+    with pytest.raises(ValidationError, match="out of range"):
+        closure.closure_mask(sym4, bad)
+    # checked before any is used: -1 would index the table from its end
+    for masks in ([bad], [0, 3, bad], [bad] * 20):
+        with pytest.raises(ValidationError, match="out of range"):
+            closures(sym4, masks)
+
+
+def fresh(G):
+    return PermutationGroup(G.degree, G.generators)
+
+
+def counted_closures(monkeypatch, G, masks):
+    """closures(G, masks) with the closure_mask calls it made."""
+    calls = []
+    real = closure.closure_mask
+
+    def counted(H, mask):
+        calls.append(mask)
+        return real(H, mask)
+
+    monkeypatch.setattr(closure, "closure_mask", counted)
+    out = closures(G, masks)
+    monkeypatch.setattr(closure, "closure_mask", real)
+    return out, calls
+
+
+def tower_walks(G, masks):
+    """closure_mask of each mask on a fresh copy of G."""
+    other = fresh(G)
+    return [closure.closure_mask(other, m) for m in masks]
+
+
+def assert_closures_match_tower_walks(G, masks):
+    assert closures(fresh(G), masks) == tower_walks(G, masks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(small_groups(), st.data())
+def test_closures_match_closure_mask_on_small_groups(G, data):
+    family = len(enumerate_fixset_lattice(fresh(G)))
+    length = data.draw(st.sampled_from([0, 1, family - 1, family, family + 1,
+                                        2 * family + 3]))
+    masks = data.draw(st.lists(st.integers(0, (1 << G.degree) - 1),
+                               min_size=length, max_size=length))
+    assert_closures_match_tower_walks(G, masks)
+
+
+def test_closures_sweep_exactly_at_the_family_size(monkeypatch, fano_group):
+    # 16 fixsets: 16 masks are read off the family, 15 take the tower
+    rng = random.Random(3)
+    masks = [rng.getrandbits(7) for _ in range(16)]
+    for request, route in ((masks, "sweep"), (masks[:-1], "tower")):
+        G = fresh(fano_group)
+        out, calls = counted_closures(monkeypatch, G, request)
+        assert out == tower_walks(G, request)
+        if route == "sweep":
+            assert len(calls) < len(request)
+        else:
+            assert len(calls) >= len(request)
+
+
+def test_closures_take_the_tower_above_the_table_cap(monkeypatch):
+    G = pgl_generators(17, 1)  # 18 points: 2^18 masks exceed LATTICE_CAP
+    assert 1 << G.degree > LATTICE_CAP
+    rng = random.Random(5)
+    masks = [rng.getrandbits(18) for _ in range(64)] + [0, (1 << 18) - 1]
+    G.order()
+    tracemalloc.start()
+    try:
+        out, calls = counted_closures(monkeypatch, G, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == len(masks)
+    assert peak < 1 << 18  # no 2^18-entry table, not even of bytes
+    assert out == tower_walks(G, masks)
+
+
+def test_closures_of_no_masks_and_of_repeated_masks(fano_group, pgl42):
+    assert closures(fresh(fano_group), []) == []
+    assert closures(fresh(pgl42), []) == []
+    for G in (fano_group, pgl42, PermutationGroup.symmetric(5)):
+        masks = [0, 5, 5, 3, 0, (1 << G.degree) - 1, 5] * 3
+        assert_closures_match_tower_walks(G, masks)
+
+
+def test_closures_of_a_sample_of_sym13_take_the_tower(monkeypatch):
+    # 2^13 - 13 = 8,179 fixsets are more than 512 requested masks
+    G = PermutationGroup.symmetric(13)
+    rng = random.Random(0)
+    masks = [rng.getrandbits(13) for _ in range(512)]
+    out, calls = counted_closures(monkeypatch, fresh(G), masks)
+    assert len(calls) >= len(masks)
+    assert out == tower_walks(G, masks)
 
 
 def test_pg32_lattice_count(pgl42):

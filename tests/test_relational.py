@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixlat import _kernels, closure, relational
+from fixlat._chain import StabilizerChain
 from fixlat.closure import closure_mask, closure_table, fixset_closure
 from fixlat.errors import ValidationError
 from fixlat.exhaustive import relational_closure
@@ -371,6 +372,38 @@ def test_exhaustive_report_walks_the_tower_once_per_closed_extension(monkeypatch
     rep = dcl_vs_fixset_report(PermutationGroup.symmetric(8), 3)
     assert rep.subsets_tested == 1 << 8
     assert len(calls) < 1 << 8
+
+
+def test_sampled_report_reads_closures_off_the_family(monkeypatch):
+    # PG(2,3) has 457 fixsets for 512 sampled subsets; one tower walk per
+    # subset made about 240 chain builds
+    builds = []
+    real = StabilizerChain.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counted)
+    rep = dcl_vs_fixset_report(pgl_generators(3, 2), 3)
+    assert rep.subsets_tested == relational.SAMPLE_SIZE
+    assert len(builds) <= 16
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("arity", [3, 4])
+@pytest.mark.parametrize("p, d", [(3, 2), (2, 3), (13, 1)],
+                         ids=["PG(2,3)", "PG(3,2)", "PG(1,13)"])
+def test_sampled_report_matches_one_tower_walk_per_subset(monkeypatch, p, d,
+                                                          arity, seed):
+    G = pgl_generators(p, d)
+    assert G.degree > relational.EXHAUSTIVE_SUBSET_LIMIT
+    rep = dcl_vs_fixset_report(PermutationGroup(G.degree, G.generators),
+                               arity, seed=seed)
+    # with no room for a table, closures walks the tower once per mask
+    monkeypatch.setattr(closure, "LATTICE_CAP", 0)
+    assert dcl_vs_fixset_report(PermutationGroup(G.degree, G.generators),
+                                arity, seed=seed) == rep
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 1000])
