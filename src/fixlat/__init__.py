@@ -10,9 +10,8 @@ independent oracle throughout.
 
 __version__ = "0.1.0"
 
-from .closure import (FixSet, FixsetLattice, enumerate_fixset_lattice, fix_join,
-                      fix_meet, fixed_points, fixset_closure, galois_report,
-                      is_fixset)
+from .closure import (FixsetLattice, closure_mask, closures,
+                      enumerate_fixset_lattice, galois_report)
 from .errors import (CapacityError, FixlatError, InternalConsistencyError,
                      PreconditionError, ValidationError)
 from .geometry import (ProjectiveSpace, oracle_iso_check, pgl_generators,

@@ -103,11 +103,12 @@ def cmd_group(args) -> int:
     elif sub == "stab":
         pts = _parse_points(args.points)
         H = G.pointwise_stabilizer(pts)
+        fixed = closure.closure_mask(G, mask_from_points(pts, G.degree))
         result = {
             "points": sorted(set(pts)),
             "order": H.order(),
             "generators": [list(g.images) for g in H.generators],
-            "fixed_points": list(closure.fixed_points(H)),
+            "fixed_points": list(points_from_mask(fixed)),
         }
     elif sub == "transitivity":
         result = {"k_max": args.k_max,

@@ -12,41 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import CapacityError, InternalConsistencyError, PreconditionError
-from .group import PermutationGroup, _fixed_mask, _point_orbits
+from .errors import CapacityError
+from .group import PermutationGroup, _point_orbits
 from .lattice import LATTICE_CAP, FiniteLattice, containment_order, order_covers
-from .perm import check_mask, mask_from_points, points_from_mask
-
-PointsLike = Union["FixSet", Iterable[int]]
-
-
-@dataclass(frozen=True)
-class FixSet:
-    """A closed point set of a specific group action."""
-
-    group: PermutationGroup
-    points: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
-def _as_mask(G: PermutationGroup, pts: PointsLike) -> int:
-    if isinstance(pts, FixSet):
-        pts = pts.points
-    return mask_from_points(pts, G.degree)
-
-
-def fixed_points(H: PermutationGroup) -> tuple[int, ...]:
-    """Points fixed by every element of H (the generators suffice)."""
-    return points_from_mask(_fixed_mask(H.degree, (g.images for g in H.generators)))
+from .perm import check_mask, points_from_mask
 
 
 def closure_mask(G: PermutationGroup, mask: int) -> int:
@@ -55,43 +28,6 @@ def closure_mask(G: PermutationGroup, mask: int) -> int:
     if cached is None:
         cached = G._closure_cache[mask] = G._stabilizer(mask).fixed
     return cached
-
-
-def fixset_closure(G: PermutationGroup, points: PointsLike) -> FixSet:
-    """Smallest fixset containing the given points."""
-    mask = _as_mask(G, points)
-    return FixSet(G, points_from_mask(closure_mask(G, mask)))
-
-
-def is_fixset(G: PermutationGroup, points: PointsLike) -> bool:
-    mask = _as_mask(G, points)
-    return closure_mask(G, mask) == mask
-
-
-def _require_fixset(G: PermutationGroup, points: PointsLike, which: str) -> int:
-    mask = _as_mask(G, points)
-    if closure_mask(G, mask) != mask:
-        raise PreconditionError(
-            f"{which} argument {points_from_mask(mask)} is not a fixset")
-    return mask
-
-
-def fix_meet(G: PermutationGroup, a: PointsLike, b: PointsLike) -> FixSet:
-    """Meet of two fixsets: plain intersection (verified closed)."""
-    ma = _require_fixset(G, a, "first")
-    mb = _require_fixset(G, b, "second")
-    meet = ma & mb
-    if closure_mask(G, meet) != meet:
-        raise InternalConsistencyError(
-            f"intersection {points_from_mask(meet)} of fixsets is not closed")
-    return FixSet(G, points_from_mask(meet))
-
-
-def fix_join(G: PermutationGroup, a: PointsLike, b: PointsLike) -> FixSet:
-    """Join of two fixsets: closure of the union."""
-    ma = _require_fixset(G, a, "first")
-    mb = _require_fixset(G, b, "second")
-    return FixSet(G, points_from_mask(closure_mask(G, ma | mb)))
 
 
 @dataclass(frozen=True)

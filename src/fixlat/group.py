@@ -148,7 +148,7 @@ class PermutationGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "PermutationGroup":
-        return cls(n, [Permutation(list(range(1, n)) + [0])]) if n > 1 else cls.trivial(1)
+        return cls(n, [Permutation(list(range(1, n)) + [0])]) if n > 1 else cls.trivial(n)
 
     @classmethod
     def dihedral(cls, n: int) -> "PermutationGroup":

@@ -13,7 +13,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable, Optional
 
-from .closure import LATTICE_CAP, enumerate_fixset_lattice
+from .closure import LATTICE_CAP, closure_mask, enumerate_fixset_lattice
 from .errors import (CapacityError, InternalConsistencyError,
                      PreconditionError, ValidationError)
 from .geometry import is_prime, projective_point_count, projective_points
@@ -259,10 +259,9 @@ def blocks_pointwise_stabilized(sys: SteinerSystem, G: PermutationGroup) -> bool
     """
     if G.degree != sys.num_points:
         raise ValidationError("group degree does not match system")
-    from .closure import fixset_closure
     for b in sys.blocks:
-        closed = set(fixset_closure(G, b[:sys.k]).points)
-        if not set(b) <= closed:
+        block = mask_from_points(b, G.degree)
+        if block & ~closure_mask(G, mask_from_points(b[:sys.k], G.degree)):
             return False
     return True
 

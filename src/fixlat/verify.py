@@ -14,6 +14,7 @@ Each is checked against its closed form and a brute-force oracle.
 
 from __future__ import annotations
 
+import functools
 import operator
 import time
 from itertools import combinations
@@ -24,7 +25,7 @@ import numpy as np
 from . import closure, exhaustive, geometry, lattice, relational, steiner
 from .errors import ValidationError
 from .group import PermutationGroup
-from .perm import points_from_mask
+from .perm import mask_from_points
 
 
 def _subchecks(pairs) -> tuple[bool, list]:
@@ -62,28 +63,20 @@ def check_fano_meet_join(_inject=None) -> dict:
     G = _fano_group()
     fl = closure.enumerate_fixset_lattice(G)
     sl = geometry.subspace_lattice(2, 2)
-    index = {pts: i for i, pts in enumerate(sl.labels)}
-    ok_pairs = ok_triples = True
-    for a, b in combinations(range(len(fl)), 2):
-        ea, eb = fl.elements[a], fl.elements[b]
-        m = closure.fix_meet(G, ea, eb).points
-        j = closure.fix_join(G, ea, eb).points
-        if index[m] != lattice.meet(sl, [index[ea], index[eb]]):
-            ok_pairs = False
-        if index[j] != lattice.join(sl, [index[ea], index[eb]]):
-            ok_pairs = False
-    for combo in combinations(range(len(fl)), 3):
-        a, b, c = (fl.masks[i] for i in combo)
-        meet_pts = points_from_mask(a & b & c)
-        join_pts = points_from_mask(closure.closure_mask(G, a | b | c))
-        idxs = [index[fl.elements[i]] for i in combo]
-        if index.get(meet_pts) != lattice.meet(sl, idxs):
-            ok_triples = False
-        if index.get(join_pts) != lattice.join(sl, idxs):
-            ok_triples = False
+    index = {mask_from_points(pts, 7): i for i, pts in enumerate(sl.labels)}
+    ok = {2: True, 3: True}
+    for r in ok:
+        for combo in combinations(fl.masks, r):
+            idxs = [index.get(m) for m in combo]
+            expected = (None if None in idxs else
+                        (lattice.meet(sl, idxs), lattice.join(sl, idxs)))
+            meet = functools.reduce(operator.and_, combo)
+            join = closure.closure_mask(G, functools.reduce(operator.or_, combo))
+            if (index.get(meet), index.get(join)) != expected:
+                ok[r] = False
     passed, detail = _subchecks([
-        ("all 120 unordered pairs agree", ok_pairs),
-        ("all 560 unordered triples agree", ok_triples),
+        ("all 120 unordered pairs agree", ok[2]),
+        ("all 560 unordered triples agree", ok[3]),
     ])
     return {"passed": passed, "subchecks": detail, "budget_seconds": 5.0}
 

@@ -12,7 +12,7 @@ checks back ``fixlat verify``.
 import time
 from itertools import combinations
 
-from fixlat import exhaustive, lattice
+from fixlat import closure, exhaustive, lattice
 from fixlat import verify as verify_mod
 from fixlat.group import PermutationGroup
 
@@ -102,6 +102,17 @@ def test_criterion_1_oracle_values_frozen(fano_group):
     brute = {exhaustive.fixset_closure(table, pts)
              for r in range(8) for pts in combinations(range(7), r)}
     assert len(brute) == 16
+
+
+def test_criterion_2_wrong_join_fails_without_raising(monkeypatch):
+    # with the identity in place of the closure, the join of two points is
+    # the bare pair, which is not a subspace of the plane
+    fl = closure.enumerate_fixset_lattice(verify_mod._fano_group())
+    monkeypatch.setattr(closure, "enumerate_fixset_lattice", lambda G: fl)
+    monkeypatch.setattr(closure, "closure_mask", lambda G, mask: mask)
+    result = verify_mod.check_fano_meet_join()
+    assert result["passed"] is False
+    assert [ok for _, ok in result["subchecks"]] == [False, False]
 
 
 def test_criterion_4_witness_details():

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from fixlat import closure, exhaustive, perm
 from fixlat.closure import (LATTICE_CAP, FixsetLattice, closed_set_lattice,
-                            closure_table, closures, enumerate_fixset_lattice,
-                            fix_join, fix_meet, fixed_points, fixset_closure,
-                            galois_report, is_fixset)
-from fixlat.errors import CapacityError, PreconditionError, ValidationError
+                            closure_mask, closure_table, closures,
+                            enumerate_fixset_lattice, galois_report)
+from fixlat.errors import CapacityError, ValidationError
 from fixlat.geometry import (gaussian_binomial, pgl_generators,
                              projective_points, span_closure, subspace_lattice)
 from fixlat.group import PermutationGroup, group_from_generators
@@ -28,121 +27,100 @@ def all_subsets(n):
 
 
 def test_fixed_points_basics(sym4):
-    assert fixed_points(PermutationGroup.trivial(5)) == (0, 1, 2, 3, 4)
-    assert fixed_points(sym4) == ()
+    # the closure of the empty set is fix(G)
+    assert closure_mask(PermutationGroup.trivial(5), 0) == 0b11111
+    assert closure_mask(sym4, 0) == 0
 
 
 def test_fixed_points_of_fano_pair_stabilizer(fano_group):
-    H = fano_group.pointwise_stabilizer([0, 1])
     # the line through points 0 and 1 (third point frozen from brute force)
-    assert fixed_points(H) == (0, 1, 2)
+    assert closure_mask(fano_group, 0b11) == 0b111
     table = fano_group.elements_array()
     assert exhaustive.fixset_closure(table, [0, 1]) == (0, 1, 2)
 
 
 def test_closure_of_full_domain(d6):
-    full = tuple(range(6))
-    assert fixset_closure(d6, full).points == full
+    assert closure_mask(d6, 0b111111) == 0b111111
 
 
 def test_symmetric_group_closure_fixes_pairs():
     s6 = PermutationGroup.symmetric(6)
-    assert fixset_closure(s6, [1, 4]).points == (1, 4)
+    assert closure_mask(s6, 0b10010) == 0b10010
 
 
 def test_closure_of_antipodal_vertex(d6):
-    assert fixset_closure(d6, [0]).points == (0, 3)
+    assert closure_mask(d6, 0b1) == 0b1001
 
 
 def test_fano_pair_closes_to_line(fano_group):
     table = fano_group.elements_array()
     for pair in combinations(range(7), 2):
-        got = fixset_closure(fano_group, pair).points
-        assert got == exhaustive.fixset_closure(table, pair)
-        assert len(got) == 3
+        got = closure_mask(fano_group, mask_from_points(pair, 7))
+        assert points_from_mask(got) == exhaustive.fixset_closure(table, pair)
+        assert got.bit_count() == 3
 
 
 def test_closure_axioms_exhaustively(fano_group, d6, sym4):
     for G in (fano_group, d6, sym4):
-        for pts in all_subsets(G.degree):
-            c = fixset_closure(G, pts).points
-            assert set(pts) <= set(c)                       # extensive
-            assert fixset_closure(G, c).points == c         # idempotent
+        for mask in range(1 << G.degree):
+            c = closure_mask(G, mask)
+            assert mask & ~c == 0                           # extensive
+            assert closure_mask(G, c) == c                  # idempotent
         # increasing, on sampled nested pairs
         rng = random.Random(0)
         for _ in range(30):
             big = rng.sample(range(G.degree), rng.randrange(G.degree + 1))
             small = rng.sample(big, rng.randrange(len(big) + 1)) if big else []
-            assert (set(fixset_closure(G, small).points)
-                    <= set(fixset_closure(G, big).points))
+            small_c = closure_mask(G, mask_from_points(small, G.degree))
+            big_c = closure_mask(G, mask_from_points(big, G.degree))
+            assert small_c & ~big_c == 0
 
 
 def test_closure_axioms_sampled_above_ten_points(pgl42):
     rng = random.Random(4)
     for _ in range(40):
-        pts = rng.sample(range(15), rng.randrange(16))
-        c = fixset_closure(pgl42, pts).points
-        assert set(pts) <= set(c)
-        assert fixset_closure(pgl42, c).points == c
+        mask = mask_from_points(rng.sample(range(15), rng.randrange(16)), 15)
+        c = closure_mask(pgl42, mask)
+        assert mask & ~c == 0
+        assert closure_mask(pgl42, c) == c
 
 
 def test_is_fixset(fano_group):
-    assert is_fixset(fano_group, [0, 1, 2])        # a full line
-    assert not is_fixset(fano_group, [0, 1])       # closure adds the third point
+    assert closure_mask(fano_group, 0b111) == 0b111     # a full line
+    assert closure_mask(fano_group, 0b11) != 0b11       # closure adds the third point
     sym5 = PermutationGroup.symmetric(5)
-    for pts in all_subsets(5):
+    for mask in range(1 << 5):
         # closed unless exactly one point is missing (its stabilizer is trivial)
-        assert is_fixset(sym5, pts) == (len(pts) != 4)
+        assert (closure_mask(sym5, mask) == mask) == (mask.bit_count() != 4)
 
 
 def test_meet_join_examples(fano_group):
-    lines = [(0, 1, 2), (0, 3, 4)]
-    m = fix_meet(fano_group, *lines)
-    assert m.points == (0,)
-    j = fix_join(fano_group, (0,), (1,))
-    assert j.points == (0, 1, 2)
-    bottom = fixset_closure(fano_group, [])
-    assert fix_meet(fano_group, bottom, lines[0]).points == ()
-    assert fix_join(fano_group, bottom, lines[0]).points == lines[0]
-
-
-def test_meet_join_reject_non_fixsets(fano_group):
-    with pytest.raises(PreconditionError):
-        fix_meet(fano_group, (0, 1), (0, 3))
-    with pytest.raises(PreconditionError):
-        fix_join(fano_group, (0, 1), (0, 3))
-
-
-@pytest.mark.parametrize("call", [
-    lambda G, a: fixset_closure(G, a),
-    lambda G, a: is_fixset(G, a),
-    lambda G, a: fix_meet(G, a, (0, 1, 2)),
-    lambda G, a: fix_join(G, (0, 1, 2), a),
-], ids=["fixset_closure", "is_fixset", "fix_meet", "fix_join"])
-def test_fixset_of_a_larger_group_is_checked_against_the_degree(call):
-    # a FixSet carries its own group; its points must still fit this one
-    outside = fixset_closure(PermutationGroup.symmetric(6), [4, 5])
-    with pytest.raises(ValidationError):
-        call(PermutationGroup.symmetric(3), outside)
+    # meet is AND, join is the closure of OR
+    lines = [0b111, 0b11001]
+    meet = lines[0] & lines[1]
+    assert meet == 0b1 and closure_mask(fano_group, meet) == meet
+    assert closure_mask(fano_group, 0b1 | 0b10) == 0b111
+    bottom = closure_mask(fano_group, 0)
+    assert bottom & lines[0] == 0
+    assert closure_mask(fano_group, bottom | lines[0]) == lines[0]
 
 
 def test_join_contains_union_and_detects_closed_unions(fano_group):
     fl = enumerate_fixset_lattice(fano_group)
-    for a, b in combinations(fl.elements, 2):
-        j = set(fix_join(fano_group, a, b).points)
-        union = set(a) | set(b)
-        assert union <= j
-        if is_fixset(fano_group, sorted(union)):
-            assert j == union
+    for a, b in combinations(fl.masks, 2):
+        j = closure_mask(fano_group, a | b)
+        assert (a | b) & ~j == 0
+        if closure_mask(fano_group, a | b) == a | b:
+            assert j == a | b
 
 
 def test_closure_equals_iterated_singleton_joins(fano_group, d6):
     for G in (fano_group, d6):
-        for pts in all_subsets(G.degree):
-            acc = fixset_closure(G, []).points
-            for x in pts:
-                acc = fix_join(G, acc, fixset_closure(G, [x]).points).points
-            assert acc == fixset_closure(G, pts).points
+        for mask in range(1 << G.degree):
+            acc = closure_mask(G, 0)
+            for x in points_from_mask(mask):
+                acc = closure_mask(G, acc | closure_mask(G, 1 << x))
+            assert acc == closure_mask(G, mask)
 
 
 def test_symmetric_group_lattice_counts():
@@ -377,10 +355,10 @@ def test_pg25_elements_pinned():
 def test_lattice_closed_under_meet_and_join(fano_group, d6):
     for G in (fano_group, d6):
         fl = enumerate_fixset_lattice(G)
-        members = set(fl.elements)
-        for a, b in combinations(fl.elements, 2):
-            assert tuple(sorted(set(a) & set(b))) in members
-            assert fix_join(G, a, b).points in members
+        members = set(fl.masks)
+        for a, b in combinations(fl.masks, 2):
+            assert a & b in members
+            assert closure_mask(G, a | b) in members
 
 
 def reference_covers(elements):
@@ -446,7 +424,7 @@ def test_closure_table_and_subspaces_make_no_point_tuples_into_masks(monkeypatch
     closure_table(G)
     subspace_lattice(2, 3)
     assert calls == []
-    fixset_closure(G, [0])  # the counter sees a call through the point API
+    G.pointwise_stabilizer([0])  # the counter sees a call through the point API
     assert calls == [6]
 
 
@@ -523,6 +501,7 @@ def test_fixset_invariants_through_group_action(d6, fano_group):
         for _ in range(25):
             g = rng.choice(elements)
             pts = rng.sample(range(G.degree), rng.randrange(G.degree + 1))
-            lhs = tuple(sorted(g(x) for x in fixset_closure(G, pts).points))
-            rhs = fixset_closure(G, [g(x) for x in pts]).points
+            c = closure_mask(G, mask_from_points(pts, G.degree))
+            lhs = mask_from_points([g(x) for x in points_from_mask(c)], G.degree)
+            rhs = closure_mask(G, mask_from_points([g(x) for x in pts], G.degree))
             assert lhs == rhs

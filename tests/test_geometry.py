@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 import fixlat.geometry as geo
-from fixlat.closure import fixset_closure
+from fixlat.closure import closure_mask
 from fixlat.errors import InternalConsistencyError, ValidationError
 from fixlat.geometry import (gaussian_binomial, inverse_table, normalize,
                              oracle_iso_check, pgl_generators, pgl_order,
@@ -192,7 +192,7 @@ def test_oracle_iso_fails_over_gf3():
     # strictly larger than the subspace family
     assert not oracle_iso_check(3, 2)
     G = pgl_generators(3, 2)
-    assert fixset_closure(G, [0, 1]).points == (0, 1)
+    assert closure_mask(G, 0b11) == 0b11
     space = projective_points(3, 2)
     assert span_closure(space, 0b11).bit_count() == 4
 
@@ -201,24 +201,24 @@ def test_fixset_closure_within_span(fano_group):
     # closure never escapes the span; they coincide over GF(2)
     space = projective_points(2, 2)
     for mask in range(1 << 7):
-        pts = points_from_mask(mask)
-        assert fixset_closure(fano_group, pts).points == span(space, pts)
+        assert closure_mask(fano_group, mask) == span_closure(space, mask)
     space3 = projective_points(3, 2)
     G3 = pgl_generators(3, 2)
     rng = random.Random(1)
     for _ in range(60):
-        pts = rng.sample(range(13), rng.randrange(6))
-        assert set(fixset_closure(G3, pts).points) <= set(span(space3, pts))
+        mask = mask_from_points(rng.sample(range(13), rng.randrange(6)), 13)
+        assert closure_mask(G3, mask) & ~span_closure(space3, mask) == 0
 
 
 def test_fixset_closure_equals_span_pg32(pgl42):
     space = projective_points(2, 3)
     rng = random.Random(2)
     for _ in range(60):
-        pts = rng.sample(range(15), rng.randrange(6))
-        assert fixset_closure(pgl42, pts).points == span(space, pts)
+        mask = mask_from_points(rng.sample(range(15), rng.randrange(6)), 15)
+        assert closure_mask(pgl42, mask) == span_closure(space, mask)
     for pair in combinations(range(15), 2):
-        assert fixset_closure(pgl42, pair).points == span(space, pair)
+        mask = mask_from_points(pair, 15)
+        assert closure_mask(pgl42, mask) == span_closure(space, mask)
 
 
 def test_generator_verification_guard(monkeypatch):

@@ -37,6 +37,15 @@ def test_symmetric_group_orders():
         assert PermutationGroup.symmetric(n).order() == factorial(n)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize("make", [PermutationGroup.cyclic, PermutationGroup.symmetric,
+                                  PermutationGroup.alternating, PermutationGroup.dihedral],
+                         ids=["cyclic", "symmetric", "alternating", "dihedral"])
+def test_named_groups_reject_nonpositive_degree(make, n):
+    with pytest.raises(ValidationError):
+        make(n)
+
+
 def test_pgl25_order(pgl25):
     assert pgl25.order() == 120
     assert pgl25.elements_array().shape[0] == 120

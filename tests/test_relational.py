@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fixlat import _kernels, closure, relational
 from fixlat._chain import StabilizerChain
-from fixlat.closure import closure_mask, closure_table, fixset_closure
+from fixlat.closure import closure_mask, closure_table
 from fixlat.errors import ValidationError
 from fixlat.exhaustive import relational_closure
 from fixlat.geometry import pgl_generators
@@ -136,8 +136,8 @@ def test_dcl_sound_and_monotone_in_arity(fano_group, d6):
         for pts in all_subsets(G.degree):
             low = dcl(S, pts, arity_limit=2)
             high = dcl(S, pts, arity_limit=3)
-            fix = fixset_closure(G, pts).points
-            assert set(low) <= set(high) <= set(fix)
+            fix = closure_mask(G, mask_from_points(pts, G.degree))
+            assert set(low) <= set(high) <= set(points_from_mask(fix))
 
 
 def test_dcl_commutes_with_group_elements(fano_group):
@@ -219,7 +219,7 @@ def test_fano_table_has_one_row_per_point_pair(fano_group):
     pairs = [tuple(row) for row in params.tolist()]
     assert sorted(pairs) == list(combinations(range(7), 2))
     for (p, q), v in zip(pairs, values.tolist()):
-        assert fixset_closure(fano_group, [p, q]).points == tuple(sorted((p, q, v)))
+        assert closure_mask(fano_group, 1 << p | 1 << q) == 1 << p | 1 << q | 1 << v
     assert S.completion_table(2)[0].shape[0] == 0
 
 
@@ -318,7 +318,7 @@ def test_report_matches_per_subset_reference(G, max_arity):
     agrees = dict.fromkeys(range(2, max_arity + 1), True)
     disagreements = []
     for pts in all_subsets(G.degree):
-        fix = fixset_closure(G, pts).points
+        fix = points_from_mask(closure_mask(G, mask_from_points(pts, G.degree)))
         for a in agrees:
             top = relational_closure(elements, pts, a)
             agrees[a] = agrees[a] and top == fix
