@@ -52,7 +52,11 @@ def distinct_codes_mask(n: int, k: int) -> np.ndarray:
 
 
 def min_labels(images: np.ndarray) -> np.ndarray:
-    """Smallest code reachable from each code under the given bijections."""
+    """Smallest code reachable from each code under the given bijections.
+
+    At the fixpoint each label is constant on its orbit, lies in it and is
+    at most its own code, so it is the orbit's least code.
+    """
     images = np.ascontiguousarray(images, dtype=np.int64)
     g, size = images.shape
     labels = np.arange(size, dtype=np.int64)
@@ -66,13 +70,7 @@ def min_labels(images: np.ndarray) -> np.ndarray:
             labels = np.minimum(labels, labels[images[gi]])
             labels = np.minimum(labels, labels[inverses[gi]])
         if np.array_equal(labels, before):
-            break
-    # settle chains: label of label is the representative
-    while True:
-        nxt = labels[labels]
-        if np.array_equal(nxt, labels):
             return labels
-        labels = nxt
 
 
 def gather_candidates(params: np.ndarray, values: np.ndarray,

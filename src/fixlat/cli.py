@@ -50,6 +50,10 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ValidationError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not {exc.encoding} text") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
@@ -83,8 +87,11 @@ def _emit(args, command: str, result: dict, dot: str | None = None) -> None:
             "result": result,
         })
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(payload)
 

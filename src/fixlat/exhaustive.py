@@ -1,22 +1,20 @@
-"""Brute-force oracles by full element enumeration.
+"""The brute-force oracles that ``fixlat verify`` ships.
 
 Everything here is deliberately independent of the stabilizer-chain
-machinery: elements come from product closure of the generators, and all
+machinery: elements come from product closure of the generators, and
 derived quantities are computed by direct filtering over that table.
-These functions back the cross-checks for orders, membership,
-stabilizers, fixed-point closures, definable closures and tuple-orbit
-counts.
+verify checks group orders, fixed-point closures and lattice
+automorphisms against them; the tests reuse them too. References that
+only the tests need live with the tests.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-from .errors import CapacityError, InternalConsistencyError, ValidationError
+from .errors import CapacityError
 
 ORDER_CAP = 1_000_000
 BRUTE_LATTICE_CAP = 10  # |L|! permutations are filtered: 3.6M at the cap
@@ -53,11 +51,6 @@ def enumerate_elements(degree: int, gens) -> np.ndarray:
     return table[order]
 
 
-def contains(elements: np.ndarray, images) -> bool:
-    row = np.asarray(images, dtype=np.int32)
-    return bool((elements == row).all(axis=1).any())
-
-
 def stabilizer_rows(elements: np.ndarray, points) -> np.ndarray:
     """Rows fixing every listed point."""
     pts = list(points)
@@ -69,85 +62,11 @@ def stabilizer_rows(elements: np.ndarray, points) -> np.ndarray:
     return elements[sel]
 
 
-def fixed_points(rows: np.ndarray) -> tuple[int, ...]:
-    """Points fixed by every row."""
-    degree = rows.shape[1]
-    ident = np.arange(degree, dtype=rows.dtype)
-    if rows.shape[0] == 0:
-        return tuple(range(degree))
-    return tuple(int(x) for x in np.flatnonzero((rows == ident).all(axis=0)))
-
-
 def fixset_closure(elements: np.ndarray, points) -> tuple[int, ...]:
     """Fixed points of the pointwise stabilizer, by direct filtering."""
-    return fixed_points(stabilizer_rows(elements, points))
-
-
-def relational_closure(elements: np.ndarray, points, arity: int) -> tuple[int, ...]:
-    """Definable closure over the orbit relations of arity 2..arity.
-
-    Adds every point forced by a parameter set inside the closure (see
-    ``_completion_rules``) until nothing changes.
-    """
-    table = np.ascontiguousarray(elements, dtype=np.int32)
-    rules = _completion_rules(table.tobytes(), table.shape[1], arity)
-    closed = set(points)
-    grown = True
-    while grown:
-        before = len(closed)
-        closed.update(v for rest, v in rules if rest <= closed)
-        grown = len(closed) > before
-    return tuple(sorted(closed))
-
-
-@lru_cache(maxsize=8)
-def _completion_rules(table: bytes, degree: int, arity: int) -> frozenset:
-    """(parameter set, forced point) pairs of every arity in 2..arity.
-
-    Orbits of distinct k-tuples come from applying every element; a
-    coordinate is forced when, within its orbit, no other tuple agrees with
-    it in all the other coordinates. Keyed by the element table's bytes, so
-    repeated queries on one group enumerate the orbits once.
-    """
-    elements = np.frombuffer(table, dtype=np.int32).reshape(-1, degree)
-    rules = set()
-    for k in range(2, arity + 1):
-        seen = set()
-        for t in permutations(range(degree), k):
-            if t in seen:
-                continue
-            orbit = set(map(tuple, elements[:, list(t)].tolist()))
-            seen |= orbit
-            for slot in range(k):
-                completions = defaultdict(set)
-                for u in orbit:
-                    completions[u[:slot] + u[slot + 1:]].add(u[slot])
-                rules.update((frozenset(rest), v) for rest, (v, *more)
-                             in completions.items() if not more)
-    return frozenset(rules)
-
-
-def tuple_orbit_count(elements: np.ndarray, k: int) -> int:
-    """Orbit count on distinct k-tuples via the orbit-counting lemma.
-
-    Averages the number of fixed distinct k-tuples over the group: an
-    element with f fixed points fixes f(f-1)...(f-k+1) such tuples.
-    """
-    order, degree = elements.shape
-    if k > degree:
-        raise ValidationError("tuple length exceeds degree")
-    ident = np.arange(degree, dtype=elements.dtype)
-    fix_counts = (elements == ident).sum(axis=1).astype(object)
-    total = 0
-    for f in fix_counts:
-        term = 1
-        for i in range(k):
-            term *= f - i
-        total += term
-    if total % order:
-        raise InternalConsistencyError(
-            f"fixed-tuple total {total} is not a multiple of the order {order}")
-    return int(total // order)
+    rows = stabilizer_rows(elements, points)
+    ident = np.arange(rows.shape[1], dtype=rows.dtype)
+    return tuple(int(x) for x in np.flatnonzero((rows == ident).all(axis=0)))
 
 
 def lattice_automorphism_rows(leq: np.ndarray) -> np.ndarray:

@@ -13,11 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from ._chain import StabilizerChain, compose
 from .errors import CapacityError, PreconditionError, ValidationError
-from .exhaustive import enumerate_elements
 from .perm import Permutation, mask_from_points, points_from_mask
 
 DEGREE_CAP = 4096
@@ -320,19 +317,6 @@ class PermutationGroup:
         minimal = [p for p in candidates
                    if not any(q != p and refines(q, p) for q in candidates)]
         return PrimitivityResult(False, min(minimal))
-
-    # -- exhaustive enumeration -------------------------------------------------
-
-    def elements_array(self) -> np.ndarray:
-        """All group elements as a lex-sorted (order, degree) array.
-
-        Product-closure enumeration, independent of the stabilizer chain;
-        this is the oracle side of the order/membership cross-checks.
-        """
-        return enumerate_elements(self.degree, self._gen_tuples)
-
-    def elements(self) -> list[Permutation]:
-        return [Permutation(row) for row in self.elements_array().tolist()]
 
     def __repr__(self) -> str:
         return (f"PermutationGroup(degree={self.degree}, "

@@ -182,12 +182,17 @@ def derivation(sys: SteinerSystem, point: int) -> SteinerSystem:
     """Slice through a point: blocks through it, minus it, on the rest.
 
     Remaining points are renumbered order-preservingly to 0..n-2. The
-    result is verified to be a Steiner (k-1)-system before it is returned.
+    input must verify as a Steiner system, and the result is verified to be
+    a Steiner (k-1)-system before it is returned.
     """
     if sys.k < 3:
         raise PreconditionError("derivation needs k >= 3")
     if not (0 <= point < sys.num_points):
         raise ValidationError(f"point {point} out of range")
+    check = verify_steiner(sys)
+    if not check.valid:
+        raise PreconditionError(
+            f"derivation needs a Steiner system: {check.violations[0]}")
     renumber = {old: old - (old > point) for old in range(sys.num_points)
                 if old != point}
     blocks = [tuple(sorted(renumber[x] for x in b if x != point))

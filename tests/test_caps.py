@@ -25,12 +25,6 @@ def fano_system():
 
 # (module, constant, default, size needed, inputs, call, error, cap name)
 CASES = {
-    "elements_array": (
-        exhaustive, "ORDER_CAP", 1_000_000, 168, fano,
-        lambda G: G.elements_array(), CapacityError, "order"),
-    "elements": (
-        exhaustive, "ORDER_CAP", 1_000_000, 168, fano,
-        lambda G: G.elements(), CapacityError, "order"),
     "enumerate_elements": (
         exhaustive, "ORDER_CAP", 1_000_000, 168, fano,
         lambda G: exhaustive.enumerate_elements(7, G._gen_tuples),

@@ -20,6 +20,8 @@ from fixlat.group import PermutationGroup, group_from_generators
 from fixlat.perm import mask_from_points, points_from_mask
 from test_relational import small_groups
 
+from _oracles import element_table, elements
+
 
 def all_subsets(n):
     for mask in range(1 << n):
@@ -35,7 +37,7 @@ def test_fixed_points_basics(sym4):
 def test_fixed_points_of_fano_pair_stabilizer(fano_group):
     # the line through points 0 and 1 (third point frozen from brute force)
     assert closure_mask(fano_group, 0b11) == 0b111
-    table = fano_group.elements_array()
+    table = element_table(fano_group)
     assert exhaustive.fixset_closure(table, [0, 1]) == (0, 1, 2)
 
 
@@ -53,7 +55,7 @@ def test_closure_of_antipodal_vertex(d6):
 
 
 def test_fano_pair_closes_to_line(fano_group):
-    table = fano_group.elements_array()
+    table = element_table(fano_group)
     for pair in combinations(range(7), 2):
         got = closure_mask(fano_group, mask_from_points(pair, 7))
         assert points_from_mask(got) == exhaustive.fixset_closure(table, pair)
@@ -106,12 +108,17 @@ def test_meet_join_examples(fano_group):
 
 
 def test_join_contains_union_and_detects_closed_unions(fano_group):
+    # the union is its own join exactly when the family holds it, and exactly
+    # when brute-force filtering fixes nothing more
     fl = enumerate_fixset_lattice(fano_group)
+    closed = set(fl.masks)
+    table = element_table(fano_group)
     for a, b in combinations(fl.masks, 2):
         j = closure_mask(fano_group, a | b)
         assert (a | b) & ~j == 0
-        if closure_mask(fano_group, a | b) == a | b:
-            assert j == a | b
+        union = points_from_mask(a | b)
+        assert ((j == a | b) == ((a | b) in closed)
+                == (exhaustive.fixset_closure(table, union) == union))
 
 
 def test_closure_equals_iterated_singleton_joins(fano_group, d6):
@@ -150,7 +157,7 @@ def test_fano_lattice_shape(fano_group):
 
 
 def test_fano_lattice_matches_brute_force(fano_group):
-    table = fano_group.elements_array()
+    table = element_table(fano_group)
     brute = {exhaustive.fixset_closure(table, pts) for pts in all_subsets(7)}
     assert set(enumerate_fixset_lattice(fano_group).elements) == brute
 
@@ -497,9 +504,9 @@ def test_fixset_invariants_through_group_action(d6, fano_group):
     # g(closure(X)) == closure(g(X)) for sampled g and X
     rng = random.Random(9)
     for G in (d6, fano_group):
-        elements = G.elements()
+        perms = elements(G)
         for _ in range(25):
-            g = rng.choice(elements)
+            g = rng.choice(perms)
             pts = rng.sample(range(G.degree), rng.randrange(G.degree + 1))
             c = closure_mask(G, mask_from_points(pts, G.degree))
             lhs = mask_from_points([g(x) for x in points_from_mask(c)], G.degree)

@@ -10,12 +10,13 @@ from fixlat import _kernels, closure, relational
 from fixlat._chain import StabilizerChain
 from fixlat.closure import closure_mask, closure_table
 from fixlat.errors import ValidationError
-from fixlat.exhaustive import relational_closure
 from fixlat.geometry import pgl_generators
 from fixlat.group import PermutationGroup, group_from_generators
 from fixlat.perm import mask_from_points, points_from_mask
 from fixlat.relational import (canonical_structure, dcl_vs_fixset_report,
                                relational_dcl)
+
+from _oracles import element_table, elements
 
 
 def all_subsets(n):
@@ -62,7 +63,7 @@ def test_relations_partition_and_are_invariant(d6, fano_group):
     rng = random.Random(0)
     for G in (d6, fano_group):
         S = canonical_structure(G, 3)
-        elements = G.elements()
+        perms = elements(G)
         for arity, rels in S.relations.items():
             seen = set()
             for rel in rels:
@@ -76,7 +77,7 @@ def test_relations_partition_and_are_invariant(d6, fano_group):
             for rel in rels:
                 tuples = set(map(tuple, rel.tolist()))
                 for _ in range(5):
-                    g = rng.choice(elements)
+                    g = rng.choice(perms)
                     assert {tuple(g(x) for x in t) for t in tuples} == tuples
 
 
@@ -143,9 +144,9 @@ def test_dcl_sound_and_monotone_in_arity(fano_group, d6):
 def test_dcl_commutes_with_group_elements(fano_group):
     S = canonical_structure(fano_group, 3)
     rng = random.Random(1)
-    elements = fano_group.elements()
+    perms = elements(fano_group)
     for _ in range(25):
-        g = rng.choice(elements)
+        g = rng.choice(perms)
         pts = rng.sample(range(7), rng.randrange(8))
         lhs = tuple(sorted(g(x) for x in dcl(S, pts)))
         assert lhs == dcl(S, [g(x) for x in pts])
@@ -256,24 +257,13 @@ def small_groups(draw):
     return group_from_generators(n, gens)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(small_groups())
-def test_dcl_matches_brute_force_relational_closure(G):
-    S = canonical_structure(G, 4)
-    elements = G.elements_array()
-    for pts in all_subsets(G.degree):
-        for limit in (2, 3, 4):
-            assert (dcl(S, pts, arity_limit=limit)
-                    == relational_closure(elements, pts, limit))
-
-
 def reference_orbits(G, k):
     """Orbits of distinct k-tuples, each sorted, in order of least tuple."""
-    elements = G.elements_array()
+    table = element_table(G)
     seen, orbits = set(), []
     for t in permutations(range(G.degree), k):  # lexicographic order
         if t not in seen:
-            orbit = sorted(set(map(tuple, elements[:, list(t)].tolist())))
+            orbit = sorted(set(map(tuple, table[:, list(t)].tolist())))
             seen.update(orbit)
             orbits.append(orbit)
     return orbits
@@ -298,6 +288,34 @@ def reference_table(G, limit):
     return rows
 
 
+def reference_rules(G, limit):
+    """The reference_table rows as (parameter set, forced point) pairs."""
+    n = G.degree
+    return [(frozenset(row[:-1]) - {n}, row[-1]) for row in reference_table(G, limit)]
+
+
+def reference_dcl(rules, points):
+    """Least superset of points that holds every point a rule inside it forces."""
+    closed = set(points)
+    grown = True
+    while grown:
+        before = len(closed)
+        closed.update(v for rest, v in rules if rest <= closed)
+        grown = len(closed) > before
+    return tuple(sorted(closed))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(small_groups())
+def test_dcl_matches_brute_force_relational_closure(G):
+    S = canonical_structure(G, 4)
+    rules = {limit: reference_rules(G, limit) for limit in (2, 3, 4)}
+    for pts in all_subsets(G.degree):
+        for limit in (2, 3, 4):
+            assert (dcl(S, pts, arity_limit=limit)
+                    == reference_dcl(rules[limit], pts))
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(small_groups())
 def test_structure_matches_per_orbit_reference(G):
@@ -314,13 +332,13 @@ def test_structure_matches_per_orbit_reference(G):
 @given(small_groups(), st.integers(2, 4))
 def test_report_matches_per_subset_reference(G, max_arity):
     rep = dcl_vs_fixset_report(G, max_arity)
-    elements = G.elements_array()
-    agrees = dict.fromkeys(range(2, max_arity + 1), True)
+    rules = {a: reference_rules(G, a) for a in range(2, max_arity + 1)}
+    agrees = dict.fromkeys(rules, True)
     disagreements = []
     for pts in all_subsets(G.degree):
         fix = points_from_mask(closure_mask(G, mask_from_points(pts, G.degree)))
         for a in agrees:
-            top = relational_closure(elements, pts, a)
+            top = reference_dcl(rules[a], pts)
             agrees[a] = agrees[a] and top == fix
         if top != fix:
             disagreements.append({"points": pts, "dcl": top, "fixset": fix})

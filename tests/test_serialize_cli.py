@@ -17,7 +17,7 @@ from fixlat.group import GroupAction, PermutationGroup
 from fixlat.lattice import (FiniteLattice, boolean_lattice, diamond_lattice,
                             order_covers)
 from fixlat.relational import dcl_vs_fixset_report
-from fixlat.steiner import (derivation, steiner_from_affine,
+from fixlat.steiner import (derivation, make_system, steiner_from_affine,
                             steiner_from_affine_planes, steiner_from_projective)
 
 
@@ -300,6 +300,16 @@ def test_cli_steiner_derive(capsys, tmp_path):
     result = cli_result(capsys, "steiner", "derive", "--in", str(path),
                         "--point", "5")
     assert result == serialize.steiner_to_obj(derivation(planes, 5))
+
+
+def test_cli_steiner_derive_rejects_a_non_steiner_input(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.canonical_json(serialize.steiner_to_obj(
+        make_system(3, 8, [(0, 1, 2, 3), (0, 4, 5, 6)]))))
+    code, out, err = run_cli(capsys, "steiner", "derive", "--in", str(path),
+                             "--point", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: derivation needs a Steiner system: ")
 
 
 @pytest.mark.parametrize("system, cap", [
@@ -773,6 +783,20 @@ def test_cli_error_exit_codes(capsys, tmp_path):
     assert code == 2 and "line 1" in err
     code, _, _ = run_cli(capsys, "group", "bogus", "--in", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["geometry", "points", "--out", "DIR/no/such/dir/x.json"], "cannot write"),
+    (["group", "order", "--in", "DIR"], "cannot read"),
+    (["group", "order", "--in", "DIR/bom.json"], "text"),
+], ids=["out-in-missing-dir", "in-is-a-directory", "in-not-text"])
+def test_cli_file_errors_exit_2_without_a_traceback(tmp_path, argv, says):
+    (tmp_path / "bom.json").write_bytes(b"\xff\xfe")
+    argv = [a.replace("DIR", str(tmp_path)) for a in argv]
+    code, out, err = run_cli_fresh(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert says in err
 
 
 def test_cli_capacity_exit_code(capsys, tmp_path):

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from fixlat import _kernels, exhaustive, group, steiner
+from fixlat import _kernels, group, steiner
 from fixlat._chain import StabilizerChain
 from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import (InternalConsistencyError, PreconditionError,
@@ -18,6 +18,8 @@ from fixlat.steiner import (JordanEntry, SteinerSystem,
                             steiner_from_affine, steiner_from_affine_planes,
                             steiner_from_projective, steiner_isomorphism,
                             verify_steiner)
+
+from _oracles import element_table, tuple_orbit_count
 
 
 @pytest.fixture(scope="module")
@@ -147,12 +149,21 @@ def test_derivation_point_range(s348):
 
 
 def test_derivation_verifies_result(s348, monkeypatch):
+    # the input still verifies; only the derived 2-system is made to fail
     import fixlat.steiner as st
+    real = st.verify_steiner
     monkeypatch.setattr(st, "verify_steiner",
-                        lambda sys, **kw: st.SteinerVerification(
-                            False, ({"kind": "forced"},)))
+                        lambda sys, **kw: real(sys) if sys.k == 3 else
+                        st.SteinerVerification(False, ({"kind": "forced"},)))
     with pytest.raises(InternalConsistencyError):
         derivation(s348, 0)
+
+
+def test_derivation_rejects_a_non_steiner_input():
+    bad = make_system(3, 8, [(0, 1, 2, 3), (0, 4, 5, 6)])
+    with pytest.raises(PreconditionError,
+                       match=r"needs a Steiner system: .*'uncovered'"):
+        derivation(bad, 0)
 
 
 def test_isomorphism_rejects_different_systems(fano_system):
@@ -257,10 +268,10 @@ def test_jordan_report_matches_stabilizer_groups(make):
         assert got.jordan == want.jordan
         assert got.complement_orbits == want.complement_orbits
     assert rep.all_jordan == all(e.jordan for e in reference)
-    table = G.elements_array()
+    table = element_table(G)
     assert rep.transitivity_degree == max(
         [0] + [k for k in range(1, min(5, G.degree) + 1)
-               if exhaustive.tuple_orbit_count(table, k) == 1])
+               if tuple_orbit_count(table, k) == 1])
 
 
 def test_transitivity_and_jordan_never_label_tuples(monkeypatch):
