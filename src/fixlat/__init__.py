@@ -17,8 +17,7 @@ from .errors import (CapacityError, FixlatError, InternalConsistencyError,
 from .geometry import (ProjectiveSpace, oracle_iso_check, pgl_generators,
                        pgl_order, projective_points, span_closure,
                        subspace_lattice)
-from .group import (GroupAction, PermutationGroup, PrimitivityResult,
-                    group_from_generators)
+from .group import PermutationGroup, PrimitivityResult
 from .lattice import (FiniteLattice, ReconstructionResult, atoms,
                       boolean_lattice, chain_lattice, diamond_lattice,
                       is_atomistic, is_distributive, join, lattice_automorphisms,

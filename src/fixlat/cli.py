@@ -100,8 +100,7 @@ def _emit(args, command: str, result: dict, dot: str | None = None) -> None:
 
 
 def cmd_group(args) -> int:
-    action = serialize.group_from_obj(_load_json(args.infile))
-    G = action.group
+    G = serialize.group_from_obj(_load_json(args.infile))
     sub = args.subcommand
     if sub == "orbits":
         result = {"orbits": [list(o) for o in G.orbits()]}
@@ -199,7 +198,8 @@ def cmd_lattice(args) -> int:
             "embedding": [list(e) for e in r.embedding],
             "iso": [list(e) for e in r.iso] if r.iso else None,
             "fixset_lattice": serialize.fixset_lattice_to_obj(r.fixset_lattice),
-            "atom_action": serialize.group_to_obj(r.atom_action),
+            "atom_action": dict(serialize.group_to_obj(r.atom_group),
+                                labels=[str(a) for a in r.atoms]),
         }
     elif sub == "stone":
         rep = lattice.stone_ultrafilters(L)
@@ -246,8 +246,8 @@ def cmd_steiner(args) -> int:
     if sub == "autcheck":
         if args.group is None:
             raise ValidationError("steiner autcheck needs --group")
-        action = serialize.group_from_obj(_load_json(args.group))
-        res = steiner.steiner_automorphism_check(sys_, action.group)
+        G = serialize.group_from_obj(_load_json(args.group))
+        res = steiner.steiner_automorphism_check(sys_, G)
         result = {"preserves_blocks": res.preserves,
                   "violation": ({"generator": res.violation["generator"],
                                  "block": list(res.violation["block"]),

@@ -90,7 +90,8 @@ class PermutationGroup:
     membership of generators), never equality of generator lists.
     """
 
-    def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
+    def __init__(self, degree: int, generators: Iterable = ()):
+        """Generators may be Permutations, image lists or cycle strings."""
         if degree < 1:
             raise ValidationError("degree must be at least 1")
         if degree > DEGREE_CAP:
@@ -98,7 +99,9 @@ class PermutationGroup:
                 f"degree {degree} exceeds cap {DEGREE_CAP}", cap_name="degree")
         gens = []
         for g in generators:
-            if not isinstance(g, Permutation):
+            if isinstance(g, str):
+                g = Permutation.from_cycles(g, degree)
+            elif not isinstance(g, Permutation):
                 g = Permutation(g)
             if g.degree != degree:
                 raise ValidationError(
@@ -116,10 +119,6 @@ class PermutationGroup:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def from_cycles(cls, degree: int, cycles: Sequence[str]) -> "PermutationGroup":
-        return cls(degree, [Permutation.from_cycles(c, degree) for c in cycles])
-
-    @classmethod
     def trivial(cls, degree: int) -> "PermutationGroup":
         return cls(degree, [])
 
@@ -135,7 +134,7 @@ class PermutationGroup:
     def alternating(cls, n: int) -> "PermutationGroup":
         if n < 3:
             return cls.trivial(n)
-        gens = [Permutation.from_cycles("(0 1 2)", n)]
+        gens = ["(0 1 2)"]
         if n > 3:
             if n % 2:
                 gens.append(Permutation(list(range(1, n)) + [0]))
@@ -293,29 +292,21 @@ class PermutationGroup:
         """Primitivity test; an imprimitive action yields a block-system witness.
 
         The witness is the lexicographically least partition among the
-        refinement-minimal non-trivial invariant ones.
+        refinement-minimal non-trivial invariant ones. Each such partition
+        p is finest(0, b) for some b, and a non-trivial finest(0, b) is
+        minimal iff finest(0, c) equals it for every c != 0 in its block
+        of 0: a strictly finer system would hold some finest(0, c).
         """
         if not self.is_transitive():
             raise PreconditionError("primitivity is defined for transitive actions")
         if self.degree <= 2:
             return PrimitivityResult(True, None)
-        candidates = set()
-        for b in range(1, self.degree):
-            blocks = self._finest_blocks_merging(0, b)
-            if 1 < len(blocks) < self.degree:
-                candidates.add(blocks)
-        if not candidates:
+        finest = [None] + [self._finest_blocks_merging(0, b)
+                           for b in range(1, self.degree)]
+        minimal = [p for p in set(finest[1:]) if len(p) > 1
+                   and all(finest[c] == p for c in p[0][1:])]
+        if not minimal:
             return PrimitivityResult(True, None)
-
-        def refines(p, q):
-            cover = {}
-            for bi, blk in enumerate(q):
-                for x in blk:
-                    cover[x] = bi
-            return all(len({cover[x] for x in blk}) == 1 for blk in p)
-
-        minimal = [p for p in candidates
-                   if not any(q != p and refines(q, p) for q in candidates)]
         return PrimitivityResult(False, min(minimal))
 
     def __repr__(self) -> str:
@@ -327,33 +318,3 @@ class PermutationGroup:
 class PrimitivityResult:
     primitive: bool
     block_system: Optional[tuple[tuple[int, ...], ...]]
-
-
-@dataclass(frozen=True)
-class GroupAction:
-    """A permutation group together with display labels for the points."""
-
-    group: PermutationGroup
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.labels) != self.group.degree:
-            raise ValidationError(
-                f"{len(self.labels)} labels for degree {self.group.degree}")
-
-    @classmethod
-    def unlabeled(cls, group: PermutationGroup) -> "GroupAction":
-        return cls(group, tuple(str(i) for i in range(group.degree)))
-
-
-def group_from_generators(degree: int, gens: Iterable) -> PermutationGroup:
-    """Build and verify a group from raw image lists, Permutations or cycle strings."""
-    parsed = []
-    for g in gens:
-        if isinstance(g, Permutation):
-            parsed.append(g)
-        elif isinstance(g, str):
-            parsed.append(Permutation.from_cycles(g, degree))
-        else:
-            parsed.append(Permutation(g))
-    return PermutationGroup(degree, parsed)

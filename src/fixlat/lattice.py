@@ -26,7 +26,7 @@ import numpy as np
 from ._chain import orbit_transversal, sims_filter_rows
 from .errors import (CapacityError, InternalConsistencyError,
                      PreconditionError, ValidationError)
-from .group import TUPLE_SPACE_CAP, GroupAction, PermutationGroup
+from .group import TUPLE_SPACE_CAP, PermutationGroup
 from .perm import Permutation, mask_from_points, points_from_mask
 
 AUTOMORPHISM_CAP = 128
@@ -474,13 +474,15 @@ def stabilizer_separation(L: FiniteLattice,
 class ReconstructionResult:
     """Outcome of rebuilding a lattice from its automorphism action on atoms.
 
-    ``embedding`` maps each element index to a fixset of the atom action
-    (as a tuple of atom positions). ``closure_trivial`` says whether the
-    embedded image is all of the fixset lattice; when it is, ``iso`` holds
-    the order isomorphism as that same tuple list.
+    ``atom_group`` acts on positions 0..k-1 of ``atoms``, the atoms'
+    element indices. ``embedding`` maps each element index to a fixset of
+    the atom action (as a tuple of atom positions). ``closure_trivial``
+    says whether the embedded image is all of the fixset lattice; when it
+    is, ``iso`` holds the order isomorphism as that same tuple list.
     """
 
-    atom_action: GroupAction
+    atom_group: PermutationGroup
+    atoms: tuple[int, ...]
     fixset_lattice: "object"
     embedding: tuple[tuple[int, ...], ...]
     image_size: int
@@ -509,7 +511,6 @@ def reconstruct(L: FiniteLattice, cap: int = LATTICE_CAP) -> ReconstructionResul
     # faithful: an automorphism of an atomistic lattice fixing every atom
     # fixes every join of atoms
     atom_group = _known_order(PermutationGroup(len(ats), atom_gens), G.order())
-    action = GroupAction(atom_group, tuple(str(a) for a in ats))
     fl = enumerate_fixset_lattice(atom_group, cap=cap)
     closed = [closure_mask(atom_group, sum(1 << i for i, a in enumerate(ats)
                                            if L.leq[a, l]))
@@ -524,7 +525,8 @@ def reconstruct(L: FiniteLattice, cap: int = LATTICE_CAP) -> ReconstructionResul
     elements = dict(zip(fl.masks, fl.elements))
     embedding = tuple(elements[m] for m in closed)
     return ReconstructionResult(
-        atom_action=action,
+        atom_group=atom_group,
+        atoms=ats,
         fixset_lattice=fl,
         embedding=embedding,
         image_size=len(image),

@@ -3,7 +3,7 @@
 Formats:
 
 * group:   {"degree": n, "generators": [[...images], "(0 1 2)", ...],
-            "labels": [...optional strings]}
+            "labels": [...optional, one per point; checked, not kept]}
 * lattice: {"size": n, "covers": [[i, j], ...]}  (j covers i; order is the
             reflexive-transitive closure of the cover edges)
 * fixset lattice: {"degree": n, "elements": [[points], ...],
@@ -26,7 +26,7 @@ import numpy as np
 
 from .closure import FixsetLattice
 from .errors import CapacityError, ValidationError
-from .group import GroupAction, PermutationGroup, group_from_generators
+from .group import PermutationGroup
 from .lattice import LATTICE_CAP, FiniteLattice, order_from_covers
 from .steiner import SteinerSystem, make_system
 
@@ -110,34 +110,26 @@ def _list(value) -> list:
 # -- groups -----------------------------------------------------------------
 
 
-def group_to_obj(action: GroupAction | PermutationGroup) -> dict:
-    if isinstance(action, GroupAction):
-        group, labels = action.group, list(action.labels)
-    else:
-        group, labels = action, None
-    obj = {
-        "degree": group.degree,
-        "generators": [list(g.images) for g in group.generators],
-    }
-    if labels is not None:
-        obj["labels"] = labels
-    return obj
+def group_to_obj(group: PermutationGroup) -> dict:
+    return {"degree": group.degree,
+            "generators": [list(g.images) for g in group.generators]}
 
 
-def group_from_obj(obj: dict) -> GroupAction:
+def group_from_obj(obj: dict) -> PermutationGroup:
+    """The group of a group object; ``labels``, if given, must be a list of
+    one entry per point, but is not kept."""
     try:
         degree = _int(obj["degree"])
         raw_gens = [g if isinstance(g, str) else list(map(_int, _list(g)))
                     for g in _list(obj["generators"])]
         labels = obj.get("labels")
-        if labels is not None:
-            labels = tuple(str(x) for x in _list(labels))
+        n_labels = None if labels is None else len(_list(labels))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad group object: {exc}") from exc
-    group = group_from_generators(degree, raw_gens)
-    if labels is None:
-        return GroupAction.unlabeled(group)
-    return GroupAction(group, labels)
+    group = PermutationGroup(degree, raw_gens)
+    if n_labels not in (None, degree):
+        raise ValidationError(f"{n_labels} labels for degree {degree}")
+    return group
 
 
 # -- plain lattices -----------------------------------------------------------

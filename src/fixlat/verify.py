@@ -28,9 +28,11 @@ from .group import PermutationGroup
 from .perm import mask_from_points
 
 
-def _subchecks(pairs) -> tuple[bool, list]:
-    passed = all(ok for _, ok in pairs)
-    return passed, [[label, bool(ok)] for label, ok in pairs]
+def _result(pairs, **extra) -> dict:
+    """A check's result: passed iff every (label, ok) pair holds, with the
+    pairs as subchecks and the extra keys, such as ``budget_seconds``."""
+    return {"passed": all(ok for _, ok in pairs),
+            "subchecks": [[label, bool(ok)] for label, ok in pairs], **extra}
 
 
 def _fano_group() -> PermutationGroup:
@@ -54,8 +56,7 @@ def check_fano_fixset_lattice(_inject=None) -> dict:
         ("fixsets coincide with projective subspaces",
          geometry.oracle_iso_check(2, 2)),
     ]
-    passed, detail = _subchecks(checks)
-    return {"passed": passed, "subchecks": detail, "budget_seconds": 5.0}
+    return _result(checks, budget_seconds=5.0)
 
 
 def check_fano_meet_join(_inject=None) -> dict:
@@ -74,11 +75,10 @@ def check_fano_meet_join(_inject=None) -> dict:
             join = closure.closure_mask(G, functools.reduce(operator.or_, combo))
             if (index.get(meet), index.get(join)) != expected:
                 ok[r] = False
-    passed, detail = _subchecks([
+    return _result([
         ("all 120 unordered pairs agree", ok[2]),
         ("all 560 unordered triples agree", ok[3]),
-    ])
-    return {"passed": passed, "subchecks": detail, "budget_seconds": 5.0}
+    ], budget_seconds=5.0)
 
 
 def check_galois_duality(_inject=None) -> dict:
@@ -93,8 +93,7 @@ def check_galois_duality(_inject=None) -> dict:
         rep = closure.galois_report(G)
         checks.append((f"{name}: {rep.elements_checked} fixsets, "
                        f"{rep.pairs_checked} pairs", rep.passed))
-    passed, detail = _subchecks(checks)
-    return {"passed": passed, "subchecks": detail}
+    return _result(checks)
 
 
 def _shared(items, same) -> set:
@@ -145,15 +144,11 @@ def check_cone_separation(_inject=None) -> dict:
          and set(cube.witness) <= closed and shared == closed == brute),
         ("7-point plane subspace lattice holds", fano.holds),
     ]
-    passed, detail = _subchecks(checks)
-    return {
-        "passed": passed,
-        "subchecks": detail,
-        "chain_witness": list(sep_chain.witness) if sep_chain.witness else None,
-        "cube_witness": list(cube.witness) if cube.witness else None,
-        "cube_shared": sorted(shared),
-        "budget_seconds": 5.0,
-    }
+    return _result(
+        checks, budget_seconds=5.0,
+        chain_witness=list(sep_chain.witness) if sep_chain.witness else None,
+        cube_witness=list(cube.witness) if cube.witness else None,
+        cube_shared=sorted(shared))
 
 
 def check_diamond_reconstruction(_inject=None) -> dict:
@@ -169,7 +164,7 @@ def check_diamond_reconstruction(_inject=None) -> dict:
         size = 2**n - n
         trivial = n + 2 == size
         elements = exhaustive.enumerate_elements(
-            n, [g.images for g in r.atom_action.group.generators])
+            n, [g.images for g in r.atom_group.generators])
         brute = {exhaustive.fixset_closure(elements, combo)
                  for k in range(n + 1) for combo in combinations(range(n), k)}
         checks.append((f"M_{n}: closure {'trivial' if trivial else 'non-trivial'}",
@@ -185,8 +180,7 @@ def check_diamond_reconstruction(_inject=None) -> dict:
     rf = lattice.reconstruct(geometry.subspace_lattice(2, 2))
     checks.append(("7-point plane: closure trivial", rf.closure_trivial))
     checks.append(("7-point plane: isomorphism emitted", rf.iso is not None))
-    passed, detail = _subchecks(checks)
-    return {"passed": passed, "subchecks": detail, **details}
+    return _result(checks, **details)
 
 
 def check_lattice_automorphisms(_inject=None) -> dict:
@@ -207,8 +201,7 @@ def check_lattice_automorphisms(_inject=None) -> dict:
         ("chain brute force agrees",
          exhaustive.lattice_automorphism_count(chain3.leq) == aut_chain),
     ]
-    passed, detail = _subchecks(checks)
-    return {"passed": passed, "subchecks": detail, "budget_seconds": 30.0}
+    return _result(checks, budget_seconds=30.0)
 
 
 def check_jordan_transitivity(_inject=None) -> dict:
@@ -234,8 +227,7 @@ def check_jordan_transitivity(_inject=None) -> dict:
     checks.append(("hexagon witness splits into {1,5},{2,4}",
                    witness is not None
                    and witness.complement_orbits == ((1, 5), (2, 4))))
-    passed, detail = _subchecks(checks)
-    return {"passed": passed, "subchecks": detail, "budget_seconds": 60.0}
+    return _result(checks, budget_seconds=60.0)
 
 
 def check_dcl_vs_span(_inject=None) -> dict:
@@ -247,10 +239,8 @@ def check_dcl_vs_span(_inject=None) -> dict:
     dcl = relational.relational_dcl(S, masks)
     all_agree = all(d == f == geometry.span_closure(space, m)
                     for m, d, f in zip(masks, dcl, closure.closure_table(G)))
-    passed, detail = _subchecks([
-        ("relational = fixset = span on all 128 subsets", all_agree),
-    ])
-    return {"passed": passed, "subchecks": detail, "budget_seconds": 10.0}
+    return _result([("relational = fixset = span on all 128 subsets", all_agree)],
+                   budget_seconds=10.0)
 
 
 def check_steiner_derivation(inject=None) -> dict:
@@ -281,8 +271,7 @@ def check_steiner_derivation(inject=None) -> dict:
         checks.append((f"{name}: verifies", steiner.verify_steiner(sys).valid))
         checks.append((f"{name}: block/pair counting identity",
                        steiner.counting_identity_holds(sys)))
-    passed, detail = _subchecks(checks)
-    return {"passed": passed, "subchecks": detail, "budget_seconds": 10.0}
+    return _result(checks, budget_seconds=10.0)
 
 
 def check_scale_pg32(_inject=None) -> dict:
@@ -299,8 +288,7 @@ def check_scale_pg32(_inject=None) -> dict:
          sl.size == geometry.subspace_count(2, 3)),
         ("every stabilizer transitive on complement", rep.all_jordan),
     ]
-    passed, detail = _subchecks(checks)
-    return {"passed": passed, "subchecks": detail, "budget_seconds": 120.0}
+    return _result(checks, budget_seconds=120.0)
 
 
 def check_stone_representation(_inject=None) -> dict:
@@ -318,8 +306,7 @@ def check_stone_representation(_inject=None) -> dict:
         ("7-point plane lattice reported non-distributive",
          not lattice.is_distributive(fano)),
     ]
-    passed, detail = _subchecks(checks)
-    return {"passed": passed, "subchecks": detail}
+    return _result(checks)
 
 
 CHECKS: list[tuple[str, Callable]] = [

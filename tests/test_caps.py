@@ -11,7 +11,7 @@ from fixlat import closure, exhaustive, geometry, relational
 from fixlat import serialize, steiner
 from fixlat.cli import main
 from fixlat.errors import CapacityError
-from fixlat.group import GroupAction, PermutationGroup
+from fixlat.group import PermutationGroup
 from fixlat.lattice import chain_lattice
 
 
@@ -114,6 +114,6 @@ def test_steiner_builds_exit_3_past_the_tuple_cap(capsys, argv, count):
 def test_cap_order_flag_is_gone(tmp_path, capsys):
     path = tmp_path / "G.json"
     path.write_text(serialize.canonical_json(serialize.group_to_obj(
-        GroupAction.unlabeled(PermutationGroup.dihedral(6)))))
+        PermutationGroup.dihedral(6))))
     assert main(["group", "order", "--in", str(path), "--cap-order", "5"]) == 2
     assert "--cap-order" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from fixlat.closure import (LATTICE_CAP, FixsetLattice, closed_set_lattice,
 from fixlat.errors import CapacityError, ValidationError
 from fixlat.geometry import (gaussian_binomial, pgl_generators,
                              projective_points, span_closure, subspace_lattice)
-from fixlat.group import PermutationGroup, group_from_generators
+from fixlat.group import PermutationGroup
 from fixlat.perm import mask_from_points, points_from_mask
 from test_relational import small_groups
 
@@ -141,7 +141,7 @@ def test_symmetric_group_lattice_counts():
 def test_bottom_is_fix_of_the_whole_group():
     # with a globally fixed point the lattice floor is fix(G), not the
     # empty set
-    G = group_from_generators(4, ["(1 2 3)"])
+    G = PermutationGroup(4, ["(1 2 3)"])
     fl = enumerate_fixset_lattice(G)
     assert fl.elements[0] == (0,)
     assert 0 not in fl.masks
@@ -176,7 +176,7 @@ def test_enumerator_matches_brute_force_on_random_groups(group):
     table = exhaustive.enumerate_elements(n, gens)
     brute = {exhaustive.fixset_closure(table, pts) for pts in all_subsets(n)}
     expected = tuple(sorted(brute, key=lambda e: (len(e), e)))
-    assert enumerate_fixset_lattice(group_from_generators(n, gens)).elements == expected
+    assert enumerate_fixset_lattice(PermutationGroup(n, gens)).elements == expected
 
 
 def fixset_close(G, symmetric=True):
@@ -191,7 +191,7 @@ def fixset_close(G, symmetric=True):
 def groups_up_to_degree_8(draw):
     n = draw(st.integers(1, 8))
     gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
-    return group_from_generators(n, gens)
+    return PermutationGroup(n, gens)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -377,7 +377,7 @@ def reference_covers(elements):
 
 
 def test_covers_match_definition(fano_group, pgl25, d6):
-    pgl25_sym3 = group_from_generators(
+    pgl25_sym3 = PermutationGroup(
         9, [list(g.images) + [6, 7, 8] for g in pgl25.generators]
         + [list(range(6)) + [7, 6, 8], list(range(6)) + [7, 8, 6]])
     lattices = [enumerate_fixset_lattice(G) for G in

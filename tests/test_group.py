@@ -9,14 +9,18 @@ from fixlat.errors import (InternalConsistencyError, PreconditionError,
                            ValidationError)
 from fixlat.closure import closure_mask, enumerate_fixset_lattice
 from fixlat.geometry import pgl_generators
-from fixlat.group import PermutationGroup, group_from_generators
+from fixlat.group import PermutationGroup
 from fixlat.perm import Permutation
 
 from _oracles import contains, element_table, tuple_orbit_count
 
 
 def test_cyclic_group_order():
-    assert group_from_generators(3, ["(0 1 2)"]).order() == 3
+    assert PermutationGroup(3, ["(0 1 2)"]).order() == 3
+
+
+def test_constructor_takes_cycle_strings_and_image_lists():
+    assert PermutationGroup(3, ["(0 1)", [1, 2, 0]]).order() == 6
 
 
 def test_trivial_group():
@@ -55,9 +59,9 @@ def test_pgl25_order(pgl25):
 
 def test_malformed_generator_rejected():
     with pytest.raises(ValidationError):
-        group_from_generators(3, [[0, 0, 1]])
+        PermutationGroup(3, [[0, 0, 1]])
     with pytest.raises(ValidationError):
-        group_from_generators(3, [[0, 1, 2, 3]])
+        PermutationGroup(3, [[0, 1, 2, 3]])
 
 
 def test_contains_transposition(sym4):
@@ -167,7 +171,7 @@ def test_order_and_membership_match_exhaustive(fano_group, pgl25):
 
 def test_group_equality_ignores_generator_lists():
     a = PermutationGroup.symmetric(4)
-    b = group_from_generators(4, ["(0 1)", "(1 2)", "(2 3)"])
+    b = PermutationGroup(4, ["(0 1)", "(1 2)", "(2 3)"])
     assert a.equals(b)
     assert not a.equals(PermutationGroup.alternating(4))
 
@@ -184,14 +188,14 @@ def test_transitivity_degree_full_symmetric():
 
 
 def test_transitivity_degree_intransitive():
-    G = group_from_generators(4, ["(0 1)"])
+    G = PermutationGroup(4, ["(0 1)"])
     assert G.transitivity_degree(2) == 0
 
 
 def test_tuple_orbit_counts_match_burnside(fano_group, pgl25, d6):
     # k-transitive exactly when the orbit-counting lemma finds one orbit
     # on distinct k-tuples
-    intransitive = group_from_generators(5, ["(0 1 2)", "(3 4)"])
+    intransitive = PermutationGroup(5, ["(0 1 2)", "(3 4)"])
     for G in (fano_group, pgl25, d6, PermutationGroup.symmetric(5),
               PermutationGroup.alternating(6), intransitive):
         table = element_table(G)
@@ -226,7 +230,7 @@ def test_primitivity_of_fano(fano_group):
 
 def test_primitivity_needs_transitive():
     with pytest.raises(PreconditionError):
-        group_from_generators(4, ["(0 1)"]).primitivity()
+        PermutationGroup(4, ["(0 1)"]).primitivity()
 
 
 def test_known_order_stops_the_chain_and_is_checked():

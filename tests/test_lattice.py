@@ -533,7 +533,8 @@ def test_reconstruct_fano_lattice():
     assert r.closure_trivial
     assert r.image_size == len(r.fixset_lattice) == 16
     assert r.iso is not None
-    assert r.atom_action.group.order() == 168
+    assert r.atom_group.order() == 168
+    assert r.atoms == atoms(subspace_lattice(2, 2))
     # order isomorphism: containment of images matches the lattice order
     L = subspace_lattice(2, 2)
     for i in range(L.size):
@@ -545,7 +546,7 @@ def test_reconstruct_fano_lattice():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_reconstruct_diamonds(n):
     r = reconstruct(diamond_lattice(n))
-    assert r.atom_action.group.order() == math.factorial(n)
+    assert r.atom_group.order() == math.factorial(n)
     assert r.image_size == n + 2
     # the symmetric group's fixsets exclude co-singletons, so the ambient
     # lattice has 2^n - n elements; the closure is non-trivial, with closed
@@ -617,7 +618,7 @@ def test_reconstruct_pg32_subspace_lattice(pgl42):
     r = reconstruct(subspace_lattice(2, 3))
     assert r.closure_trivial
     assert r.image_size == 67
-    assert r.atom_action.group.equals(pgl42)
+    assert r.atom_group.equals(pgl42)
 
 
 @pytest.mark.slow

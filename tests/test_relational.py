@@ -11,7 +11,7 @@ from fixlat._chain import StabilizerChain
 from fixlat.closure import closure_mask, closure_table
 from fixlat.errors import ValidationError
 from fixlat.geometry import pgl_generators
-from fixlat.group import PermutationGroup, group_from_generators
+from fixlat.group import PermutationGroup
 from fixlat.perm import mask_from_points, points_from_mask
 from fixlat.relational import (canonical_structure, dcl_vs_fixset_report,
                                relational_dcl)
@@ -254,7 +254,7 @@ def test_fano_dcl_gathers_at_most_twice(fano_group, monkeypatch):
 def small_groups(draw):
     n = draw(st.integers(1, 7))
     gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
-    return group_from_generators(n, gens)
+    return PermutationGroup(n, gens)
 
 
 def reference_orbits(G, k):
@@ -366,13 +366,13 @@ def blocks_of(size, count):
     cycles = []
     for b in range(0, size * count, size):
         cycles += [f"({b} {b + 1})", "(" + " ".join(map(str, range(b, b + size))) + ")"]
-    return PermutationGroup.from_cycles(size * count, cycles)
+    return PermutationGroup(size * count, cycles)
 
 
 @pytest.mark.parametrize("G", [
     PermutationGroup.trivial(12), PermutationGroup.cyclic(12),
     PermutationGroup.dihedral(12), blocks_of(3, 4), blocks_of(2, 6),
-    PermutationGroup.from_cycles(12, ["(0 1)", "(0 1 2)"]),
+    PermutationGroup(12, ["(0 1)", "(0 1 2)"]),
 ], ids=["trivial12", "C12", "D12", "Sym3^4", "Sym2^6", "Sym3+9fixed"])
 def test_closure_table_matches_closure_mask_on_twelve_points(G):
     assert_table_matches_tower_walks(G)

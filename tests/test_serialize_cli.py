@@ -13,7 +13,7 @@ from fixlat.cli import build_parser, main
 from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import ValidationError
 from fixlat.geometry import pgl_generators, projective_points, subspace_lattice
-from fixlat.group import GroupAction, PermutationGroup
+from fixlat.group import PermutationGroup
 from fixlat.lattice import (FiniteLattice, boolean_lattice, diamond_lattice,
                             order_covers)
 from fixlat.relational import dcl_vs_fixset_report
@@ -22,17 +22,16 @@ from fixlat.steiner import (derivation, make_system, steiner_from_affine,
 
 
 def test_group_roundtrip(d6):
-    action = GroupAction(d6, tuple("abcdef"))
-    obj = serialize.group_to_obj(action)
+    # a labelled file parses to the same group; the labels are not kept
+    obj = dict(serialize.group_to_obj(d6), labels=list("abcdef"))
     back = serialize.group_from_obj(json.loads(json.dumps(obj)))
-    assert back.group.equals(d6)
-    assert back.labels == tuple("abcdef")
+    assert back.equals(d6)
+    assert serialize.group_to_obj(back) == serialize.group_to_obj(d6)
 
 
 def test_group_accepts_cycle_strings():
     obj = {"degree": 5, "generators": ["(0 1 2 3 4)", [1, 0, 2, 3, 4]]}
-    action = serialize.group_from_obj(obj)
-    assert action.group.order() == 120
+    assert serialize.group_from_obj(obj).order() == 120
 
 
 def test_group_rejects_bad_objects():
@@ -40,6 +39,18 @@ def test_group_rejects_bad_objects():
         serialize.group_from_obj({"generators": []})
     with pytest.raises(ValidationError):
         serialize.group_from_obj({"degree": 3, "generators": [[0, 0, 1]]})
+    with pytest.raises(ValidationError, match="2 labels for degree 3"):
+        serialize.group_from_obj({"degree": 3, "generators": [],
+                                  "labels": ["a", "b"]})
+
+
+def test_cli_rejects_wrong_length_labels(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"degree": 3, "generators": ["(0 1)"],
+                                "labels": ["a", "b"]}))
+    code, out, err = run_cli(capsys, "group", "order", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: 2 labels for degree 3\n"
 
 
 MALFORMED_INPUTS = [
@@ -120,7 +131,7 @@ def test_dot_output():
 def group_file(tmp_path, d6):
     path = tmp_path / "d6.json"
     path.write_text(serialize.canonical_json(
-        serialize.group_to_obj(GroupAction.unlabeled(d6))))
+        serialize.group_to_obj(d6)))
     return str(path)
 
 
@@ -151,7 +162,7 @@ def test_cli_group_jordan_witness(capsys, group_file):
 def test_cli_group_jordan_reads_k_max(capsys, tmp_path):
     path = tmp_path / "sym6.json"
     path.write_text(serialize.canonical_json(serialize.group_to_obj(
-        GroupAction.unlabeled(PermutationGroup.symmetric(6)))))
+        PermutationGroup.symmetric(6))))
     degrees = {k: cli_result(capsys, "group", "jordan", "--in", str(path),
                              *(["--k-max", k] if k else []))["transitivity_degree"]
                for k in ("2", "4", None)}
@@ -196,7 +207,7 @@ def test_cli_group_transitivity_of_sym30(capsys, tmp_path):
     # the tuple-table route exited 3 here: 2 x 30^5 codes pass its cap
     path = tmp_path / "sym30.json"
     path.write_text(serialize.canonical_json(serialize.group_to_obj(
-        GroupAction.unlabeled(PermutationGroup.symmetric(30)))))
+        PermutationGroup.symmetric(30))))
     result = cli_result(capsys, "group", "transitivity", "--in", str(path))
     assert result == {"k_max": 5, "transitivity_degree": 5}
 
@@ -466,8 +477,8 @@ def pinned_command_inputs(tmp_path) -> dict:
     objs = {
         "d6": serialize.group_to_obj(PermutationGroup.dihedral(6)),
         "fano": serialize.group_to_obj(pgl_generators(2, 2)),
-        "pgl25": serialize.group_to_obj(GroupAction(
-            pgl_generators(5, 1), tuple("abcdef"))),
+        "pgl25": dict(serialize.group_to_obj(pgl_generators(5, 1)),
+                      labels=list("abcdef")),
         "split": {"degree": 7, "generators": ["(0 1 2)", "(3 4)(5 6)"]},
         "s7": serialize.group_to_obj(PermutationGroup.symmetric(7)),
         "fano-system": fano_blocks,
@@ -900,7 +911,7 @@ def test_cli_order_matrix_cap_on_fixlattice(tmp_path):
     # PGL(4,3) on PG(3,3) has 147,737 fixsets: enumerated, but no covers
     path = tmp_path / "pg33.json"
     path.write_text(serialize.canonical_json(serialize.group_to_obj(
-        GroupAction.unlabeled(pgl_generators(3, 3)))))
+        pgl_generators(3, 3))))
     proc = run_cli_limited("group", "fixlattice", "--in", str(path))
     assert proc.returncode == 3 and proc.stdout == ""
     assert "capacity error (order_matrix)" in proc.stderr
@@ -930,7 +941,7 @@ def test_cli_reconstruct_one_element_lattice(capsys, tmp_path):
 def test_cli_fixlattice_cap_inside_an_orbit(capsys, tmp_path, fano_group):
     path = tmp_path / "fano.json"
     path.write_text(serialize.canonical_json(serialize.group_to_obj(
-        GroupAction.unlabeled(fano_group))))
+        fano_group)))
     code, out, err = run_cli(capsys, "group", "fixlattice", "--in", str(path),
                              "--cap-lattice", "10")
     assert code == 3 and out == ""

@@ -9,7 +9,7 @@ from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import (InternalConsistencyError, PreconditionError,
                            ValidationError)
 from fixlat.geometry import pgl_generators, projective_points
-from fixlat.group import PermutationGroup, group_from_generators
+from fixlat.group import PermutationGroup
 from fixlat.perm import points_from_mask
 from fixlat.steiner import (JordanEntry, SteinerSystem,
                             blocks_pointwise_stabilized,
@@ -192,7 +192,7 @@ def test_isomorphism_is_lexicographically_first(fano_system):
 
 def test_automorphism_check(fano_system, fano_group):
     assert steiner_automorphism_check(fano_system, fano_group)
-    swap = group_from_generators(7, ["(0 1)"])
+    swap = PermutationGroup(7, ["(0 1)"])
     res = steiner_automorphism_check(fano_system, swap)
     assert not res
     assert res.violation is not None and "block" in res.violation
@@ -250,7 +250,7 @@ def reference_jordan_entries(G):
 
 
 def sym5_times_sym3():
-    return group_from_generators(8, ["(0 1)", "(0 1 2 3 4)", "(5 6)", "(5 6 7)"])
+    return PermutationGroup(8, ["(0 1)", "(0 1 2 3 4)", "(5 6)", "(5 6 7)"])
 
 
 @pytest.mark.parametrize("make", [
