@@ -90,10 +90,17 @@ def projective_point_count(p: int, d: int) -> int:
 
 
 def projective_points(p: int, d: int) -> ProjectiveSpace:
-    """Canonical point list of PG(d, p)."""
-    _require_prime(p)
+    """Canonical point list of PG(d, p).
+
+    PG(d, p) has more than p and more than 2^d points, so a p or d past the
+    cap is rejected before the count or the primality test is computed.
+    """
     if d < 1:
         raise ValidationError("projective dimension must be at least 1")
+    if p >= 2 and (p > POINT_CAP or d >= POINT_CAP.bit_length()):
+        raise CapacityError(f"PG({d},{p}) has more points than cap {POINT_CAP}",
+                            cap_name="points")
+    _require_prime(p)
     count = projective_point_count(p, d)
     if count > POINT_CAP:
         raise CapacityError(f"{count} points exceed cap {POINT_CAP}", cap_name="points")

@@ -27,7 +27,7 @@ from ._chain import orbit_transversal, sims_filter_rows
 from .errors import (CapacityError, InternalConsistencyError,
                      PreconditionError, ValidationError)
 from .group import TUPLE_SPACE_CAP, PermutationGroup
-from .perm import Permutation, mask_from_points, points_from_mask
+from .perm import Permutation, mask_rows, points_from_mask, row_masks
 
 AUTOMORPHISM_CAP = 128
 LATTICE_CAP = 200_000
@@ -96,18 +96,15 @@ def _lattice_tables(leq: np.ndarray) -> tuple[list[dict], Optional[np.ndarray],
 def _bound_table(sets: np.ndarray) -> np.ndarray:
     """table[i, j] = the k with sets[k] == sets[i] & sets[j], or -1 if none.
 
-    Each row is packed to bytes (Ait-Kaci, Boyer, Lincoln & Nasr 1989) and
-    the intersections of row i with every row are looked up, exactly, in
-    a dict keyed by those bytes. The rows must be distinct.
+    Each row is packed to an int mask (Ait-Kaci, Boyer, Lincoln & Nasr
+    1989), and mi & m is looked up, exactly, in a dict keyed by the masks.
+    The rows must be distinct.
     """
-    n = sets.shape[0]
-    packed = np.ascontiguousarray(np.packbits(sets, axis=1))
-    row = np.dtype((np.void, packed.shape[1]))
-    index = {key: k for k, key in enumerate(packed.view(row).ravel().tolist())}
-    table = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        keys = (packed[i] & packed).view(row).ravel().tolist()
-        table[i] = [index.get(key, -1) for key in keys]
+    masks = row_masks(sets)
+    index = {m: k for k, m in enumerate(masks)}
+    table = np.empty((len(masks), len(masks)), dtype=np.int64)
+    for i, mi in enumerate(masks):
+        table[i] = [index.get(mi & m, -1) for m in masks]
     return table
 
 
@@ -119,11 +116,7 @@ def containment_order(masks: Sequence[int], width: int) -> np.ndarray:
     the counts are at most width, so they are exact.
     """
     _check_order_size(len(masks))
-    nbytes = (width + 7) // 8
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
-    inc = np.unpackbits(bits, axis=1, bitorder="little")[:, :width]
-    inc = inc.astype(np.float32)
+    inc = mask_rows(masks, width).astype(np.float32)
     return (inc @ (1 - inc).T) == 0
 
 
@@ -385,8 +378,7 @@ def _irreducible_automorphisms(L: FiniteLattice) -> np.ndarray:
     irr = np.array([x for x, below in enumerate(lower) if len(below) == 1],
                    dtype=np.intp)
     m = len(irr)
-    family = {mask_from_points(np.flatnonzero(L.leq[irr, x]).tolist(), m)
-              for x in range(L.size)}
+    family = set(row_masks(L.leq[irr].T))
     levels = _transversals(m, family)
     count = prod(map(len, levels))
     if count * L.size > TUPLE_SPACE_CAP:
@@ -512,9 +504,7 @@ def reconstruct(L: FiniteLattice, cap: int = LATTICE_CAP) -> ReconstructionResul
     # fixes every join of atoms
     atom_group = _known_order(PermutationGroup(len(ats), atom_gens), G.order())
     fl = enumerate_fixset_lattice(atom_group, cap=cap)
-    closed = [closure_mask(atom_group, sum(1 << i for i, a in enumerate(ats)
-                                           if L.leq[a, l]))
-              for l in range(L.size)]
+    closed = [closure_mask(atom_group, m) for m in row_masks(L.leq[list(ats)].T)]
     image = set(closed)
     if len(image) != L.size:
         # for an atomistic lattice, separated cone stabilizers in the element
@@ -576,11 +566,9 @@ def stone_ultrafilters(L: FiniteLattice) -> StoneRepresentation:
         raise PreconditionError("set representation needs a distributive lattice")
     if not is_complemented(L):
         raise PreconditionError("set representation needs a complemented lattice")
-    ats = atoms(L)
-    ultra = tuple(tuple(int(x) for x in np.flatnonzero(L.leq[a, :])) for a in ats)
-    elem_map = tuple(
-        tuple(i for i, a in enumerate(ats) if L.leq[a, l]) for l in range(L.size))
-    return StoneRepresentation(ultra, elem_map)
+    cones = L.leq[list(atoms(L))]
+    return StoneRepresentation(tuple(map(points_from_mask, row_masks(cones))),
+                               tuple(map(points_from_mask, row_masks(cones.T))))
 
 
 # ---------------------------------------------------------------------------

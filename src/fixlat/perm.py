@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -151,3 +153,22 @@ def points_from_mask(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def mask_rows(masks: Sequence[int], width: int) -> np.ndarray:
+    """(m, width) bool rows of m point masks: rows[i, x] is bit x of masks[i].
+
+    Each mask must lie in 0..2**width - 1; width 0 gives m empty rows.
+    """
+    nbytes = (width + 7) // 8
+    raw = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(bits, axis=1, count=width, bitorder="little").astype(bool)
+
+
+def row_masks(rows: np.ndarray) -> list[int]:
+    """The point masks of (m, width) bool rows, the inverse of mask_rows."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    raw, step = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i * step:(i + 1) * step], "little")
+            for i in range(packed.shape[0])]

@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .errors import CapacityError, ValidationError
 from .group import TUPLE_SPACE_CAP, PermutationGroup
-from .perm import check_mask, points_from_mask
+from .perm import check_mask, mask_rows, points_from_mask, row_masks
 
 ARITY_CAP = 4
 EXHAUSTIVE_SUBSET_LIMIT = 12
@@ -48,13 +48,15 @@ class RelationalStructure:
     """Orbit relations per arity, with one unique-completion table per arity limit.
 
     relations[arity] is a tuple of (m, arity) arrays of distinct tuples,
-    numbered by their least tuple. A completion row says "the parameter set
-    P forces v": some relation tuple has v in one slot and the points of P in
-    the others, and no other tuple of that relation agrees with it off that
-    slot. The row depends only on the set P and on v, so the table for a
-    limit holds each (sorted P, v) once across all orbits, slots and arities
-    up to the limit. Rows with |P| < limit - 1 are padded with the sentinel
-    point ``degree``, which the closure always counts as a member.
+    numbered by their least tuple. Each relation must be one orbit of the
+    group on tuples, as ``canonical_structure`` makes them. A completion row
+    says "the parameter set P forces v": some relation tuple has v in one
+    slot and the points of P in the others, and no other tuple of that
+    relation agrees with it off that slot. The row depends only on the set P
+    and on v, so the table for a limit holds each (sorted P, v) once across
+    all orbits, slots and arities up to the limit. Rows with |P| < limit - 1
+    are padded with the sentinel point ``degree``, which the closure always
+    counts as a member.
     """
 
     degree: int
@@ -78,10 +80,12 @@ class RelationalStructure:
         """The table for ``limit``: the one below it, padded, plus new rows.
 
         Parameter sets of arity-``limit`` rows have limit - 1 points, more
-        than any lower row, so only those rows need deduplicating here. All
-        relations of the arity are scanned together, one slot at a time. The
-        table comes back as a one-item list of (params, values) pairs, the
-        shape the benchmark's row counter reads.
+        than any lower row, so only those rows need deduplicating here. A
+        group element maps two tuples that agree off a slot to two that
+        agree off it, so a slot forces for every tuple of an orbit or for
+        none: it is decided once per relation, on its first tuple. The table
+        comes back as a one-item list of (params, values) pairs, the shape
+        the benchmark's row counter reads.
         """
         n = self.degree
         if limit > 2:
@@ -92,18 +96,18 @@ class RelationalStructure:
         radix = n ** np.arange(limit - 1, -1, -1, dtype=np.int64)
         rels = self.relations.get(limit, ())
         tuples = np.concatenate(rels) if rels else np.empty((0, limit), dtype=np.int64)
-        # keyed by (relation, rest code), one sort per slot serves every
-        # relation: a slot is forced where no other tuple of its relation
-        # shares the rest. Deduplicating each slot's rows keeps the list small.
-        rel_key = np.repeat(np.arange(len(rels), dtype=np.int64) * n ** (limit - 1),
-                            [rel.shape[0] for rel in rels])
+        # same[t, j]: tuple t agrees in slot j with the first tuple of its
+        # relation; a slot is forced where that first tuple is the only one
+        # agreeing with it off the slot. Deduplicating each slot's rows keeps
+        # the list small.
+        sizes = np.array([rel.shape[0] for rel in rels], dtype=np.int64)
+        rel_id = np.repeat(np.arange(len(rels)), sizes)
+        same = tuples == tuples[np.repeat(np.cumsum(sizes) - sizes, sizes)]
         codes = [np.empty(0, dtype=np.int64)]
         for slot in range(limit):
             others = [j for j in range(limit) if j != slot]
-            key = rel_key.copy()
-            for j, r in zip(others, radix[1:]):
-                key += tuples[:, j] * r
-            single = np.flatnonzero(_once(key))
+            agreeing = np.bincount(rel_id[same[:, others].all(1)], minlength=len(rels))
+            single = np.flatnonzero(agreeing[rel_id] == 1)
             rest = tuples[np.ix_(single, others)]
             rest.sort(axis=1)
             codes.append(_kernels.sorted_unique(
@@ -111,17 +115,6 @@ class RelationalStructure:
         rows = _decode(_kernels.sorted_unique(np.concatenate(codes)), n, limit)
         return [(np.vstack([params, rows[:, :-1]]),
                  np.concatenate([values, rows[:, -1]]))]
-
-
-def _once(keys: np.ndarray) -> np.ndarray:
-    """Mask of the entries of keys that occur exactly once."""
-    order = np.argsort(keys)
-    ranked = keys[order]
-    edge = np.ones(keys.size + 1, dtype=bool)
-    edge[1:-1] = ranked[1:] != ranked[:-1]
-    once = np.empty(keys.size, dtype=bool)
-    once[order] = edge[:-1] & edge[1:]
-    return once
 
 
 def canonical_structure(G: PermutationGroup, max_arity: int = 3) -> RelationalStructure:
@@ -171,7 +164,7 @@ def relational_dcl(S: RelationalStructure, masks: Iterable[int],
     masks = [check_mask(mask, n) for mask in masks]
     if not params.shape[0]:
         return masks
-    member = _mask_rows(masks, n)
+    member = mask_rows([mask | 1 << n for mask in masks], n + 1)
     step = max(1, GATHER_CHUNK_BYTES // params.size)
     for start in range(0, len(masks), step):
         chunk = member[start:start + step]
@@ -182,26 +175,7 @@ def relational_dcl(S: RelationalStructure, masks: Iterable[int],
             rows |= grown
             chunk[live] = rows
             live = live[grown.any(axis=1) & ~rows.all(axis=1)]
-    return _row_masks(member, n)
-
-
-def _mask_rows(masks: list[int], n: int) -> np.ndarray:
-    """(m, n+1) membership rows of the masks, with the sentinel column set."""
-    width = n // 8 + 1
-    sentinel = 1 << n
-    raw = b"".join((mask | sentinel).to_bytes(width, "little") for mask in masks)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width),
-                         axis=1, bitorder="little")
-    return bits[:, :n + 1].astype(bool)
-
-
-def _row_masks(member: np.ndarray, n: int) -> list[int]:
-    """The masks of (m, n+1) membership rows, without the sentinel."""
-    raw = np.packbits(member, axis=1, bitorder="little").tobytes()
-    width = n // 8 + 1
-    points = (1 << n) - 1
-    return [int.from_bytes(raw[i:i + width], "little") & points
-            for i in range(0, len(raw), width)]
+    return row_masks(member[:, :n])
 
 
 @dataclass(frozen=True)

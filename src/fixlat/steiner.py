@@ -9,14 +9,14 @@ k-system into a (k-1)-system by slicing through one point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
 
-from .closure import LATTICE_CAP, closure_mask, enumerate_fixset_lattice
+from .closure import LATTICE_CAP, enumerate_fixset_lattice
 from .errors import (CapacityError, InternalConsistencyError,
                      PreconditionError, ValidationError)
-from .geometry import is_prime, projective_point_count, projective_points
+from .geometry import ProjectiveSpace, projective_point_count, projective_points
 from .group import TUPLE_SPACE_CAP, PermutationGroup, _point_orbits
 from .lattice import family_bijections
 from .perm import mask_from_points, points_from_mask
@@ -97,20 +97,14 @@ def counting_identity_holds(sys: SteinerSystem) -> bool:
 # constructions
 
 
-def steiner_from_projective(q: int, d: int) -> SteinerSystem:
-    """Points and lines of PG(d, q): a Steiner 2-system with blocks of q+1."""
-    if not is_prime(q):
-        raise ValidationError(f"field size {q} is not prime")
-    if d < 2:
-        raise ValidationError("need projective dimension at least 2")
-    space = projective_points(q, d)
+def _projective_lines(space: ProjectiveSpace) -> list[int]:
+    """The line masks of a projective space, each found once.
+
+    A line comes from its least point a and the least b on no line through
+    a found so far; covered[x] is the union of the lines found through x,
+    and it holds every point below a once a is reached.
+    """
     n = space.num_points
-    if comb(n, 2) > TUPLE_SPACE_CAP:
-        raise CapacityError(f"{comb(n, 2)} point pairs exceed cap "
-                            f"{TUPLE_SPACE_CAP}", cap_name="tuple_space")
-    # each line once, from its least point a and the least b on no line
-    # through a found so far; covered[x] is the union of the lines found
-    # through x, and it holds every point below a once a is reached
     covered = [1 << x for x in range(n)]
     lines = []
     for a in range(n):
@@ -122,51 +116,57 @@ def steiner_from_projective(q: int, d: int) -> SteinerSystem:
             for x in points_from_mask(line):
                 covered[x] |= line
             rest &= ~line
-    return make_system(2, n, map(points_from_mask, lines))
+    return lines
 
 
-def _affine_points(q: int, d: int) -> list[tuple[int, ...]]:
-    return list(product(range(q), repeat=d))
+def steiner_from_projective(q: int, d: int) -> SteinerSystem:
+    """Points and lines of PG(d, q): a Steiner 2-system with blocks of q+1."""
+    if d < 2:
+        raise ValidationError("need projective dimension at least 2")
+    space = projective_points(q, d)
+    n = space.num_points
+    if comb(n, 2) > TUPLE_SPACE_CAP:
+        raise CapacityError(f"{comb(n, 2)} point pairs exceed cap "
+                            f"{TUPLE_SPACE_CAP}", cap_name="tuple_space")
+    return make_system(2, n, map(points_from_mask, _projective_lines(space)))
 
 
 def steiner_from_affine(q: int, d: int) -> SteinerSystem:
-    """Points and lines of AG(d, q): a Steiner 2-system with blocks of q."""
-    if not is_prime(q):
-        raise ValidationError(f"field size {q} is not prime")
-    if q < 3:
+    """Points and lines of AG(d, q): a Steiner 2-system with blocks of q.
+
+    AG(d, q) is PG(d, q) without the hyperplane x_0 = 0, whose points, those
+    of PG(d-1, q), come first in the projective numbering; the affine points
+    (1, a) follow in lexicographic order of a. So shifting a projective line
+    right past the hyperplane gives an affine line, or 0 for a line inside
+    the hyperplane.
+    """
+    if q == 2:
         raise ValidationError("binary affine lines have only 2 points; "
                               "blocks must be larger than 2")
     if d < 2:
         raise ValidationError("need affine dimension at least 2")
-    pairs = q**d * projective_point_count(q, d - 1)
+    space = projective_points(q, d)
+    at_infinity = projective_point_count(q, d - 1)
+    pairs = q**d * at_infinity
     if pairs > TUPLE_SPACE_CAP:
         raise CapacityError(f"{pairs} base-direction pairs exceed cap "
                             f"{TUPLE_SPACE_CAP}", cap_name="tuple_space")
-    pts = _affine_points(q, d)
-    idx = {v: i for i, v in enumerate(pts)}
-    # a direction is a point of PG(d-1, q): first nonzero coordinate 1
-    directions = projective_points(q, d - 1).points
-    blocks = set()
-    for base in pts:
-        for v in directions:
-            line = tuple(sorted(idx[tuple((b + t * c) % q for b, c in zip(base, v))]
-                                for t in range(q)))
-            blocks.add(line)
-    return make_system(2, len(pts), blocks)
+    lines = (line >> at_infinity for line in _projective_lines(space))
+    return make_system(2, q**d, map(points_from_mask, filter(None, lines)))
 
 
 def steiner_from_affine_planes(d: int) -> SteinerSystem:
     """Planes of AG(d, 2): every 3 distinct binary points span a 4-point
-    plane, so the planes form a Steiner 3-system on 2^d points (d >= 3)."""
+    plane, so the planes form a Steiner 3-system on 2^d points (d >= 3).
+
+    Points are numbered by their coordinates read as binary numbers, so the
+    fourth point a + b + c of a plane is a ^ b ^ c.
+    """
     if d < 3:
         raise ValidationError("need affine dimension at least 3 for planes")
-    pts = _affine_points(2, d)
-    idx = {v: i for i, v in enumerate(pts)}
-    planes = set()
-    for a, b, c in combinations(pts, 3):
-        fourth = tuple((x + y + z) % 2 for x, y, z in zip(a, b, c))
-        planes.add(tuple(sorted((idx[a], idx[b], idx[c], idx[fourth]))))
-    sys = make_system(3, len(pts), planes)
+    planes = {tuple(sorted((a, b, c, a ^ b ^ c)))
+              for a, b, c in combinations(range(1 << d), 3)}
+    sys = make_system(3, 1 << d, planes)
     check = verify_steiner(sys)
     if not check.valid:
         raise InternalConsistencyError(
@@ -253,22 +253,6 @@ def steiner_isomorphism(a: SteinerSystem,
                               {mask_from_points(blk, n) for blk in b.blocks},
                               first=True)
     return found[0] if found else None
-
-
-def blocks_pointwise_stabilized(sys: SteinerSystem, G: PermutationGroup) -> bool:
-    """Does pointwise stabilization of k block points fix the block pointwise?
-
-    Checked for every block on its first k points. True for all the
-    binary projective systems and every affine line system; reported per
-    system rather than assumed.
-    """
-    if G.degree != sys.num_points:
-        raise ValidationError("group degree does not match system")
-    for b in sys.blocks:
-        block = mask_from_points(b, G.degree)
-        if block & ~closure_mask(G, mask_from_points(b[:sys.k], G.degree)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

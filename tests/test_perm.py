@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixlat.errors import ValidationError
 from fixlat.group import PermutationGroup
 from fixlat.perm import (Permutation, format_cycles, mask_from_points,
-                         parse_cycles, points_from_mask)
+                         mask_rows, parse_cycles, points_from_mask, row_masks)
 
 
 def test_identity_and_call():
@@ -69,6 +71,20 @@ def test_mask_helpers():
     assert points_from_mask(m) == (0, 2, 5)
     with pytest.raises(ValidationError):
         mask_from_points([6], 6)
+
+
+widths = st.one_of(st.sampled_from([0, 8, 16, 64]), st.integers(0, 70))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(widths.flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=10))))
+def test_mask_rows_round_trip(case):
+    width, masks = case
+    rows = mask_rows(masks, width)
+    assert rows.shape == (len(masks), width) and rows.dtype == bool
+    assert [[bool(m >> x & 1) for x in range(width)] for m in masks] == rows.tolist()
+    assert row_masks(rows) == masks
 
 
 def test_bools_are_not_points():

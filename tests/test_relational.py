@@ -328,6 +328,30 @@ def test_structure_matches_per_orbit_reference(G):
         assert got == reference_table(G, k)
 
 
+@pytest.mark.parametrize("limit", [2, 3, 4])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: pgl_generators(7, 1), id="PGL(2,7)"),
+    pytest.param(lambda: PermutationGroup.alternating(8), id="Alt(8)"),
+    pytest.param(lambda: pgl_generators(2, 2), id="PGL(3,2)"),
+    pytest.param(lambda: PermutationGroup.dihedral(6), id="D6"),
+    pytest.param(lambda: PermutationGroup(
+        7, ["(0 1 2)", "(0 1)", "(3 4 5 6)", "(3 4)"]), id="Sym(3)xSym(4)"),
+])
+def test_completion_table_is_the_stabilizer_rule(make, limit):
+    # P forces v exactly when the pointwise stabilizer of P fixes v
+    G = make()
+    n = G.degree
+    params, values = canonical_structure(G, 4).completion_table(limit)
+    rows = [(frozenset(p) - {n}, v) for p, v in zip(params.tolist(), values.tolist())]
+    expected = {(frozenset(P), v)
+                for size in range(1, limit)
+                for P in combinations(range(n), size)
+                for v in points_from_mask(closure_mask(G, mask_from_points(P, n)))
+                if v not in P}
+    assert len(rows) == len(set(rows))
+    assert set(rows) == expected
+
+
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(small_groups(), st.integers(2, 4))
 def test_report_matches_per_subset_reference(G, max_arity):

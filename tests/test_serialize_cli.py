@@ -785,6 +785,38 @@ def test_python_m_fixlat_runs_the_cli(argv, says):
     assert says in proc.stdout + proc.stderr
 
 
+def test_python_m_fixlat_verify_passes_every_check():
+    proc = subprocess.run([sys.executable, "-m", "fixlat", "verify"],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    summary = json.loads(proc.stdout)["result"]
+    assert summary["run"] == 11
+    assert summary["failed"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometry", "points", "-p", "2", "-d", "100000000"],
+    ["geometry", "subspaces", "-p", "2", "-d", "100000000"],
+    ["steiner", "build-pg", "-q", "2", "-d", "100000000"],
+    ["geometry", "points", "-p", "3", "-d", "2000000000"],
+    ["steiner", "build-ag", "-q", "3", "-d", "100000000"],
+    ["geometry", "points", "-p", "1000000000000000003", "-d", "1"],
+    ["steiner", "build-pg", "-q", "1000000000000000003"],
+    ["steiner", "build-ag", "-q", "1000000000000000003"],
+], ids="-".join)
+def test_hostile_geometry_sizes_exit_3_before_counting(argv):
+    # neither the point count nor the primality of p is computed
+    proc = subprocess.run([sys.executable, "-m", "fixlat", *argv],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("capacity error (points): ")
+
+
 def test_cli_error_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "group", "order", "--in", "missing.json")
     assert code == 2 and "no such file" in err

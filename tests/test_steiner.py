@@ -5,14 +5,13 @@ import pytest
 
 from fixlat import _kernels, group, steiner
 from fixlat._chain import StabilizerChain
-from fixlat.closure import enumerate_fixset_lattice
+from fixlat.closure import closure_mask, enumerate_fixset_lattice
 from fixlat.errors import (InternalConsistencyError, PreconditionError,
                            ValidationError)
 from fixlat.geometry import pgl_generators, projective_points
 from fixlat.group import PermutationGroup
-from fixlat.perm import points_from_mask
+from fixlat.perm import mask_from_points, points_from_mask
 from fixlat.steiner import (JordanEntry, SteinerSystem,
-                            blocks_pointwise_stabilized,
                             counting_identity_holds, derivation, jordan_report,
                             make_system, steiner_automorphism_check,
                             steiner_from_affine, steiner_from_affine_planes,
@@ -57,7 +56,7 @@ def test_affine_plane_of_order_three():
     assert comb(9, 2) == 12 * comb(3, 2)
 
 
-@pytest.mark.parametrize("q, d", [(3, 2), (3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("q, d", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (11, 2)])
 def test_affine_lines_match_brute_force(q, d):
     # every line of AG(d, q) is {a + t(b - a)} for two of its points a, b
     pts = list(product(range(q), repeat=d))
@@ -118,6 +117,17 @@ def test_counting_identity_for_shipped_two_systems():
 def test_binary_affine_lines_rejected():
     with pytest.raises(ValidationError):
         steiner_from_affine(2, 3)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_affine_planes_match_tuple_arithmetic(d):
+    # the fourth point of the plane through a, b, c is a + b + c over GF(2)
+    pts = list(product(range(2), repeat=d))
+    idx = {v: i for i, v in enumerate(pts)}
+    planes = {tuple(sorted((idx[a], idx[b], idx[c],
+                            idx[tuple((x + y + z) % 2 for x, y, z in zip(a, b, c))])))
+              for a, b, c in combinations(pts, 3)}
+    assert steiner_from_affine_planes(d) == make_system(3, 2 ** d, planes)
 
 
 def test_s348_shape(s348):
@@ -204,11 +214,15 @@ def test_automorphism_check(fano_system, fano_group):
 
 def test_block_stabilization_per_system(fano_group, pgl42):
     # two fixed points pin their whole block over GF(2); over GF(3) the
-    # leftover scalar moves the other line points, and the report says so
-    assert blocks_pointwise_stabilized(steiner_from_projective(2, 2), fano_group)
-    assert blocks_pointwise_stabilized(steiner_from_projective(2, 3), pgl42)
-    assert not blocks_pointwise_stabilized(steiner_from_projective(3, 2),
-                                           pgl_generators(3, 2))
+    # leftover scalar moves the other line points
+    def pinned(sys, G):
+        return all(mask_from_points(b, G.degree)
+                   & ~closure_mask(G, mask_from_points(b[:sys.k], G.degree)) == 0
+                   for b in sys.blocks)
+
+    assert pinned(steiner_from_projective(2, 2), fano_group)
+    assert pinned(steiner_from_projective(2, 3), pgl42)
+    assert not pinned(steiner_from_projective(3, 2), pgl_generators(3, 2))
 
 
 def test_jordan_reports(fano_group, pgl25):
