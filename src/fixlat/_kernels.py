@@ -10,14 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def digit_columns(codes: np.ndarray, n: int, k: int):
-    """The digits t_0, ..., t_{k-1} of k-tuple codes over n points, one
-    column at a time, each with its radix n**(k-1-j)."""
-    for j in range(k):
-        radix = n ** (k - 1 - j)
-        yield radix, codes // radix % n
-
-
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """The distinct entries of a 1-D array in increasing order, as np.unique
     gives them, from one sort and a mask of neighbours that differ."""
@@ -30,24 +22,25 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 def tuple_images(perms: np.ndarray, k: int) -> np.ndarray:
     """Images of every k-tuple code under every permutation.
 
-    perms: (g, n) int64 image tables. Returns (g, n**k) int64.
+    The code of a tuple t extended by a point x is code(t) * n + x, so the
+    image codes of the (j+1)-tuples are one broadcast of the j-tuple image
+    codes against the point images. perms: (g, n) int64 image tables.
+    Returns (g, n**k) int64.
     """
     perms = np.ascontiguousarray(perms, dtype=np.int64)
     g, n = perms.shape
-    out = np.zeros((g, n**k), dtype=np.int64)
-    for radix, digit in digit_columns(np.arange(n**k, dtype=np.int64), n, k):
-        out += perms[:, digit] * radix
+    out = np.zeros((g, 1), dtype=np.int64)
+    for _ in range(k):
+        out = (out[:, :, None] * n + perms[:, None, :]).reshape(g, out.shape[1] * n)
     return out
 
 
 def distinct_codes_mask(n: int, k: int) -> np.ndarray:
     """Mask of the k-tuple codes whose digits are pairwise distinct."""
+    digits = np.indices((n,) * k).reshape(k, -1)
     ok = np.ones(n**k, dtype=bool)
-    seen = []
-    for _, digit in digit_columns(np.arange(n**k, dtype=np.int64), n, k):
-        for earlier in seen:
-            ok &= digit != earlier
-        seen.append(digit)
+    for j in range(1, k):
+        ok &= (digits[:j] != digits[j]).all(axis=0)
     return ok
 
 

@@ -157,7 +157,7 @@ def cmd_group(args) -> int:
             "sufficient_arity": rep.sufficient_arity,
             "sound": rep.sound,
             "disagreements": [{k: list(v) for k, v in d.items()}
-                              for d in rep.disagreements[:32]],
+                              for d in rep.first_disagreements(32)],
         }
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown group subcommand {sub}")

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CapacityError
 from .group import PermutationGroup, _point_orbits
 from .lattice import LATTICE_CAP, FiniteLattice, containment_order, order_covers
-from .perm import check_mask, points_from_mask
+from .perm import check_mask, check_masks, points_from_mask
 
 
 def closure_mask(G: PermutationGroup, mask: int) -> int:
@@ -190,7 +190,7 @@ def closures(G: PermutationGroup, masks: Iterable[int]) -> list[int]:
     checked before any is used.
     """
     n = G.degree
-    masks = [check_mask(mask, n) for mask in masks]
+    masks = check_masks(masks, n)
     size = 1 << n
     if size <= LATTICE_CAP:
         try:

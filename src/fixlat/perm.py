@@ -146,6 +146,21 @@ def check_mask(mask: int, degree: int) -> int:
     return mask
 
 
+def check_masks(masks: Iterable[int], degree: int) -> list[int]:
+    """The masks as a list, each checked as ``check_mask`` checks it.
+
+    A list of plain ints in range passes on one look at its types, least
+    and greatest entry; any other list is checked mask by mask, so the
+    first bad mask raises ``check_mask``'s error.
+    """
+    masks = list(masks)
+    if masks and not (set(map(type, masks)) == {int} and min(masks) >= 0
+                      and not max(masks) >> degree):
+        for mask in masks:
+            check_mask(mask, degree)
+    return masks
+
+
 def points_from_mask(mask: int) -> tuple[int, ...]:
     out = []
     while mask:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .errors import CapacityError, ValidationError
 from .group import TUPLE_SPACE_CAP, PermutationGroup
-from .perm import check_mask, mask_rows, points_from_mask, row_masks
+from .perm import check_masks, mask_rows, points_from_mask, row_masks
 
 ARITY_CAP = 4
 EXHAUSTIVE_SUBSET_LIMIT = 12
@@ -37,10 +38,8 @@ GATHER_CHUNK_BYTES = 16 << 20
 
 def _decode(codes: np.ndarray, n: int, k: int) -> np.ndarray:
     """The digits of m k-tuple codes over n points, as (m, k) rows."""
-    out = np.empty((codes.size, k), dtype=np.int64)
-    for j, (_, digit) in enumerate(_kernels.digit_columns(codes, n, k)):
-        out[:, j] = digit
-    return out
+    digits = np.unravel_index(codes, (n,) * k)
+    return np.stack(digits, axis=1).astype(np.int64, copy=False)
 
 
 @dataclass
@@ -122,8 +121,7 @@ def canonical_structure(G: PermutationGroup, max_arity: int = 3) -> RelationalSt
     if not (2 <= max_arity <= ARITY_CAP):
         raise ValidationError(f"max_arity must lie in 2..{ARITY_CAP}")
     n = G.degree
-    perms = np.unique(np.array(G._gen_tuples, dtype=np.int64).reshape(-1, n),
-                      axis=0)
+    perms = np.array(list(dict.fromkeys(G._gen_tuples)), dtype=np.int64).reshape(-1, n)
     relations: dict[int, tuple[np.ndarray, ...]] = {}
     for arity in range(2, max_arity + 1):
         if arity > n:
@@ -161,7 +159,7 @@ def relational_dcl(S: RelationalStructure, masks: Iterable[int],
     """
     params, values = S.completion_table(arity_limit)
     n = S.degree
-    masks = [check_mask(mask, n) for mask in masks]
+    masks = check_masks(masks, n)
     if not params.shape[0]:
         return masks
     member = mask_rows([mask | 1 << n for mask in masks], n + 1)
@@ -185,19 +183,33 @@ class DclComparisonReport:
     Disagreement is expected behaviour when the arity cap is too low to
     express what the full action pins down; it is reported, not raised.
     ``sufficient_arity`` is the least arity at which every tested subset
-    agreed, or None if even max_arity fell short.
+    agreed, or None if even max_arity fell short. Each disagreement is
+    kept as its (subset, dcl, fixset) masks; the point-tuple dicts are
+    built only when asked for.
     """
 
     max_arity: int
     subsets_tested: int
     agreements: int
-    disagreements: tuple[dict, ...]
+    disagreeing: tuple[tuple[int, int, int], ...]
     sufficient_arity: Optional[int]
     sound: bool
 
     @property
     def agreement_rate(self) -> float:
         return self.agreements / self.subsets_tested if self.subsets_tested else 1.0
+
+    @cached_property
+    def disagreements(self) -> tuple[dict, ...]:
+        """Every disagreement as {"points", "dcl", "fixset"} point tuples."""
+        return self.first_disagreements(len(self.disagreeing))
+
+    def first_disagreements(self, count: int) -> tuple[dict, ...]:
+        """The first ``count`` entries of ``disagreements``, built alone."""
+        return tuple({"points": points_from_mask(mask),
+                      "dcl": points_from_mask(top),
+                      "fixset": points_from_mask(closed)}
+                     for mask, top, closed in self.disagreeing[:count])
 
 
 def dcl_vs_fixset_report(G: PermutationGroup, max_arity: int = 3,
@@ -231,20 +243,14 @@ def dcl_vs_fixset_report(G: PermutationGroup, max_arity: int = 3,
         dcl = relational_dcl(S, dcl, arity_limit=a)
         if sufficient is None and dcl == fix:
             sufficient = a
-    disagreements = []
-    sound = True
-    for mask, top, closed in zip(subsets, dcl, fix):
-        if top != closed:
-            disagreements.append({"points": points_from_mask(mask),
-                                  "dcl": points_from_mask(top),
-                                  "fixset": points_from_mask(closed)})
-            if top & ~closed:
-                sound = False
+    disagreeing = tuple((mask, top, closed)
+                        for mask, top, closed in zip(subsets, dcl, fix)
+                        if top != closed)
     return DclComparisonReport(
         max_arity=max_arity,
         subsets_tested=len(subsets),
-        agreements=len(subsets) - len(disagreements),
-        disagreements=tuple(disagreements),
+        agreements=len(subsets) - len(disagreeing),
+        disagreeing=disagreeing,
         sufficient_arity=sufficient,
-        sound=sound,
+        sound=not any(top & ~closed for _, top, closed in disagreeing),
     )

@@ -17,7 +17,7 @@ from fixlat.errors import CapacityError, ValidationError
 from fixlat.geometry import (gaussian_binomial, pgl_generators,
                              projective_points, span_closure, subspace_lattice)
 from fixlat.group import PermutationGroup
-from fixlat.perm import mask_from_points, points_from_mask
+from fixlat.perm import check_mask, mask_from_points, points_from_mask
 from test_relational import small_groups
 
 from _oracles import element_table, elements
@@ -241,6 +241,13 @@ def test_closures_reject_non_points(bad, sym4):
     for masks in ([bad], [0, 3, bad], [bad] * 20):
         with pytest.raises(ValidationError, match="out of range"):
             closures(sym4, masks)
+    # one good mask, then two bad ones: the first bad one is named
+    with pytest.raises(ValidationError) as first:
+        check_mask(bad, sym4.degree)
+    for later in (1 << 9, "x"):
+        with pytest.raises(ValidationError) as err:
+            closures(sym4, [3, bad, later])
+        assert str(err.value) == str(first.value)
 
 
 def fresh(G):

@@ -1,10 +1,12 @@
 import random
+from itertools import product
 from math import perm
 
 import numpy as np
 
 from fixlat import _kernels
 from fixlat.group import PermutationGroup
+from fixlat.relational import _decode
 
 
 def random_perm_matrix(rng, n, g):
@@ -40,26 +42,45 @@ def reference_orbit_minima(images):
     return np.array(labels, dtype=np.int64)
 
 
+# (n, k) shapes every kernel test covers: arity 1, the arity 4 that
+# dclcheck runs, and up to 9 points
+SHAPES = [(1, 1), (5, 1), (9, 1), (2, 2), (9, 2), (3, 3), (7, 3), (9, 3),
+          (4, 4), (6, 4), (9, 4)]
+
+
 def test_tuple_images_backends_agree():
-    # the vectorised kernel against the digit-by-digit definition
+    # the broadcast kernel against the tuple-by-tuple definition, tuples in
+    # code order
     rng = random.Random(0)
-    for _ in range(10):
-        n = rng.randrange(2, 7)
-        k = rng.randrange(2, 4)
+    shapes = SHAPES + [(rng.randrange(2, 7), rng.randrange(2, 4)) for _ in range(10)]
+    for n, k in shapes:
         perms = random_perm_matrix(rng, n, rng.randrange(1, 4))
         images = _kernels.tuple_images(perms, k)
+        assert images.shape == (perms.shape[0], n**k) and images.dtype == np.int64
         for gi, row in enumerate(perms):
-            for code in range(n**k):
-                img = tuple(int(row[t]) for t in digits(code, n, k))
+            for code, t in enumerate(product(range(n), repeat=k)):
+                img = tuple(int(row[x]) for x in t)
                 assert digits(int(images[gi, code]), n, k) == img
 
 
 def test_distinct_mask_backends_agree():
-    for n, k in ((3, 2), (5, 3), (4, 4)):
+    for n, k in SHAPES + [(3, 2), (5, 3), (2, 3)]:
         mask = _kernels.distinct_codes_mask(n, k)
         assert int(mask.sum()) == perm(n, k)
         expected = [len(set(digits(c, n, k))) == k for c in range(n**k)]
         assert mask.tolist() == expected
+
+
+def test_decode_round_trips():
+    rng = np.random.default_rng(4)
+    for n, k in SHAPES:
+        codes = np.concatenate([np.arange(min(n**k, 50)),
+                                rng.integers(0, n**k, size=50)]).astype(np.int64)
+        rows = _decode(codes, n, k)
+        assert rows.shape == (codes.size, k) and rows.dtype == np.int64
+        assert [tuple(r) for r in rows.tolist()] == [digits(c, n, k) for c in codes.tolist()]
+        assert (rows @ (n ** np.arange(k - 1, -1, -1))).tolist() == codes.tolist()
+    assert _decode(np.empty(0, dtype=np.int64), 5, 3).shape == (0, 3)
 
 
 def test_min_labels_backends_agree():

@@ -12,7 +12,7 @@ from fixlat.closure import closure_mask, closure_table
 from fixlat.errors import ValidationError
 from fixlat.geometry import pgl_generators
 from fixlat.group import PermutationGroup
-from fixlat.perm import mask_from_points, points_from_mask
+from fixlat.perm import check_mask, mask_from_points, points_from_mask
 from fixlat.relational import (canonical_structure, dcl_vs_fixset_report,
                                relational_dcl)
 
@@ -121,6 +121,13 @@ def test_dcl_rejects_points_outside_the_domain(fano_group, sym4, bad):
     for S in (canonical_structure(fano_group, 3), canonical_structure(sym4, 2)):
         with pytest.raises(ValidationError, match="out of range"):
             relational_dcl(S, [1, bad(S.degree)])
+        # one good mask, then two bad ones: the first bad one is named
+        with pytest.raises(ValidationError) as first:
+            check_mask(bad(S.degree), S.degree)
+        for later in (1 << 9, "x"):
+            with pytest.raises(ValidationError) as err:
+                relational_dcl(S, [1, bad(S.degree), later])
+            assert str(err.value) == str(first.value)
 
 
 def test_dcl_closure_axioms(fano_group):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fixlat
-from fixlat import exhaustive, lattice, serialize
+from fixlat import exhaustive, lattice, relational, serialize
 from fixlat.cli import build_parser, main
 from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import ValidationError
@@ -233,6 +233,35 @@ def test_cli_group_dclcheck(capsys, group_file, d6):
         "disagreements": [{k: list(v) for k, v in d.items()}
                           for d in rep.disagreements[:32]],
     }
+
+
+# sha256 over "<exit code>\n<stdout>" of `group dclcheck --arity 3` on PGL(2,7),
+# recorded when the report still built a dict for every disagreement
+PGL27_DCLCHECK_DIGEST = \
+    "2679189ba3a6c2a81f95fbea5f690beaea736471a2a42fbda02909a28a05497a"
+
+
+def test_cli_dclcheck_builds_only_the_printed_disagreements(capsys, tmp_path,
+                                                            monkeypatch):
+    G = pgl_generators(7, 1)
+    assert len(dcl_vs_fixset_report(G, 3).disagreements) == 218
+    path = tmp_path / "pgl27.json"
+    path.write_text(serialize.canonical_json(serialize.group_to_obj(G)))
+    calls = []
+    real = relational.points_from_mask
+
+    def counted(mask):
+        calls.append(mask)
+        return real(mask)
+
+    # each point-tuple dict is three points_from_mask calls
+    monkeypatch.setattr(relational, "points_from_mask", counted)
+    code, out, _ = run_cli(capsys, "group", "dclcheck", "--in", str(path),
+                           "--arity", "3")
+    assert len(calls) <= 3 * 32
+    assert len(json.loads(out)["result"]["disagreements"]) == 32
+    digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert digest == PGL27_DCLCHECK_DIGEST
 
 
 def test_cli_fixlattice_and_formats(capsys, group_file):
