@@ -4,8 +4,10 @@ One process may serve many ``main()`` calls; they share one parser, built
 on the first call (not at import), so the ``--cap-lattice`` default is
 ``closure.LATTICE_CAP`` as read at that first call. JSON is the stable
 output surface (canonical bytes for a given config and seed); dot emits
-Hasse diagrams for lattice-shaped results. Timings go to stderr so reports
-stay reproducible byte for byte.
+Hasse diagrams for lattice-shaped results. Each ``cmd_*`` returns
+``(result, dot, exit code)``, its result built from the library's values
+as they are, and ``main`` writes the report once. Timings go to stderr so
+reports stay reproducible byte for byte.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error,
 3 capacity exceeded.
@@ -72,7 +74,7 @@ def _config(args) -> dict:
     }
 
 
-def _emit(args, command: str, result: dict, dot: str | None = None) -> None:
+def _emit(args, command: str, result: dict, dot: str | None) -> None:
     if args.format == "dot":
         if dot is None:
             raise ValidationError(f"{command} has no dot rendering")
@@ -96,14 +98,22 @@ def _emit(args, command: str, result: dict, dot: str | None = None) -> None:
         sys.stdout.write(payload)
 
 
+def _closed_sets_dot(elements, covers) -> str:
+    """Hasse diagram of a family of point sets, each labelled by its points."""
+    return serialize.covers_to_dot(
+        len(elements), covers, labels=[",".join(map(str, e)) or "{}"
+                                       for e in elements])
+
+
 # -- group subcommands ---------------------------------------------------------
 
 
-def cmd_group(args) -> int:
+def cmd_group(args) -> tuple:
     G = serialize.group_from_obj(_load_json(args.infile))
     sub = args.subcommand
+    dot = None
     if sub == "orbits":
-        result = {"orbits": [list(o) for o in G.orbits()]}
+        result = {"orbits": G.orbits()}
     elif sub == "order":
         result = {"order": G.order()}
     elif sub == "stab":
@@ -113,40 +123,33 @@ def cmd_group(args) -> int:
         result = {
             "points": sorted(set(pts)),
             "order": H.order(),
-            "generators": [list(g.images) for g in H.generators],
-            "fixed_points": list(points_from_mask(fixed)),
+            "generators": [g.images for g in H.generators],
+            "fixed_points": points_from_mask(fixed),
         }
     elif sub == "transitivity":
         result = {"k_max": args.k_max,
                   "transitivity_degree": G.transitivity_degree(args.k_max)}
     elif sub == "primitivity":
         res = G.primitivity()
-        result = {"primitive": res.primitive,
-                  "block_system": ([list(b) for b in res.block_system]
-                                   if res.block_system else None)}
+        result = {"primitive": res.primitive, "block_system": res.block_system}
     elif sub == "fixlattice":
         fl = closure.enumerate_fixset_lattice(G, cap=args.cap_lattice)
-        result = {"size": len(fl), **serialize.fixset_lattice_to_obj(fl)}
-        dot = serialize.covers_to_dot(len(fl), result["covers"],
-                                      labels=[",".join(map(str, e)) or "{}"
-                                              for e in fl.elements])
-        _emit(args, f"group {sub}", result, dot=dot)
-        return EXIT_OK
+        result = serialize.fixset_lattice_to_obj(fl)
+        dot = _closed_sets_dot(fl.elements, result["covers"])
     elif sub == "jordan":
         rep = steiner.jordan_report(G, args.k_max, lattice_cap=args.cap_lattice)
         witness = rep.first_witness()
         result = {
             "all_jordan": rep.all_jordan,
             "transitivity_degree": rep.transitivity_degree,
-            "witness": ({"fixset": list(witness.fixset),
-                         "complement_orbits": [list(o) for o in
-                                               witness.complement_orbits]}
+            "witness": ({"fixset": witness.fixset,
+                         "complement_orbits": witness.complement_orbits}
                         if witness else None),
-            "entries": [{"fixset": list(e.fixset),
+            "entries": [{"fixset": e.fixset,
                          "complement_orbit_count": e.complement_orbit_count,
                          "jordan": e.jordan} for e in rep.entries],
         }
-    elif sub == "dclcheck":
+    else:  # dclcheck
         rep = relational.dcl_vs_fixset_report(G, max_arity=args.arity,
                                               seed=args.seed)
         result = {
@@ -156,150 +159,113 @@ def cmd_group(args) -> int:
             "agreement_rate": rep.agreement_rate,
             "sufficient_arity": rep.sufficient_arity,
             "sound": rep.sound,
-            "disagreements": [{k: list(v) for k, v in d.items()}
-                              for d in rep.first_disagreements(32)],
+            "disagreements": rep.first_disagreements(32),
         }
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown group subcommand {sub}")
-    _emit(args, f"group {sub}", result)
-    return EXIT_OK
+    return result, dot, EXIT_OK
 
 
 # -- lattice subcommands ---------------------------------------------------------
 
 
-def cmd_lattice(args) -> int:
+def cmd_lattice(args) -> tuple:
     leq = serialize.raw_lattice_from_obj(_load_json(args.infile),
                                          cap=args.cap_lattice)
     sub = args.subcommand
     if sub == "validate":
         violations = lattice.order_violations(leq)
-        result = {"valid": not violations,
-                  "violations": [dict(v, pair=list(v["pair"]))
-                                 if "pair" in v else dict(v)
-                                 for v in violations]}
-        _emit(args, "lattice validate", result)
-        return EXIT_CHECK_FAILED if violations else EXIT_OK
+        return ({"valid": not violations, "violations": violations}, None,
+                EXIT_CHECK_FAILED if violations else EXIT_OK)
     L = lattice.FiniteLattice(leq)
     if sub == "automorphisms":
         A = lattice.lattice_automorphisms(L)
         result = {"order": A.order(),
-                  "generators": [list(g.images) for g in A.generators]}
+                  "generators": [g.images for g in A.generators]}
     elif sub == "check-s":
         sep = lattice.stabilizer_separation(L)
-        result = {"holds": sep.holds,
-                  "witness": list(sep.witness) if sep.witness else None}
+        result = {"holds": sep.holds, "witness": sep.witness}
     elif sub == "reconstruct":
         r = lattice.reconstruct(L, cap=args.cap_lattice)
         result = {
             "closure_trivial": r.closure_trivial,
             "image_size": r.image_size,
             "fixset_lattice_size": len(r.fixset_lattice),
-            "embedding": [list(e) for e in r.embedding],
-            "iso": [list(e) for e in r.iso] if r.iso else None,
+            "embedding": r.embedding,
+            "iso": r.iso,
             "fixset_lattice": serialize.fixset_lattice_to_obj(r.fixset_lattice),
             "atom_action": dict(serialize.group_to_obj(r.atom_group),
                                 labels=[str(a) for a in r.atoms]),
         }
-    elif sub == "stone":
+    else:  # stone
         rep = lattice.stone_ultrafilters(L)
-        result = {
-            "ultrafilters": [list(u) for u in rep.ultrafilters],
-            "element_map": [list(m) for m in rep.element_map],
-            "injective": rep.injective,
-        }
-    else:  # pragma: no cover
-        raise ValidationError(f"unknown lattice subcommand {sub}")
-    dot = serialize.covers_to_dot(L.size, L.covers())
-    _emit(args, f"lattice {sub}", result, dot=dot)
-    return EXIT_OK
+        result = {"ultrafilters": rep.ultrafilters,
+                  "element_map": rep.element_map,
+                  "injective": rep.injective}
+    return result, serialize.covers_to_dot(L.size, L.covers()), EXIT_OK
 
 
 # -- steiner subcommands -----------------------------------------------------------
 
 
-def cmd_steiner(args) -> int:
+def cmd_steiner(args) -> tuple:
     sub = args.subcommand
     if sub == "build-pg":
-        sys_ = steiner.steiner_from_projective(args.q, args.d)
-        _emit(args, "steiner build-pg", serialize.steiner_to_obj(sys_))
-        return EXIT_OK
+        return serialize.steiner_to_obj(
+            steiner.steiner_from_projective(args.q, args.d)), None, EXIT_OK
     if sub == "build-ag":
-        sys_ = steiner.steiner_from_affine(args.q, args.d)
-        _emit(args, "steiner build-ag", serialize.steiner_to_obj(sys_))
-        return EXIT_OK
+        return serialize.steiner_to_obj(
+            steiner.steiner_from_affine(args.q, args.d)), None, EXIT_OK
     if args.infile is None:
         raise ValidationError(f"steiner {sub} needs --in")
     sys_ = serialize.steiner_from_obj(_load_json(args.infile))
     if sub == "verify":
         rep = steiner.verify_steiner(sys_)
-        result = {"valid": rep.valid,
-                  "violations": [dict(v, subset=list(v["subset"]))
-                                 if "subset" in v else dict(v)
-                                 for v in rep.violations[:32]]}
-        _emit(args, "steiner verify", result)
-        return EXIT_OK if rep.valid else EXIT_CHECK_FAILED
+        return ({"valid": rep.valid, "violations": rep.violations[:32]}, None,
+                EXIT_OK if rep.valid else EXIT_CHECK_FAILED)
     if sub == "derive":
-        derived = steiner.derivation(sys_, args.point)
-        _emit(args, "steiner derive", serialize.steiner_to_obj(derived))
-        return EXIT_OK
-    if sub == "autcheck":
-        if args.group is None:
-            raise ValidationError("steiner autcheck needs --group")
-        G = serialize.group_from_obj(_load_json(args.group))
-        res = steiner.steiner_automorphism_check(sys_, G)
-        result = {"preserves_blocks": res.preserves,
-                  "violation": ({"generator": res.violation["generator"],
-                                 "block": list(res.violation["block"]),
-                                 "image": list(res.violation["image"])}
-                                if res.violation else None)}
-        _emit(args, "steiner autcheck", result)
-        return EXIT_OK
-    raise ValidationError(f"unknown steiner subcommand {sub}")  # pragma: no cover
+        return serialize.steiner_to_obj(
+            steiner.derivation(sys_, args.point)), None, EXIT_OK
+    # autcheck
+    if args.group is None:
+        raise ValidationError("steiner autcheck needs --group")
+    res = steiner.steiner_automorphism_check(
+        sys_, serialize.group_from_obj(_load_json(args.group)))
+    return {"preserves_blocks": res.preserves,
+            "violation": res.violation}, None, EXIT_OK
 
 
 # -- geometry subcommands -------------------------------------------------------------
 
 
-def cmd_geometry(args) -> int:
+def cmd_geometry(args) -> tuple:
     sub = args.subcommand
     p, d = args.p, args.d
+    dot = None
     if sub == "points":
         space = geometry.projective_points(p, d)
-        result = {"count": space.num_points,
-                  "points": [list(v) for v in space.points]}
+        result = {"count": space.num_points, "points": space.points}
     elif sub == "span":
         space = geometry.projective_points(p, d)
         pts = _parse_points(args.points)
         span = geometry.span_closure(space, mask_from_points(pts, space.num_points))
-        result = {"points": sorted(set(pts)), "span": list(points_from_mask(span))}
+        result = {"points": sorted(set(pts)), "span": points_from_mask(span)}
     elif sub == "pgl":
         G = geometry.pgl_generators(p, d)
         result = {"degree": G.degree, "order": G.order(),
-                  "generators": [list(g.images) for g in G.generators]}
+                  "generators": [g.images for g in G.generators]}
     elif sub == "subspaces":
         L = geometry.subspace_lattice(p, d, cap=args.cap_lattice)
-        result = {"size": L.size,
-                  "subspaces": [list(s) for s in L.labels],
-                  "covers": [list(c) for c in L.covers()]}
-        dot = serialize.covers_to_dot(
-            L.size, result["covers"],
-            labels=[",".join(map(str, s)) or "{}" for s in L.labels])
-        _emit(args, "geometry subspaces", result, dot=dot)
-        return EXIT_OK
-    elif sub == "oracle-iso":
+        result = {"size": L.size, "subspaces": L.labels, "covers": L.covers()}
+        dot = _closed_sets_dot(L.labels, result["covers"])
+    else:  # oracle-iso
         result = {"p": p, "d": d, "isomorphic": geometry.oracle_iso_check(
             p, d, cap=args.cap_lattice)}
-    else:  # pragma: no cover
-        raise ValidationError(f"unknown geometry subcommand {sub}")
-    _emit(args, f"geometry {sub}", result)
-    return EXIT_OK
+    return result, dot, EXIT_OK
 
 
 # -- verify ---------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     start = time.perf_counter()
     summary, seconds = verify_mod.run_checks(
         only=args.only, fail_fast=args.fail_fast, inject=args.inject)
@@ -309,8 +275,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"{status} {chk['name']} ({secs}s)\n")
     sys.stderr.write(f"total {wall:.1f}s, {summary['run']} checks, "
                      f"failed: {summary['failed'] or 'none'}\n")
-    _emit(args, "verify", summary)
-    return EXIT_OK if summary["passed"] else EXIT_CHECK_FAILED
+    return summary, None, EXIT_OK if summary["passed"] else EXIT_CHECK_FAILED
 
 
 # -- parser ---------------------------------------------------------------------------
@@ -382,8 +347,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    command = (args.command if args.command == "verify"
+               else f"{args.command} {args.subcommand}")
     try:
-        return args.fn(args)
+        result, dot, code = args.fn(args)
+        _emit(args, command, result, dot)
+        return code
     except CapacityError as exc:
         sys.stderr.write(f"capacity error ({exc.cap_name}): {exc}\n")
         return EXIT_CAPACITY

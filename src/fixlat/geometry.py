@@ -15,7 +15,7 @@ from itertools import product
 from .closure import LATTICE_CAP, closed_set_lattice, enumerate_fixset_lattice
 from .errors import CapacityError, InternalConsistencyError, ValidationError
 from .group import PermutationGroup
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, _check_order_size
 from .perm import Permutation, check_mask, points_from_mask
 
 POINT_CAP = 100_000
@@ -209,9 +209,16 @@ def subspace_lattice(p: int, d: int, cap: int = LATTICE_CAP) -> FiniteLattice:
 
     The subspaces are the closed sets of the span closure, enumerated by
     the same cover generation as fixsets, with no symmetry passed. Lattice
-    labels are the subspaces as sorted point tuples.
+    labels are the subspaces as sorted point tuples. The closed-form count
+    is checked against ``cap`` and the order-matrix cap before the walk,
+    with the errors the walk and the order matrix would raise.
     """
     space = projective_points(p, d)
+    count = subspace_count(p, d)
+    if count > cap:
+        raise CapacityError(f"closed-set lattice exceeds cap {cap}",
+                            cap_name="lattice", partial=cap + 1)
+    _check_order_size(count)
     return closed_set_lattice(space.num_points,
                               lambda mask: (span_closure(space, mask), ()),
                               cap).to_finite_lattice()

@@ -530,10 +530,13 @@ def reconstruct(L: FiniteLattice, cap: int = LATTICE_CAP) -> ReconstructionResul
 
 
 def is_distributive(L: FiniteLattice) -> bool:
-    n = L.size
-    M, J = L.meet_table, L.join_table
-    for a in range(n):
-        if not np.array_equal(M[a][J], J[np.ix_(M[a], M[a])]):
+    """Birkhoff: a finite lattice is distributive iff every join-irreducible
+    j is join-prime (j <= x v y implies j <= x or j <= y), that is, iff the
+    elements not above j have an upper bound not above j. One boolean
+    check of at most n-by-n per join-irreducible."""
+    for j in join_irreducibles(L):
+        above = L.leq[j]
+        if not (L.leq[~above].all(axis=0) & ~above).any():
             return False
     return True
 

@@ -146,8 +146,7 @@ def check_cone_separation(_inject=None) -> dict:
     ]
     return _result(
         checks, budget_seconds=5.0,
-        chain_witness=list(sep_chain.witness) if sep_chain.witness else None,
-        cube_witness=list(cube.witness) if cube.witness else None,
+        chain_witness=sep_chain.witness, cube_witness=cube.witness,
         cube_shared=sorted(shared))
 
 

@@ -4,8 +4,9 @@ from itertools import combinations, product
 import pytest
 
 import fixlat.geometry as geo
-from fixlat.closure import closure_mask
-from fixlat.errors import InternalConsistencyError, ValidationError
+import fixlat.lattice
+from fixlat.closure import closed_set_lattice, closure_mask
+from fixlat.errors import CapacityError, InternalConsistencyError, ValidationError
 from fixlat.geometry import (gaussian_binomial, inverse_table, normalize,
                              oracle_iso_check, pgl_generators, pgl_order,
                              projective_points, span_closure, subspace_count,
@@ -166,6 +167,31 @@ def test_subspace_lattice_closes_through_span_closure(monkeypatch):
     monkeypatch.setattr(geo, "span_closure", counted)
     assert subspace_lattice(2, 3).size == 67
     assert calls
+
+
+@pytest.mark.parametrize("cap", [1, 27])
+def test_subspace_count_checked_against_the_cap_before_the_walk(monkeypatch,
+                                                                 cap):
+    # PG(2,3) has 28 subspaces: the error is the walk's own, raised from
+    # the closed-form count before any span is taken
+    space = projective_points(3, 2)
+    with pytest.raises(CapacityError) as walk:
+        closed_set_lattice(space.num_points,
+                           lambda mask: (span_closure(space, mask), ()), cap)
+    monkeypatch.setattr(geo, "span_closure", None)
+    with pytest.raises(CapacityError) as early:
+        subspace_lattice(3, 2, cap=cap)
+    assert ((str(early.value), early.value.cap_name, early.value.partial)
+            == (str(walk.value), walk.value.cap_name, walk.value.partial))
+
+
+def test_subspace_count_checked_against_the_order_matrix_cap(monkeypatch):
+    monkeypatch.setattr(geo, "span_closure", None)
+    monkeypatch.setattr(fixlat.lattice, "ORDER_MATRIX_CAP", 27)
+    with pytest.raises(CapacityError, match="order matrix of 28 elements "
+                                            "exceeds cap 27") as exc:
+        subspace_lattice(3, 2)
+    assert exc.value.cap_name == "order_matrix"
 
 
 def test_subspace_lattice_is_every_span():

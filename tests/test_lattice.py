@@ -184,6 +184,9 @@ def test_lattice_core_matches_brute_force(leq):
     assert is_complemented(L) == all(
         any(meet_t[x][y] == L.bottom and join_t[x][y] == L.top for y in range(n))
         for x in range(n))
+    assert is_distributive(L) == all(
+        meet_t[a][join_t[b][c]] == join_t[meet_t[a][b]][meet_t[a][c]]
+        for a in range(n) for b in range(n) for c in range(n))
 
 
 def test_boolean_tables_at_scale():

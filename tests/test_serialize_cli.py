@@ -712,6 +712,43 @@ def test_command_bytes_are_pinned(capsys, tmp_path):
     assert got == COMMAND_DIGESTS
 
 
+# every command without a DOT rendering, with its arguments; an argument
+# naming one of pinned_command_inputs (or "pg22-lattice") is that file
+NO_DOT_COMMANDS = {
+    **{f"group {sub}": ["--in", "fano"]
+       for sub in ("orbits", "order", "stab", "transitivity", "primitivity",
+                   "jordan", "dclcheck")},
+    "lattice validate": ["--in", "pg22-lattice"],
+    "steiner build-pg": [],
+    "steiner build-ag": ["-q", "3"],
+    "steiner verify": ["--in", "fano-system"],
+    "steiner derive": ["--in", "ag32-planes"],
+    "steiner autcheck": ["--in", "fano-system", "--group", "fano"],
+    "geometry points": [],
+    "geometry span": ["--points", "0,1"],
+    "geometry pgl": [],
+    "geometry oracle-iso": [],
+    "verify": ["--only", "fano-fixset"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_DOT_COMMANDS))
+def test_cli_commands_without_dot_say_so(capsys, tmp_path, command):
+    paths = pinned_command_inputs(tmp_path)
+    paths["pg22-lattice"] = str(tmp_path / "pg22-lattice.json")
+    Path(paths["pg22-lattice"]).write_text(json.dumps(
+        serialize.lattice_to_obj(subspace_lattice(2, 2))))
+    argv = [*command.split(), *(paths.get(a, a) for a in NO_DOT_COMMANDS[command])]
+    report = tmp_path / "report.dot"
+    for out_args in ([], ["--out", str(report)]):
+        code, out, err = run_cli(capsys, *argv, "--format", "dot", *out_args)
+        assert code == 2 and out == ""
+        # verify lists its checks on stderr before the report is written
+        assert [line for line in err.splitlines() if line.startswith("error")] \
+            == [f"error: {command} has no dot rendering"]
+        assert not report.exists()
+
+
 def test_cli_geometry(capsys):
     code, out, _ = run_cli(capsys, "geometry", "oracle-iso", "-p", "2", "-d", "2")
     assert code == 0 and json.loads(out)["result"]["isomorphic"] is True
@@ -844,6 +881,28 @@ def test_hostile_geometry_sizes_exit_3_before_counting(argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("capacity error (points): ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["subspaces", "-p", "2", "-d", "6"],
+     "capacity error (order_matrix): order matrix of 29212 elements exceeds "
+     "cap 8192"),
+    (["subspaces", "-p", "2", "-d", "7"],
+     "capacity error (lattice): closed-set lattice exceeds cap 200000"),
+    (["subspaces", "-p", "2", "-d", "8"],
+     "capacity error (lattice): closed-set lattice exceeds cap 200000"),
+    (["oracle-iso", "-p", "2", "-d", "6"],
+     "capacity error (order_matrix): order matrix of 29212 elements exceeds "
+     "cap 8192"),
+], ids=["subspaces-2-6", "subspaces-2-7", "subspaces-2-8", "oracle-iso-2-6"])
+def test_cli_subspace_count_checked_before_the_walk(argv, message):
+    # 29,212, 417,199 and 8,283,458 subspaces: walking them until a cap
+    # fired took from 38 s to well over 5 minutes
+    proc = subprocess.run([sys.executable, "-m", "fixlat.cli", "geometry", *argv],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [message]
 
 
 def test_cli_error_exit_codes(capsys, tmp_path):
