@@ -253,9 +253,9 @@ def cmd_geometry(args) -> tuple:
         result = {"degree": G.degree, "order": G.order(),
                   "generators": [g.images for g in G.generators]}
     elif sub == "subspaces":
-        L = geometry.subspace_lattice(p, d, cap=args.cap_lattice)
-        result = {"size": L.size, "subspaces": L.labels, "covers": L.covers()}
-        dot = _closed_sets_dot(L.labels, result["covers"])
+        fl = geometry.subspace_lattice(p, d, cap=args.cap_lattice)
+        result = {"size": len(fl), "subspaces": fl.elements, "covers": fl.covers()}
+        dot = _closed_sets_dot(fl.elements, result["covers"])
     else:  # oracle-iso
         result = {"p": p, "d": d, "isomorphic": geometry.oracle_iso_check(
             p, d, cap=args.cap_lattice)}

@@ -55,8 +55,8 @@ class FixsetLattice:
         return order_covers(containment_order(self.masks, self.degree))
 
     def to_finite_lattice(self) -> FiniteLattice:
-        return FiniteLattice(containment_order(self.masks, self.degree),
-                             labels=self.elements)
+        """The family as a validated lattice, element i being masks[i]."""
+        return FiniteLattice(containment_order(self.masks, self.degree))
 
 
 def _mask_image(g: tuple[int, ...], mask: int) -> int:

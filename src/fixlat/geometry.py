@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .closure import LATTICE_CAP, closed_set_lattice, enumerate_fixset_lattice
+from .closure import (LATTICE_CAP, FixsetLattice, closed_set_lattice,
+                      enumerate_fixset_lattice)
 from .errors import CapacityError, InternalConsistencyError, ValidationError
 from .group import PermutationGroup
-from .lattice import FiniteLattice, _check_order_size
+from .lattice import _check_order_size
 from .perm import Permutation, check_mask, points_from_mask
 
 POINT_CAP = 100_000
@@ -204,14 +205,12 @@ def subspace_count(p: int, d: int) -> int:
     return sum(gaussian_binomial(d + 1, k, p) for k in range(d + 2))
 
 
-def subspace_lattice(p: int, d: int, cap: int = LATTICE_CAP) -> FiniteLattice:
-    """All projective subspaces of PG(d, p) as a containment lattice.
-
-    The subspaces are the closed sets of the span closure, enumerated by
-    the same cover generation as fixsets, with no symmetry passed. Lattice
-    labels are the subspaces as sorted point tuples. The closed-form count
-    is checked against ``cap`` and the order-matrix cap before the walk,
-    with the errors the walk and the order matrix would raise.
+def subspace_lattice(p: int, d: int, cap: int = LATTICE_CAP) -> FixsetLattice:
+    """All projective subspaces of PG(d, p): the closed sets of the span
+    closure, enumerated by the same cover generation as fixsets, with no
+    symmetry passed. The closed-form count is checked against ``cap`` and
+    the order-matrix cap (which ``covers`` needs) before the walk, with the
+    errors the walk and the order matrix would raise.
     """
     space = projective_points(p, d)
     count = subspace_count(p, d)
@@ -221,17 +220,16 @@ def subspace_lattice(p: int, d: int, cap: int = LATTICE_CAP) -> FiniteLattice:
     _check_order_size(count)
     return closed_set_lattice(space.num_points,
                               lambda mask: (span_closure(space, mask), ()),
-                              cap).to_finite_lattice()
+                              cap)
 
 
 def oracle_iso_check(p: int, d: int, cap: int = LATTICE_CAP) -> bool:
     """Do the fixsets of the PGL action coincide with the projective subspaces?
 
     Both lattices are ordered by containment of point sets, so coincidence
-    of the element families is exactly an order isomorphism through the
-    identity on points.
+    of the families is exactly an order isomorphism through the identity on
+    points. Both list their masks in (size, points) order.
     """
     G = pgl_generators(p, d)
-    fix_elements = set(enumerate_fixset_lattice(G, cap=cap).elements)
-    sub_elements = set(subspace_lattice(p, d, cap=cap).labels)
-    return fix_elements == sub_elements
+    return (enumerate_fixset_lattice(G, cap=cap).masks
+            == subspace_lattice(p, d, cap=cap).masks)

@@ -156,9 +156,9 @@ def order_from_covers(size: int, covers: Sequence[tuple[int, int]]) -> np.ndarra
 
 
 class FiniteLattice:
-    """A validated finite lattice with meet/join lookup tables."""
+    """A validated finite lattice: its order matrix and meet/join lookup tables."""
 
-    def __init__(self, leq: np.ndarray, labels: Optional[Sequence] = None):
+    def __init__(self, leq: np.ndarray):
         leq = np.asarray(leq, dtype=bool)
         problems, self.meet_table, self.join_table = _lattice_tables(leq)
         if problems:
@@ -166,17 +166,13 @@ class FiniteLattice:
         self.leq = leq
         self.leq.setflags(write=False)
         self.size = leq.shape[0]
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValidationError("label count does not match lattice size")
         self.bottom = int(np.flatnonzero(leq.all(axis=1))[0])
         self.top = int(np.flatnonzero(leq.all(axis=0))[0])
 
     @classmethod
-    def from_covers(cls, size: int, covers: Sequence[tuple[int, int]],
-                    labels=None) -> "FiniteLattice":
+    def from_covers(cls, size: int, covers: Sequence[tuple[int, int]]) -> FiniteLattice:
         """Build from cover pairs (i, j) meaning j covers i."""
-        return cls(order_from_covers(size, covers), labels=labels)
+        return cls(order_from_covers(size, covers))
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (i, j), j covering i, computed once per lattice."""
@@ -575,26 +571,36 @@ def stone_ultrafilters(L: FiniteLattice) -> StoneRepresentation:
 
 
 # ---------------------------------------------------------------------------
-# stock lattices used throughout the tests and the verification pipeline
+# stock lattices used throughout the tests and the verification pipeline;
+# each checks its argument, then its element count against the order-matrix
+# cap, before anything is allocated (boolean_lattice checks 2^n by n)
+
+
+def _stock_argument(n, least: int, what: str) -> int:
+    if type(n) is not int or n < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {n!r}")
+    return n
 
 
 def chain_lattice(n: int) -> FiniteLattice:
-    leq = np.triu(np.ones((n, n), dtype=bool))
-    return FiniteLattice(leq)
+    _check_order_size(_stock_argument(n, 1, "chain length"))
+    return FiniteLattice(np.triu(np.ones((n, n), dtype=bool)))
 
 
 def boolean_lattice(n_atoms: int) -> FiniteLattice:
     """Powerset of n_atoms elements ordered by inclusion (subset-mask order)."""
-    size = 1 << n_atoms
-    masks = sorted(range(size), key=lambda m: (bin(m).count("1"), m))
-    leq = containment_order(masks, n_atoms)
-    labels = tuple(tuple(b for b in range(n_atoms) if m >> b & 1) for m in masks)
-    return FiniteLattice(leq, labels=labels)
+    if _stock_argument(n_atoms, 0, "atom count") >= ORDER_MATRIX_CAP.bit_length():
+        # 2^n_atoms > cap exactly here; the count itself is not formed
+        raise CapacityError(f"order matrix of 2^{n_atoms} elements exceeds cap "
+                            f"{ORDER_MATRIX_CAP}", cap_name="order_matrix")
+    masks = sorted(range(1 << n_atoms), key=lambda m: (m.bit_count(), m))
+    return FiniteLattice(containment_order(masks, n_atoms))
 
 
 def diamond_lattice(n_atoms: int) -> FiniteLattice:
     """Bottom, n incomparable atoms, top (often written M_n)."""
-    size = n_atoms + 2
+    size = _stock_argument(n_atoms, 0, "atom count") + 2
+    _check_order_size(size)
     leq = np.eye(size, dtype=bool)
     leq[0, :] = True
     leq[:, size - 1] = True

@@ -10,8 +10,10 @@ Formats:
             "covers": [[i, j], ...]}
 * steiner: {"k": k, "points": n, "blocks": [[...], ...]}
 
-Readers take numbers as JSON integers only: a float, a numeric string or
-a bool where an integer belongs is a ``ValidationError``, never rounded.
+Writers pass the library's tuples through as they are; ``canonical_json``
+writes a tuple as the same array as a list. Readers take numbers as JSON
+integers only: a float, a numeric string or a bool where an integer
+belongs is a ``ValidationError``, never rounded.
 
 JSON output is canonical (sorted keys, two-space indent, ASCII escapes,
 trailing newline), so identical inputs produce identical bytes.
@@ -27,7 +29,7 @@ import numpy as np
 from .closure import FixsetLattice
 from .errors import CapacityError, ValidationError
 from .group import PermutationGroup
-from .lattice import LATTICE_CAP, FiniteLattice, order_from_covers
+from .lattice import LATTICE_CAP, order_from_covers
 from .steiner import SteinerSystem, make_system
 
 
@@ -112,7 +114,7 @@ def _list(value) -> list:
 
 def group_to_obj(group: PermutationGroup) -> dict:
     return {"degree": group.degree,
-            "generators": [list(g.images) for g in group.generators]}
+            "generators": [g.images for g in group.generators]}
 
 
 def group_from_obj(obj: dict) -> PermutationGroup:
@@ -133,10 +135,6 @@ def group_from_obj(obj: dict) -> PermutationGroup:
 
 
 # -- plain lattices -----------------------------------------------------------
-
-
-def lattice_to_obj(L: FiniteLattice) -> dict:
-    return {"size": L.size, "covers": [list(c) for c in L.covers()]}
 
 
 def raw_lattice_from_obj(obj: dict, cap: int = LATTICE_CAP) -> np.ndarray:
@@ -163,20 +161,16 @@ def raw_lattice_from_obj(obj: dict, cap: int = LATTICE_CAP) -> np.ndarray:
 
 def fixset_lattice_to_obj(fl: FixsetLattice) -> dict:
     # carries "size"/"covers" so the object is also valid lattice input
-    return {
-        "degree": fl.degree,
-        "size": len(fl.elements),
-        "elements": [list(e) for e in fl.elements],
-        "covers": [list(c) for c in fl.covers()],
-    }
+    # carries "size"/"covers" so the object is also valid lattice input
+    return {"degree": fl.degree, "size": len(fl), "elements": fl.elements,
+            "covers": fl.covers()}
 
 
 # -- Steiner systems ----------------------------------------------------------
 
 
 def steiner_to_obj(sys: SteinerSystem) -> dict:
-    return {"k": sys.k, "points": sys.num_points,
-            "blocks": [list(b) for b in sys.blocks]}
+    return {"k": sys.k, "points": sys.num_points, "blocks": sys.blocks}
 
 
 def steiner_from_obj(obj: dict) -> SteinerSystem:

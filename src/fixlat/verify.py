@@ -25,7 +25,6 @@ import numpy as np
 from . import closure, exhaustive, geometry, lattice, relational, steiner
 from .errors import ValidationError
 from .group import PermutationGroup
-from .perm import mask_from_points
 
 
 def _result(pairs, **extra) -> dict:
@@ -37,6 +36,10 @@ def _result(pairs, **extra) -> dict:
 
 def _fano_group() -> PermutationGroup:
     return geometry.pgl_generators(2, 2)
+
+
+def _fano_lattice() -> lattice.FiniteLattice:
+    return geometry.subspace_lattice(2, 2).to_finite_lattice()
 
 
 def check_fano_fixset_lattice(_inject=None) -> dict:
@@ -63,8 +66,9 @@ def check_fano_meet_join(_inject=None) -> dict:
     """Meets and joins of all fixset pairs and triples vs the subspace lattice."""
     G = _fano_group()
     fl = closure.enumerate_fixset_lattice(G)
-    sl = geometry.subspace_lattice(2, 2)
-    index = {mask_from_points(pts, 7): i for i, pts in enumerate(sl.labels)}
+    family = geometry.subspace_lattice(2, 2)
+    sl = family.to_finite_lattice()
+    index = {m: i for i, m in enumerate(family.masks)}
     ok = {2: True, 3: True}
     for r in ok:
         for combo in combinations(fl.masks, r):
@@ -116,8 +120,8 @@ def _cube_shared_stabilizers(n: int) -> tuple[set, set, set]:
     stabs = [G.pointwise_stabilizer(lattice.lower_cone(cube, l))
              for l in range(cube.size)]
     program = _shared(stabs, PermutationGroup.equals)
-    closed = {l for l, atom_set in enumerate(cube.labels)
-              if n - len(atom_set) <= 1}
+    atoms_below = cube.leq[list(lattice.atoms(cube))].sum(axis=0)
+    closed = {l for l in range(cube.size) if n - atoms_below[l] <= 1}
     rows = exhaustive.lattice_automorphism_rows(cube.leq)
     brute = _shared([
         {r.tobytes() for r in exhaustive.stabilizer_rows(
@@ -132,7 +136,7 @@ def check_cone_separation(_inject=None) -> dict:
     sep_chain = lattice.stabilizer_separation(chain3)
     m4 = lattice.stabilizer_separation(lattice.diamond_lattice(4))
     cube = lattice.stabilizer_separation(lattice.boolean_lattice(3))
-    fano = lattice.stabilizer_separation(geometry.subspace_lattice(2, 2))
+    fano = lattice.stabilizer_separation(_fano_lattice())
     shared, closed, brute = _cube_shared_stabilizers(3)
     checks = [
         ("3-chain fails with a witness",
@@ -176,7 +180,7 @@ def check_diamond_reconstruction(_inject=None) -> dict:
         details[f"m{n}"] = {"image": r.image_size,
                             "fixset_lattice": len(r.fixset_lattice),
                             "closure_trivial": r.closure_trivial}
-    rf = lattice.reconstruct(geometry.subspace_lattice(2, 2))
+    rf = lattice.reconstruct(_fano_lattice())
     checks.append(("7-point plane: closure trivial", rf.closure_trivial))
     checks.append(("7-point plane: isomorphism emitted", rf.iso is not None))
     return _result(checks, **details)
@@ -184,7 +188,7 @@ def check_diamond_reconstruction(_inject=None) -> dict:
 
 def check_lattice_automorphisms(_inject=None) -> dict:
     """Automorphism orders, cross-checked by brute force on small lattices."""
-    fano = geometry.subspace_lattice(2, 2)
+    fano = _fano_lattice()
     m4 = lattice.diamond_lattice(4)
     chain3 = lattice.chain_lattice(3)
     aut_fano = lattice.lattice_automorphisms(fano).order()
@@ -281,10 +285,9 @@ def check_scale_pg32(_inject=None) -> dict:
     rep = steiner.jordan_report(G, k_max=3)
     checks = [
         ("fixset lattice has 67 elements", len(fl) == 67),
-        ("families equal to subspace lattice",
-         set(fl.elements) == set(sl.labels)),
+        ("families equal to subspace lattice", fl.masks == sl.masks),
         ("subspace count matches Gaussian binomials",
-         sl.size == geometry.subspace_count(2, 3)),
+         len(sl) == geometry.subspace_count(2, 3)),
         ("every stabilizer transitive on complement", rep.all_jordan),
     ]
     return _result(checks, budget_seconds=120.0)
@@ -294,7 +297,7 @@ def check_stone_representation(_inject=None) -> dict:
     """Finite set-algebra representation and a non-distributive negative."""
     cube = lattice.boolean_lattice(3)
     rep = lattice.stone_ultrafilters(cube)
-    fano = geometry.subspace_lattice(2, 2)
+    fano = _fano_lattice()
     atoms = lattice.atoms(cube)
     atom_maps = [rep.element_map[a] for a in atoms]
     checks = [

@@ -1,7 +1,7 @@
-"""Brute-force references that only the tests use.
+"""Brute-force references and writers that only the tests use.
 
 Like ``fixlat.exhaustive``, which holds the oracles ``fixlat verify``
-ships, everything here works on the full element table from product
+ships, the references work on the full element table from product
 closure of the generators, independent of the stabilizer chain.
 """
 
@@ -24,6 +24,11 @@ def elements(G) -> list[Permutation]:
 def contains(elements: np.ndarray, images) -> bool:
     row = np.asarray(images, dtype=np.int32)
     return bool((elements == row).all(axis=1).any())
+
+
+def lattice_obj(L) -> dict:
+    """The lattice input object ``{"size", "covers"}`` of a FiniteLattice."""
+    return {"size": L.size, "covers": [list(c) for c in L.covers()]}
 
 
 def tuple_orbit_count(elements: np.ndarray, k: int) -> int:

@@ -5,7 +5,8 @@ import pytest
 
 import fixlat.geometry as geo
 import fixlat.lattice
-from fixlat.closure import closed_set_lattice, closure_mask
+from fixlat.closure import (FixsetLattice, closed_set_lattice, closure_mask,
+                            enumerate_fixset_lattice)
 from fixlat.errors import CapacityError, InternalConsistencyError, ValidationError
 from fixlat.geometry import (gaussian_binomial, inverse_table, normalize,
                              oracle_iso_check, pgl_generators, pgl_order,
@@ -140,9 +141,9 @@ def test_pgl_orders_match_closed_form(fano_group, pgl25, pgl42):
 
 
 def test_subspace_lattice_counts():
-    assert subspace_lattice(2, 2).size == 16
-    assert subspace_lattice(2, 3).size == 67
-    assert subspace_lattice(3, 2).size == 28
+    assert len(subspace_lattice(2, 2)) == 16
+    assert len(subspace_lattice(2, 3)) == 67
+    assert len(subspace_lattice(3, 2)) == 28
     assert gaussian_binomial(3, 1, 2) == gaussian_binomial(3, 2, 2) == 7
     assert gaussian_binomial(4, 2, 2) == 35
     assert subspace_count(2, 3) == 67
@@ -150,10 +151,10 @@ def test_subspace_lattice_counts():
 
 @pytest.mark.parametrize("p,d,count", [(2, 4, 374), (3, 3, 212), (5, 2, 64)])
 def test_subspace_lattice_counts_and_labels_are_spans(p, d, count):
-    L = subspace_lattice(p, d)
-    assert L.size == subspace_count(p, d) == count
+    fl = subspace_lattice(p, d)
+    assert len(fl) == subspace_count(p, d) == count
     space = projective_points(p, d)
-    assert all(row_reduction_span(space, lab) == lab for lab in L.labels)
+    assert all(row_reduction_span(space, e) == e for e in fl.elements)
 
 
 def test_subspace_lattice_closes_through_span_closure(monkeypatch):
@@ -165,7 +166,7 @@ def test_subspace_lattice_closes_through_span_closure(monkeypatch):
         return inner(space, mask)
 
     monkeypatch.setattr(geo, "span_closure", counted)
-    assert subspace_lattice(2, 3).size == 67
+    assert len(subspace_lattice(2, 3)) == 67
     assert calls
 
 
@@ -197,14 +198,27 @@ def test_subspace_count_checked_against_the_order_matrix_cap(monkeypatch):
 def test_subspace_lattice_is_every_span():
     space = projective_points(2, 2)
     spans = {points_from_mask(span_closure(space, mask)) for mask in range(1 << 7)}
-    assert subspace_lattice(2, 2).labels == tuple(
+    assert subspace_lattice(2, 2).elements == tuple(
         sorted(spans, key=lambda t: (len(t), t)))
 
 
 def test_subspace_lattice_is_graded_by_rank():
-    L = subspace_lattice(2, 2)
-    sizes = sorted(len(lab) for lab in L.labels)
+    sizes = sorted(len(e) for e in subspace_lattice(2, 2).elements)
     assert sizes == [0] + [1] * 7 + [3] * 7 + [7]
+
+
+def test_subspace_lattice_is_a_family():
+    fl = subspace_lattice(2, 2)
+    assert isinstance(fl, FixsetLattice)
+    assert fl.degree == 7
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_binary_subspace_masks_are_the_pgl_fixset_masks(d):
+    # over GF(2) the fixsets of PGL are exactly the projective subspaces,
+    # and both families list their masks in (size, points) order
+    assert (subspace_lattice(2, d).masks
+            == enumerate_fixset_lattice(pgl_generators(2, d)).masks)
 
 
 def test_oracle_iso_binary_spaces(fano_group):

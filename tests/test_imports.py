@@ -1,8 +1,12 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every module-level function and class is named somewhere else in the
+package.
 
 No linter ships with the test environment, so a deletion that leaves an
-import behind would otherwise go unnoticed. ``__init__.py`` is skipped:
-its imports are the package's re-exports.
+import or a definition behind would otherwise go unnoticed. For imports,
+``__init__.py`` is skipped: its imports are the package's re-exports,
+which in turn count as naming what they export. A definition that only
+the tests call belongs on the test side, not in the package.
 """
 
 import ast
@@ -12,8 +16,8 @@ import pytest
 
 import fixlat
 
-MODULES = sorted(p.name for p in Path(fixlat.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(fixlat.__file__).parent
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,8 +35,7 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_its_imports(module):
-    path = Path(fixlat.__file__).parent / module
-    assert unused_imports(path.read_text()) == []
+    assert unused_imports((PACKAGE / module).read_text()) == []
 
 
 def test_unused_import_check_flags_what_it_should():
@@ -41,3 +44,50 @@ def test_unused_import_check_flags_what_it_should():
               "from .perm import Permutation, check_mask as cm\n"
               "def f():\n    import sys\n    return np.zeros(cm)\n")
     assert unused_imports(source) == ["os", "os", "Permutation"]
+
+
+def _names(node) -> set[str]:
+    """Every name that a node reads, imports or reaches as an attribute."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+def unnamed_definitions(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each module-level function or class that no other
+    statement of any module names."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    out = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(_names(t) for m, t in trees.items()
+                                  if m != module))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                rest = set().union(*(_names(n) for n in tree.body
+                                     if n is not node))
+                if node.name not in rest | elsewhere:
+                    out.append(f"{module}:{node.name}")
+    return out
+
+
+def test_every_definition_is_named_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unnamed_definitions(sources) == []
+
+
+def test_unnamed_definition_check_flags_what_it_should():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("def exported():\n    return 1\n"
+                 "def helper():\n    return 2\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "class Orphan:\n    pass\n"),
+        "b.py": "from . import a\nx = a.helper\n",
+    }
+    assert unnamed_definitions(sources) == ["a.py:recursive", "a.py:Orphan"]

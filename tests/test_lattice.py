@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -21,6 +22,11 @@ from fixlat.lattice import (FiniteLattice, atoms, boolean_lattice,
                             order_violations, reconstruct,
                             stabilizer_separation, stone_ultrafilters)
 from fixlat.perm import mask_from_points
+
+
+def pg_lattice(p, d):
+    """The subspaces of PG(d, p) as a lattice."""
+    return subspace_lattice(p, d).to_finite_lattice()
 
 
 def bowtie_leq():
@@ -73,7 +79,7 @@ def test_validate_pins_first_missing_bound():
 
 
 def test_meet_join_tables_match_definition():
-    for L in (n5_lattice(), grid_lattice(3, 4), relabelled(subspace_lattice(2, 2), 7)):
+    for L in (n5_lattice(), grid_lattice(3, 4), relabelled(pg_lattice(2, 2), 7)):
         leq = L.leq
         for i in range(L.size):
             for j in range(L.size):
@@ -242,10 +248,11 @@ def test_meet_join_basics():
 
 
 def test_fano_lattice_meet_join():
-    sl = subspace_lattice(2, 2)
-    by_label = {lab: i for i, lab in enumerate(sl.labels)}
+    family = subspace_lattice(2, 2)
+    sl = family.to_finite_lattice()
+    by_label = {lab: i for i, lab in enumerate(family.elements)}
     a, b = by_label[(0,)], by_label[(1,)]
-    assert sl.labels[join(sl, [a, b])] == (0, 1, 2)
+    assert family.elements[join(sl, [a, b])] == (0, 1, 2)
 
 
 def test_atoms_and_atomisticity():
@@ -253,11 +260,12 @@ def test_atoms_and_atomisticity():
     assert len(atoms(b3)) == 3 and is_atomistic(b3)
     c3 = chain_lattice(3)
     assert atoms(c3) == (1,) and not is_atomistic(c3)
-    fano = subspace_lattice(2, 2)
+    family = subspace_lattice(2, 2)
+    fano = family.to_finite_lattice()
     assert len(atoms(fano)) == 7 and is_atomistic(fano)
     # every line is the join of its points
-    by_label = {lab: i for i, lab in enumerate(fano.labels)}
-    for lab in fano.labels:
+    by_label = {lab: i for i, lab in enumerate(family.elements)}
+    for lab in family.elements:
         if len(lab) == 3:
             assert join(fano, [by_label[(x,)] for x in lab]) == by_label[lab]
 
@@ -282,7 +290,7 @@ def test_element_indices_are_checked(element):
 def test_automorphism_orders():
     assert lattice_automorphisms(chain_lattice(3)).order() == 1
     assert lattice_automorphisms(diamond_lattice(4)).order() == 24
-    assert lattice_automorphisms(subspace_lattice(2, 2)).order() == 168
+    assert lattice_automorphisms(pg_lattice(2, 2)).order() == 168
 
 
 def test_automorphisms_match_brute_force_small():
@@ -315,7 +323,7 @@ def test_join_irreducibles():
     n5 = n5_lattice()
     assert join_irreducibles(n5) == (1, 2, 3) and atoms(n5) == (1, 3)
     assert join_irreducibles(chain_lattice(5)) == (1, 2, 3, 4)
-    for L in (diamond_lattice(4), boolean_lattice(3), subspace_lattice(2, 2)):
+    for L in (diamond_lattice(4), boolean_lattice(3), pg_lattice(2, 2)):
         assert join_irreducibles(L) == atoms(L)
 
 
@@ -326,7 +334,7 @@ def test_automorphism_count_is_checked(monkeypatch):
     monkeypatch.setattr(lattice, "_atomistic_automorphisms",
                         lambda L: listed(L)[1:])
     with pytest.raises(InternalConsistencyError):
-        lattice_automorphisms(subspace_lattice(2, 2))
+        lattice_automorphisms(pg_lattice(2, 2))
 
 
 def test_automorphism_cap(monkeypatch):
@@ -347,7 +355,7 @@ def transversal_listing(m, family):
 
 AUT_STOCK = (chain_lattice(1), chain_lattice(4), n5_lattice(), grid_lattice(2, 3),
              diamond_lattice(1), diamond_lattice(4), diamond_lattice(5),
-             boolean_lattice(3), boolean_lattice(4), subspace_lattice(2, 2))
+             boolean_lattice(3), boolean_lattice(4), pg_lattice(2, 2))
 
 HEXAGON = {1 << i | 1 << (i + 1) % 6 for i in range(6)}
 FANO_LINES = {mask_from_points(line, 7) for line in
@@ -462,11 +470,11 @@ PINNED = {
            "ee0ad007edf2db898505d994bd045c14f06b11af24337de4baf4112e6c2054a3"),
     "2^5": (lambda: boolean_lattice(5), 120, 10,
             "646832b201e3d3c207ffa283b715460aab31d01a1b2430cc2257f6b811d51f30"),
-    "PG(2,2)": (lambda: subspace_lattice(2, 2), 168, 12,
+    "PG(2,2)": (lambda: pg_lattice(2, 2), 168, 12,
                 "21cf8e2e7c849d925c20283c28edac06934b11e9b792d878a34e09f6dccb6e1b"),
-    "PG(2,3)": (lambda: subspace_lattice(3, 2), 5616, 31,
+    "PG(2,3)": (lambda: pg_lattice(3, 2), 5616, 31,
                 "b3c048eb2c178563e87f12623bef3fb408f94a8dd79fde63236eb33d0de13cc2"),
-    "PG(3,2)": (lambda: subspace_lattice(2, 3), 20160, 58,
+    "PG(3,2)": (lambda: pg_lattice(2, 3), 20160, 58,
                 "04e3652ef6c24d23f1cd3c0d8f400c7d132fff5a8403ee68996178642126a45e"),
 }
 
@@ -481,7 +489,7 @@ def test_generators_pinned_on_relabelled_lattices(name):
 
 
 @pytest.mark.parametrize("L, searches", [(diamond_lattice(7), 6),
-                                         (subspace_lattice(2, 2), 12)],
+                                         (pg_lattice(2, 2), 12)],
                          ids=["M7", "PG(2,2)"])
 def test_search_count(monkeypatch, L, searches):
     calls = []
@@ -505,7 +513,7 @@ def hasse_automorphism_count(L):
 
 
 def test_order_matches_networkx_on_hasse_diagrams():
-    for L in AUT_STOCK + (relabelled(subspace_lattice(2, 2), 1),
+    for L in AUT_STOCK + (relabelled(pg_lattice(2, 2), 1),
                       relabelled(grid_lattice(3, 3), 2)):
         assert lattice_automorphisms(L).order() == hasse_automorphism_count(L)
 
@@ -523,7 +531,7 @@ def test_separation_results():
     chain = stabilizer_separation(chain_lattice(3))
     assert not chain.holds and chain.witness is not None
     assert stabilizer_separation(diamond_lattice(4)).holds
-    assert stabilizer_separation(subspace_lattice(2, 2)).holds
+    assert stabilizer_separation(pg_lattice(2, 2)).holds
     # the cube fails: coatom cones and the top cone all have the trivial
     # stabilizer, because fixing two atoms of three fixes the third
     cube = stabilizer_separation(boolean_lattice(3))
@@ -532,14 +540,14 @@ def test_separation_results():
 
 
 def test_reconstruct_fano_lattice():
-    r = reconstruct(subspace_lattice(2, 2))
+    r = reconstruct(pg_lattice(2, 2))
     assert r.closure_trivial
     assert r.image_size == len(r.fixset_lattice) == 16
     assert r.iso is not None
     assert r.atom_group.order() == 168
-    assert r.atoms == atoms(subspace_lattice(2, 2))
+    assert r.atoms == atoms(pg_lattice(2, 2))
     # order isomorphism: containment of images matches the lattice order
-    L = subspace_lattice(2, 2)
+    L = pg_lattice(2, 2)
     for i in range(L.size):
         for j in range(L.size):
             assert bool(L.leq[i, j]) == (set(r.embedding[i])
@@ -559,7 +567,7 @@ def test_reconstruct_diamonds(n):
 
 
 def test_reconstruct_embedding_injective_and_monotone():
-    for L in (diamond_lattice(4), diamond_lattice(3), subspace_lattice(2, 2)):
+    for L in (diamond_lattice(4), diamond_lattice(3), pg_lattice(2, 2)):
         r = reconstruct(L)
         assert len(set(r.embedding)) == L.size
         for i in range(L.size):
@@ -595,7 +603,7 @@ def test_distributivity():
     assert is_distributive(boolean_lattice(3))
     assert is_distributive(chain_lattice(4))
     assert not is_distributive(diamond_lattice(4))
-    assert not is_distributive(subspace_lattice(2, 2))
+    assert not is_distributive(pg_lattice(2, 2))
 
 
 def test_stone_on_boolean_cube():
@@ -611,14 +619,47 @@ def test_stone_preconditions():
     with pytest.raises(PreconditionError, match="complemented"):
         stone_ultrafilters(chain_lattice(3))
     with pytest.raises(PreconditionError, match="distributive"):
-        stone_ultrafilters(subspace_lattice(2, 2))
+        stone_ultrafilters(pg_lattice(2, 2))
     assert is_complemented(diamond_lattice(4))
+
+
+@pytest.mark.parametrize("build, arg", [
+    (chain_lattice, 8193), (diamond_lattice, 8191), (diamond_lattice, 8192),
+    (boolean_lattice, 14), (boolean_lattice, 18), (boolean_lattice, 10**9)])
+def test_stock_lattices_check_the_cap_before_allocating(build, arg):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as exc:
+            build(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.cap_name == "order_matrix"
+    assert peak < 1 << 20
+
+
+def test_stock_lattices_at_a_lowered_cap(monkeypatch):
+    monkeypatch.setattr(lattice, "ORDER_MATRIX_CAP", 16)
+    for build, largest, size in [(chain_lattice, 16, 16), (diamond_lattice, 14, 16),
+                                 (boolean_lattice, 4, 16)]:
+        assert build(largest).size == size
+        with pytest.raises(CapacityError):
+            build(largest + 1)
+
+
+@pytest.mark.parametrize("build, arg", [
+    (chain_lattice, 0), (chain_lattice, -1), (chain_lattice, 2.0),
+    (chain_lattice, True), (diamond_lattice, -1), (diamond_lattice, -5),
+    (diamond_lattice, "3"), (boolean_lattice, -1), (boolean_lattice, 3.0)])
+def test_stock_lattices_reject_bad_sizes(build, arg):
+    with pytest.raises(ValidationError):
+        build(arg)
 
 
 @pytest.mark.slow
 def test_reconstruct_pg32_subspace_lattice(pgl42):
     # the 67-element lattice of PG(3,2) rebuilds exactly from its atom action
-    r = reconstruct(subspace_lattice(2, 3))
+    r = reconstruct(pg_lattice(2, 3))
     assert r.closure_trivial
     assert r.image_size == 67
     assert r.atom_group.equals(pgl42)
@@ -629,7 +670,7 @@ def test_reconstruct_pg23_subspace_lattice():
     # over GF(3) scalars are free on two fixed rays, so pairs of points are
     # already closed in the atom action; the 28 subspaces embed into a much
     # larger fixset lattice and the residual closure is non-trivial
-    r = reconstruct(subspace_lattice(3, 2))
+    r = reconstruct(pg_lattice(3, 2))
     assert not r.closure_trivial
     assert r.image_size == 28
     assert len(r.fixset_lattice) == 457

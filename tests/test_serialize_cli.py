@@ -14,11 +14,13 @@ from fixlat.closure import enumerate_fixset_lattice
 from fixlat.errors import ValidationError
 from fixlat.geometry import pgl_generators, projective_points, subspace_lattice
 from fixlat.group import PermutationGroup
-from fixlat.lattice import (FiniteLattice, boolean_lattice, diamond_lattice,
-                            order_covers)
+from fixlat.lattice import (FiniteLattice, boolean_lattice, chain_lattice,
+                            diamond_lattice, order_covers)
 from fixlat.relational import dcl_vs_fixset_report
 from fixlat.steiner import (derivation, make_system, steiner_from_affine,
                             steiner_from_affine_planes, steiner_from_projective)
+
+from _oracles import lattice_obj
 
 
 def test_group_roundtrip(d6):
@@ -93,9 +95,14 @@ def test_cli_rejects_malformed_input(capsys, tmp_path, command, obj):
         reader(obj)
 
 
+def pg22_obj() -> dict:
+    """The lattice input object of the 7-point plane's subspaces."""
+    return lattice_obj(subspace_lattice(2, 2).to_finite_lattice())
+
+
 def test_lattice_roundtrip():
-    L = subspace_lattice(2, 2)
-    obj = json.loads(json.dumps(serialize.lattice_to_obj(L)))
+    L = subspace_lattice(2, 2).to_finite_lattice()
+    obj = json.loads(json.dumps(lattice_obj(L)))
     back = FiniteLattice(serialize.raw_lattice_from_obj(obj))
     assert back.size == L.size
     assert (back.leq == L.leq).all()
@@ -118,10 +125,10 @@ def test_steiner_roundtrip():
 
 
 def test_dot_output():
-    L = subspace_lattice(2, 2)
-    dot = serialize.covers_to_dot(L.size, L.covers())
+    fl = subspace_lattice(2, 2)
+    dot = serialize.covers_to_dot(len(fl), fl.covers())
     assert dot.startswith("digraph")
-    assert dot.count("->") == len(L.covers())
+    assert dot.count("->") == len(fl.covers())
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -330,7 +337,8 @@ def test_cli_steiner_missing_input_flag(capsys, tmp_path, argv, flag):
 
 def test_cli_steiner_build_ag(capsys):
     result = cli_result(capsys, "steiner", "build-ag", "-q", "3", "-d", "2")
-    assert result == serialize.steiner_to_obj(steiner_from_affine(3, 2))
+    assert result == json.loads(json.dumps(
+        serialize.steiner_to_obj(steiner_from_affine(3, 2))))
 
 
 def test_cli_steiner_derive(capsys, tmp_path):
@@ -339,7 +347,8 @@ def test_cli_steiner_derive(capsys, tmp_path):
     path.write_text(serialize.canonical_json(serialize.steiner_to_obj(planes)))
     result = cli_result(capsys, "steiner", "derive", "--in", str(path),
                         "--point", "5")
-    assert result == serialize.steiner_to_obj(derivation(planes, 5))
+    assert result == json.loads(json.dumps(
+        serialize.steiner_to_obj(derivation(planes, 5))))
 
 
 def test_cli_steiner_derive_rejects_a_non_steiner_input(capsys, tmp_path):
@@ -402,7 +411,7 @@ def test_cli_lattice_subcommands(capsys, tmp_path):
 @pytest.mark.parametrize("sub", ["automorphisms", "reconstruct", "check-s"])
 def test_cli_lattice_computes_covers_once(capsys, tmp_path, monkeypatch, sub):
     path = tmp_path / "pg22.json"
-    path.write_text(json.dumps(serialize.lattice_to_obj(subspace_lattice(2, 2))))
+    path.write_text(json.dumps(pg22_obj()))
     calls = []
 
     def counted(leq):
@@ -421,8 +430,8 @@ def pinned_lattice_inputs():
             + [[perm[e], perm[e + 1]] for e in range(12) if e % 4 != 3])
     return {
         "grid": {"size": 12, "covers": grid},
-        "pg22": serialize.lattice_to_obj(subspace_lattice(2, 2)),
-        "b4": serialize.lattice_to_obj(boolean_lattice(4)),
+        "pg22": pg22_obj(),
+        "b4": lattice_obj(boolean_lattice(4)),
         "bowtie": {"size": 4, "covers": [[0, 2], [0, 3], [1, 2], [1, 3]]},
         "vee": {"size": 5,
                 "covers": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 3], [2, 4]]},
@@ -502,7 +511,7 @@ def test_lattice_cli_bytes_are_pinned(capsys, tmp_path):
 def pinned_command_inputs(tmp_path) -> dict:
     """Input files of the pinned group and Steiner commands, by name."""
     fano_blocks = serialize.steiner_to_obj(steiner_from_projective(2, 2))
-    broken = dict(fano_blocks, blocks=[[0, 1, 3]] + fano_blocks["blocks"][1:])
+    broken = dict(fano_blocks, blocks=[[0, 1, 3]] + list(fano_blocks["blocks"][1:]))
     objs = {
         "d6": serialize.group_to_obj(PermutationGroup.dihedral(6)),
         "fano": serialize.group_to_obj(pgl_generators(2, 2)),
@@ -736,8 +745,7 @@ NO_DOT_COMMANDS = {
 def test_cli_commands_without_dot_say_so(capsys, tmp_path, command):
     paths = pinned_command_inputs(tmp_path)
     paths["pg22-lattice"] = str(tmp_path / "pg22-lattice.json")
-    Path(paths["pg22-lattice"]).write_text(json.dumps(
-        serialize.lattice_to_obj(subspace_lattice(2, 2))))
+    Path(paths["pg22-lattice"]).write_text(json.dumps(pg22_obj()))
     argv = [*command.split(), *(paths.get(a, a) for a in NO_DOT_COMMANDS[command])]
     report = tmp_path / "report.dot"
     for out_args in ([], ["--out", str(report)]):
@@ -768,10 +776,27 @@ def test_cli_geometry_points(capsys):
 
 def test_cli_geometry_subspaces(capsys):
     result = cli_result(capsys, "geometry", "subspaces", "-p", "2", "-d", "2")
-    L = subspace_lattice(2, 2)
-    assert result == {"size": L.size,
-                      "subspaces": [list(e) for e in L.labels],
-                      "covers": [list(c) for c in L.covers()]}
+    fl = subspace_lattice(2, 2)
+    assert result == {"size": len(fl),
+                      "subspaces": [list(e) for e in fl.elements],
+                      "covers": [list(c) for c in fl.covers()]}
+
+
+@pytest.mark.parametrize("sub", ["subspaces", "oracle-iso"])
+def test_cli_closed_set_families_build_no_finite_lattice(capsys, monkeypatch,
+                                                          sub):
+    calls = []
+    real = FiniteLattice.__init__
+
+    def counted(self, leq):
+        calls.append(len(leq))
+        real(self, leq)
+
+    monkeypatch.setattr(FiniteLattice, "__init__", counted)
+    code, _, _ = run_cli(capsys, "geometry", sub, "-p", "2", "-d", "3")
+    assert code == 0 and calls == []
+    chain_lattice(2)  # the counter sees a lattice being built
+    assert calls == [2]
 
 
 def test_cli_group_stab_reports_repeated_points_once(capsys, group_file):
@@ -956,8 +981,7 @@ def test_cli_oracle_iso_capacity_exit_code(capsys):
 
 def test_cli_reconstruct_capacity_exit_code(capsys, tmp_path):
     path = tmp_path / "pg22.json"
-    path.write_text(serialize.canonical_json(
-        serialize.lattice_to_obj(subspace_lattice(2, 2))))
+    path.write_text(serialize.canonical_json(pg22_obj()))
     code, out, err = run_cli(capsys, "lattice", "reconstruct", "--in", str(path),
                              "--cap-lattice", "3")
     assert code == 3 and out == ""
@@ -1044,7 +1068,7 @@ def test_cli_automorphism_listing_cap(tmp_path, atoms):
     # group order is known from the transversals before the listing exists
     path = tmp_path / "diamond.json"
     path.write_text(serialize.canonical_json(
-        serialize.lattice_to_obj(diamond_lattice(atoms))))
+        lattice_obj(diamond_lattice(atoms))))
     proc = run_cli_limited("lattice", "automorphisms", "--in", str(path))
     assert proc.returncode == 3 and proc.stdout == ""
     assert "capacity error (automorphisms)" in proc.stderr
@@ -1074,8 +1098,7 @@ def test_cli_fixlattice_cap_inside_an_orbit(capsys, tmp_path, fano_group):
 @pytest.mark.parametrize("sub", ["validate", "automorphisms"])
 def test_cli_lattice_input_capacity_exit_code(capsys, tmp_path, sub):
     path = tmp_path / "pg22.json"
-    path.write_text(serialize.canonical_json(
-        serialize.lattice_to_obj(subspace_lattice(2, 2))))
+    path.write_text(serialize.canonical_json(pg22_obj()))
     code, out, err = run_cli(capsys, "lattice", sub, "--in", str(path),
                              "--cap-lattice", "10")
     assert code == 3 and out == ""
