@@ -51,17 +51,21 @@ def min_moved(p):
 
 def orbit_transversal(b, gens, ident):
     """For each point z of the orbit of b under gens, a product of gens
-    sending b to z, found breadth-first with generators in list order."""
+    sending b to z, found breadth-first with generators in list order;
+    and the tree edges, the pairs (y, k) where gens[k] first reached z
+    from y, so that u_z is u_y gens[k] exactly."""
     tr = {b: ident}
+    edges = set()
     queue = [b]
     for y in queue:
         uy = tr[y]
-        for g in gens:
+        for k, g in enumerate(gens):
             z = g[y]
             if z not in tr:
                 tr[z] = compose(uy, g)
+                edges.add((y, k))
                 queue.append(z)
-    return tr
+    return tr, edges
 
 
 def sims_filter(degree, gens):
@@ -149,6 +153,7 @@ class StabilizerChain:
         ]
         self.transversals = [None] * len(base)
         self.inv_transversals = [None] * len(base)
+        self.tree_edges = [None] * len(base)
         for i in range(len(base)):
             self._rebuild_transversal(i)
         self._filtered = {}
@@ -161,7 +166,8 @@ class StabilizerChain:
                 f"below the known order {order}")
 
     def _rebuild_transversal(self, i):
-        tr = orbit_transversal(self.base[i], self.level_gens[i], self._ident)
+        tr, self.tree_edges[i] = orbit_transversal(self.base[i], self.level_gens[i],
+                                                   self._ident)
         self.transversals[i] = tr
         self.inv_transversals[i] = {y: inverse(u) for y, u in tr.items()}
 
@@ -191,39 +197,56 @@ class StabilizerChain:
         return h, len(self.base) + 1
 
     def _schreier_sims(self):
+        """Sift the Schreier generators u_beta g u_g(beta)^-1 of each level,
+        from the last level down, in order of beta and then of g.
+
+        A residue h that does not sift joins levels i+1..j-1, and the pass
+        goes on at level j-1. A tree edge's generator is the identity and
+        is skipped. Levels at or below i are untouched by h, so when the
+        pass comes back down to level i it resumes at the pair that failed:
+        every earlier pair sifted into <S_{i+1}>, which only grows, and the
+        levels above i are complete again by then, so a rescan from the
+        start would pass them all and fail first where this resumes.
+        """
         base = self.base
         lgens = self.level_gens
+        resume = {}  # level -> (its pairs, the index of the one that failed)
         i = len(base) - 1
         while i >= 0:
-            restart = False
             tr = self.transversals[i]
             inv_tr = self.inv_transversals[i]
-            for beta in sorted(tr):
-                u_beta = tr[beta]
-                for g in lgens[i]:
-                    sg = compose(compose(u_beta, g), inv_tr[g[beta]])
-                    if sg == self._ident:
-                        continue
-                    h, j = self._strip(sg, i + 1)
-                    if h is None:
-                        continue
-                    if j == len(base) + 1:
-                        base.append(min_moved(h))
-                        lgens.append([])
-                        self.transversals.append(None)
-                        self.inv_transversals.append(None)
-                        j = len(base)
-                    for l in range(i + 1, j):
-                        lgens[l].append(h)
-                        self._rebuild_transversal(l)
-                    if self._reached_order():
-                        return
-                    i = j - 1
-                    restart = True
-                    break
-                if restart:
-                    break
-            if not restart:
+            gens = lgens[i]
+            pairs, start = resume.pop(i, (None, 0))
+            if pairs is None:
+                edges = self.tree_edges[i]
+                pairs = [(beta, k) for beta in sorted(tr) for k in range(len(gens))
+                         if (beta, k) not in edges]
+            for p in range(start, len(pairs)):
+                beta, k = pairs[p]
+                g = gens[k]
+                inv_u = inv_tr[g[beta]]
+                sg = tuple(inv_u[g[y]] for y in tr[beta])
+                if sg == self._ident:
+                    continue
+                h, j = self._strip(sg, i + 1)
+                if h is None:
+                    continue
+                if j == len(base) + 1:
+                    base.append(min_moved(h))
+                    lgens.append([])
+                    self.transversals.append(None)
+                    self.inv_transversals.append(None)
+                    self.tree_edges.append(None)
+                    j = len(base)
+                for l in range(i + 1, j):
+                    lgens[l].append(h)
+                    self._rebuild_transversal(l)
+                if self._reached_order():
+                    return
+                resume[i] = (pairs, p)
+                i = j - 1
+                break
+            else:
                 i -= 1
 
     def order(self, depth: int = 0) -> int:

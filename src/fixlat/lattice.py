@@ -12,6 +12,11 @@ rows moving through the filter's levels together
 (``_chain.sims_filter_rows``). The listing's length is the group order,
 so the stabilizer chain of the filtered generators is built against it,
 which also checks it.
+
+The listing serves only the printed generators. Each lattice keeps one
+group for the action on its join-irreducibles, generated by the
+search's hits and checked against the product of the transversal
+lengths; separation and reconstruction run in it.
 """
 
 from __future__ import annotations
@@ -182,6 +187,10 @@ class FiniteLattice:
     def _covers(self) -> tuple[tuple[int, int], ...]:
         return order_covers(self.leq)
 
+    @cached_property
+    def _irreducible_action(self) -> "_IrreducibleAction":
+        return _IrreducibleAction(self)
+
     def __repr__(self):
         return f"FiniteLattice(size={self.size})"
 
@@ -315,8 +324,10 @@ def join_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
     return tuple(x for x, below in enumerate(_lower_covers(L)) if len(below) == 1)
 
 
-def _transversals(m: int, family) -> list[dict[int, tuple[int, ...]]]:
-    """The automorphisms of a family of point masks, as transversals along 0..m-1.
+def _transversals(m: int, family) -> tuple[list[tuple[int, ...]],
+                                            list[dict[int, tuple[int, ...]]]]:
+    """The automorphisms of a family of point masks, as generators and as
+    transversals along 0..m-1.
 
     Level i maps each point u of the orbit of i under the automorphisms
     fixing 0..i-1 to one of them that sends i to u; the group order is the
@@ -324,22 +335,48 @@ def _transversals(m: int, family) -> list[dict[int, tuple[int, ...]]]:
     generators found so far fix 0..i-1, and each point c > i with the
     profile of i but outside its orbit under them costs one search pinned
     at (0, ..., i-1, c), whose hit becomes a generator (Leon 1991, coset
-    pruning).
+    pruning). The hits generate the group.
     """
     profile = _profiles(m, family)
     gens = []
     levels = [None] * m
     for i in reversed(range(m)):
-        orbit = orbit_transversal(i, gens, tuple(range(m)))
+        orbit, _ = orbit_transversal(i, gens, tuple(range(m)))
         for c in range(i + 1, m):
             if profile[c] == profile[i] and c not in orbit:
                 hit = family_bijections(m, family, family, first=True,
                                         prefix=(*range(i), c))
                 if hit:
                     gens.append(hit[0])
-                    orbit = orbit_transversal(i, gens, tuple(range(m)))
+                    orbit, _ = orbit_transversal(i, gens, tuple(range(m)))
         levels[i] = orbit
-    return levels
+    return gens, levels
+
+
+class _IrreducibleAction:
+    """Aut(L) acting on the join-irreducibles of L, from the coset search.
+
+    An element x is the join of the set J(x) of join-irreducibles below
+    it, and x <= y iff J(x) is inside J(y); so the automorphisms are the
+    permutations of the join-irreducibles that map the family {J(x)} onto
+    itself, and the action on them is faithful. ``irr`` holds their element
+    indices, ``masks[x]`` the mask of J(x) over positions 0..m-1 of irr,
+    and ``levels`` the search's transversals; ``order`` is their product.
+    ``group``, generated by the search's hits, is built on first use, with
+    its chain built against that order. The search runs only within
+    ``AUTOMORPHISM_CAP``.
+    """
+
+    def __init__(self, L: FiniteLattice):
+        _check_automorphism_cap(L)
+        self.irr = np.array(join_irreducibles(L), dtype=np.intp)
+        self.masks = row_masks(L.leq[self.irr].T)
+        self.gens, self.levels = _transversals(len(self.irr), set(self.masks))
+        self.order = prod(map(len, self.levels))
+
+    @cached_property
+    def group(self) -> PermutationGroup:
+        return _known_order(PermutationGroup(len(self.irr), self.gens), self.order)
 
 
 def _listing(m: int, levels) -> np.ndarray:
@@ -361,28 +398,35 @@ def _listing(m: int, levels) -> np.ndarray:
     return rows
 
 
-def _irreducible_automorphisms(L: FiniteLattice) -> np.ndarray:
-    """Automorphisms in lexicographic order of their join-irreducible images.
+def _check_automorphism_cap(L: FiniteLattice) -> None:
+    if L.size > AUTOMORPHISM_CAP:
+        raise CapacityError(
+            f"lattice size {L.size} exceeds automorphism cap {AUTOMORPHISM_CAP}",
+            cap_name="automorphisms")
 
-    An element x is the join of the set J(x) of join-irreducibles below
-    it, and x <= y iff J(x) is inside J(y); so the automorphisms are the
-    permutations of the join-irreducibles that map the family {J(x)} onto
-    itself, and each sends x to the join of the images of J(x). The group
-    order is known from the transversals before the listing is allocated.
-    """
-    lower = _lower_covers(L)
-    irr = np.array([x for x, below in enumerate(lower) if len(below) == 1],
-                   dtype=np.intp)
-    m = len(irr)
-    family = set(row_masks(L.leq[irr].T))
-    levels = _transversals(m, family)
-    count = prod(map(len, levels))
+
+def _listing_count(L: FiniteLattice) -> int:
+    """|Aut(L)| from the coset search, checked against the listing's cap."""
+    count = L._irreducible_action.order
     if count * L.size > TUPLE_SPACE_CAP:
         raise CapacityError(
             f"listing {count} automorphisms of {L.size} elements exceeds cap "
             f"{TUPLE_SPACE_CAP} entries", cap_name="automorphisms")
+    return count
+
+
+def _irreducible_automorphisms(L: FiniteLattice) -> np.ndarray:
+    """Automorphisms in lexicographic order of their join-irreducible images.
+
+    Each sends x to the join of the images of J(x) (see
+    ``_IrreducibleAction``). The group order is known from the
+    transversals before the listing is allocated.
+    """
+    count = _listing_count(L)
+    act = L._irreducible_action
+    lower = _lower_covers(L)
     lifted = np.full((count, L.size), L.bottom, dtype=np.int16)
-    lifted[:, irr] = irr[_listing(m, levels)]
+    lifted[:, act.irr] = act.irr[_listing(len(act.irr), act.levels)]
     # any other x above the bottom is the join of two of its lower covers
     for x in np.argsort(L.leq.sum(axis=0), kind="stable"):
         if len(lower[x]) > 1:
@@ -406,10 +450,7 @@ def lattice_automorphisms(L: FiniteLattice) -> PermutationGroup:
     Its generators are those sims_filter keeps from the full listing, and
     its order is the listing's length.
     """
-    if L.size > AUTOMORPHISM_CAP:
-        raise CapacityError(
-            f"lattice size {L.size} exceeds automorphism cap {AUTOMORPHISM_CAP}",
-            cap_name="automorphisms")
+    _check_automorphism_cap(L)
     autos = (_atomistic_automorphisms(L) if is_atomistic(L)
              else _general_automorphisms(L))
     gens = sims_filter_rows(L.size, autos)
@@ -435,23 +476,37 @@ class SeparationResult:
     witness: Optional[tuple[int, int]]
 
 
-def stabilizer_separation(L: FiniteLattice,
-                          automorphisms: Optional[PermutationGroup] = None
-                          ) -> SeparationResult:
+def stabilizer_separation(L: FiniteLattice) -> SeparationResult:
     """Do distinct elements have distinct lower-cone pointwise stabilizers?
 
-    Stabilizers are taken inside the automorphism action on element
-    indices; equality is mutual membership of generators. The witness is
-    the first violating pair in index order.
+    Stabilizers are taken in the automorphism action on element indices,
+    and the witness is the first violating pair in row-major order. Aut(L)
+    acts faithfully on the join-irreducibles J, and an automorphism that
+    fixes J(l) fixes every x <= l, the join of J(x) inside J(l); so the
+    stabilizer of the cone of l is that of J(l) in the J-action. As G_A =
+    G_B exactly when fix(G_A) = fix(G_B), separation holds iff l ->
+    cl(J(l)) = fix(G_J(l)) is injective, and the witness is the least pair
+    of first two indices over the classes of equal closures. Closures come
+    from the J-action's stabilizer tower. The witness's two stabilizers are
+    also compared as groups, by order and then membership, and raise
+    InternalConsistencyError if they differ.
     """
-    G = lattice_automorphisms(L) if automorphisms is None else automorphisms
-    stabs = [G.pointwise_stabilizer(lower_cone(L, l)) for l in range(L.size)]
-    orders = [s.order() for s in stabs]
-    for i in range(L.size):
-        for j in range(i + 1, L.size):
-            if orders[i] == orders[j] and stabs[i].is_subgroup_of(stabs[j]):
-                return SeparationResult(False, (i, j))
-    return SeparationResult(True, None)
+    if L.size == 1:  # no pair, and no join-irreducible to act on
+        return SeparationResult(True, None)
+    act = L._irreducible_action
+    J = act.group
+    classes: dict[int, list[int]] = {}
+    for l, m in enumerate(act.masks):
+        classes.setdefault(J._stabilizer(m).fixed, []).append(l)
+    witness = min(((c[0], c[1]) for c in classes.values() if len(c) > 1),
+                  default=None)
+    if witness is None:
+        return SeparationResult(True, None)
+    a, b = (J.pointwise_stabilizer(points_from_mask(act.masks[x])) for x in witness)
+    if a.order() != b.order() or not a.is_subgroup_of(b):
+        raise InternalConsistencyError(
+            f"elements {witness} have one closure but distinct stabilizers")
+    return SeparationResult(False, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -488,23 +543,31 @@ def reconstruct(L: FiniteLattice, cap: int = LATTICE_CAP) -> ReconstructionResul
         raise PreconditionError(
             "reconstruction requires at least one atom; the atom layer of "
             "the one-element lattice is empty")
-    G = lattice_automorphisms(L)
-    sep = stabilizer_separation(L, automorphisms=G)
+    _listing_count(L)  # the listing's caps come before separation's verdict
+    sep = stabilizer_separation(L)
     if not sep.holds:
         raise PreconditionError(
             f"reconstruction requires separated cone stabilizers; "
             f"witness pair {sep.witness}")
+    # atomistic: the join-irreducibles are the atoms, position for position
+    act = L._irreducible_action
+    J = act.group
     pos = {a: i for i, a in enumerate(ats)}
+    G = lattice_automorphisms(L)
     atom_gens = [Permutation([pos[g(a)] for a in ats]) for g in G.generators]
-    # faithful: an automorphism of an atomistic lattice fixing every atom
-    # fixes every join of atoms
-    atom_group = _known_order(PermutationGroup(len(ats), atom_gens), G.order())
-    fl = enumerate_fixset_lattice(atom_group, cap=cap)
-    closed = [closure_mask(atom_group, m) for m in row_masks(L.leq[list(ats)].T)]
+    # the printed generators lie in J, and G's chain, built against the
+    # listing's length |J|, says they generate |J| elements (faithfully on
+    # the atoms): so they generate J
+    if not all(map(J.contains, atom_gens)):
+        raise InternalConsistencyError(
+            "a listed automorphism is outside the coset search's group")
+    atom_group = PermutationGroup(len(ats), atom_gens)
+    atom_group._order = J.order()
+    fl = enumerate_fixset_lattice(J, cap=cap)
+    closed = [closure_mask(J, m) for m in act.masks]
     image = set(closed)
     if len(image) != L.size:
-        # for an atomistic lattice, separated cone stabilizers in the element
-        # action are the same thing as an injective atom-action embedding
+        # separation is injectivity of this same map, computed on the tower
         raise InternalConsistencyError(
             "embedding is not injective despite separation")
     closure_trivial = len(image) == len(fl)

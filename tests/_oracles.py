@@ -7,8 +7,11 @@ closure of the generators, independent of the stabilizer chain.
 
 import numpy as np
 
+from fixlat._chain import StabilizerChain, compose, min_moved
 from fixlat.errors import InternalConsistencyError, ValidationError
 from fixlat.exhaustive import enumerate_elements
+from fixlat.lattice import (SeparationResult, lattice_automorphisms,
+                            lower_cone)
 from fixlat.perm import Permutation
 
 
@@ -52,3 +55,59 @@ def tuple_orbit_count(elements: np.ndarray, k: int) -> int:
         raise InternalConsistencyError(
             f"fixed-tuple total {total} is not a multiple of the order {order}")
     return int(total // order)
+
+
+def pairwise_separation(L) -> SeparationResult:
+    """Lower-cone stabilizer separation by pairwise subgroup tests in the
+    automorphism action on element indices: the first pair in row-major
+    order with equal orders and one stabilizer inside the other."""
+    G = lattice_automorphisms(L)
+    stabs = [G.pointwise_stabilizer(lower_cone(L, l)) for l in range(L.size)]
+    orders = [s.order() for s in stabs]
+    for i in range(L.size):
+        for j in range(i + 1, L.size):
+            if orders[i] == orders[j] and stabs[i].is_subgroup_of(stabs[j]):
+                return SeparationResult(False, (i, j))
+    return SeparationResult(True, None)
+
+
+class RescanChain(StabilizerChain):
+    """Schreier-Sims that rescans a level from its first pair on every
+    visit and sifts every Schreier generator, tree edges included."""
+
+    def _schreier_sims(self):
+        base = self.base
+        lgens = self.level_gens
+        i = len(base) - 1
+        while i >= 0:
+            restart = False
+            tr = self.transversals[i]
+            inv_tr = self.inv_transversals[i]
+            for beta in sorted(tr):
+                u_beta = tr[beta]
+                for g in lgens[i]:
+                    sg = compose(compose(u_beta, g), inv_tr[g[beta]])
+                    if sg == self._ident:
+                        continue
+                    h, j = self._strip(sg, i + 1)
+                    if h is None:
+                        continue
+                    if j == len(base) + 1:
+                        base.append(min_moved(h))
+                        lgens.append([])
+                        self.transversals.append(None)
+                        self.inv_transversals.append(None)
+                        self.tree_edges.append(None)
+                        j = len(base)
+                    for l in range(i + 1, j):
+                        lgens[l].append(h)
+                        self._rebuild_transversal(l)
+                    if self._reached_order():
+                        return
+                    i = j - 1
+                    restart = True
+                    break
+                if restart:
+                    break
+            if not restart:
+                i -= 1

@@ -2,9 +2,11 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixlat import exhaustive
-from fixlat._chain import StabilizerChain
+from fixlat._chain import StabilizerChain, compose, orbit_transversal
 from fixlat.errors import (InternalConsistencyError, PreconditionError,
                            ValidationError)
 from fixlat.closure import closure_mask, enumerate_fixset_lattice
@@ -12,7 +14,7 @@ from fixlat.geometry import pgl_generators
 from fixlat.group import PermutationGroup
 from fixlat.perm import Permutation
 
-from _oracles import contains, element_table, tuple_orbit_count
+from _oracles import RescanChain, contains, element_table, tuple_orbit_count
 
 
 def test_cyclic_group_order():
@@ -245,6 +247,51 @@ def test_known_order_stops_the_chain_and_is_checked():
         StabilizerChain(5, s5, base_prefix=(3,), order=119)
     with pytest.raises(InternalConsistencyError, match="below"):
         StabilizerChain(5, s5, base_prefix=(3,), order=240)
+
+
+@st.composite
+def generator_lists(draw):
+    n = draw(st.integers(1, 9))
+    return n, draw(st.lists(st.permutations(range(n)), max_size=4))
+
+
+def chain_state(chain):
+    return chain.base, chain.level_gens, chain.transversals
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(generator_lists())
+def test_resumed_schreier_sims_builds_the_rescanning_chains(case):
+    # resuming each level at its failed pair and skipping tree edges sifts
+    # less, and must add the same residues in the same order
+    n, gens = case
+    order = RescanChain(n, gens).order()
+    for prefix in ((), (0,), (n - 1,)):
+        for known in (None, order):
+            assert (chain_state(StabilizerChain(n, gens, prefix, known))
+                    == chain_state(RescanChain(n, gens, prefix, known)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pgl_generators(2, 2), lambda: pgl_generators(3, 2),
+    lambda: pgl_generators(2, 3), lambda: pgl_generators(7, 1),
+    lambda: PermutationGroup.alternating(8), lambda: PermutationGroup.dihedral(10),
+    lambda: PermutationGroup(9, ["(0 1 2)(3 4)", "(2 3)(5 6 7 8)"])])
+def test_resumed_schreier_sims_on_stock_groups(make):
+    G = make()
+    n, gens = G.degree, G._gen_tuples
+    for prefix in ((), (0,), (n - 1,)):
+        assert (chain_state(StabilizerChain(n, gens, prefix))
+                == chain_state(RescanChain(n, gens, prefix)))
+
+
+def test_orbit_transversal_tree_edges():
+    gens = [g.images for g in pgl_generators(3, 2).generators]
+    ident = tuple(range(13))
+    tr, edges = orbit_transversal(4, gens, ident)
+    assert len(edges) == len(tr) - 1
+    for y, k in edges:
+        assert compose(tr[y], gens[k]) == tr[gens[k][y]]
 
 
 def test_stabilizer_tower_reuses_chains(monkeypatch):

@@ -9,19 +9,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fixlat import exhaustive, lattice
-from fixlat._chain import sims_filter, sims_filter_rows
+from fixlat import closure, exhaustive, lattice
+from fixlat._chain import StabilizerChain, sims_filter, sims_filter_rows
 from fixlat.errors import (CapacityError, InternalConsistencyError,
                            PreconditionError, ValidationError)
 from fixlat.geometry import subspace_lattice
-from fixlat.lattice import (FiniteLattice, atoms, boolean_lattice,
-                            chain_lattice, diamond_lattice, family_bijections,
-                            is_atomistic, is_complemented, is_distributive,
-                            join, join_irreducibles, lattice_automorphisms,
-                            lower_cone, meet, order_from_covers,
-                            order_violations, reconstruct,
+from fixlat.group import PermutationGroup
+from fixlat.lattice import (AUTOMORPHISM_CAP, FiniteLattice, atoms,
+                            boolean_lattice, chain_lattice, diamond_lattice,
+                            family_bijections, is_atomistic, is_complemented,
+                            is_distributive, join, join_irreducibles,
+                            lattice_automorphisms, lower_cone, meet,
+                            order_from_covers, order_violations, reconstruct,
                             stabilizer_separation, stone_ultrafilters)
-from fixlat.perm import mask_from_points
+from fixlat.perm import Permutation, mask_from_points
+
+from _oracles import pairwise_separation
 
 
 def pg_lattice(p, d):
@@ -350,7 +353,7 @@ def irreducible_family(L):
 
 
 def transversal_listing(m, family):
-    return lattice._listing(m, lattice._transversals(m, family)).tolist()
+    return lattice._listing(m, lattice._transversals(m, family)[1]).tolist()
 
 
 AUT_STOCK = (chain_lattice(1), chain_lattice(4), n5_lattice(), grid_lattice(2, 3),
@@ -537,6 +540,116 @@ def test_separation_results():
     cube = stabilizer_separation(boolean_lattice(3))
     assert not cube.holds
     assert cube.witness == (4, 5)
+
+
+@st.composite
+def moore_lattices(draw):
+    # a Moore family on two to six points: one to eight seeded random sets
+    # closed under intersection, with the whole set as top, ordered by
+    # inclusion and relabelled
+    n, k = draw(st.integers(2, 6)), draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 1 << 32))
+    rng = np.random.default_rng(seed)
+    full = (1 << n) - 1
+    family = {full}
+    for m in rng.integers(0, full + 1, size=k).tolist():
+        family |= {m & f for f in family} | {m}
+    perm = rng.permutation(sorted(family)).tolist()
+    return FiniteLattice(np.array([[a & ~b == 0 for b in perm] for a in perm]))
+
+
+# the non-atomistic ones, and separated ones, which random families seldom are
+SEPARATION_STOCK = (chain_lattice(2), chain_lattice(3), chain_lattice(6), n5_lattice(),
+                    grid_lattice(2, 2), grid_lattice(2, 3), grid_lattice(3, 3),
+                    grid_lattice(2, 4), diamond_lattice(3), diamond_lattice(5),
+                    pg_lattice(2, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.one_of(moore_lattices(), st.builds(
+    relabelled, st.sampled_from(SEPARATION_STOCK), st.integers(0, 9))))
+def test_separation_matches_pairwise_subgroup_tests(L):
+    assert stabilizer_separation(L) == pairwise_separation(L)
+
+
+def counted(monkeypatch, owner, name):
+    """The calls made to owner.name from now on, one entry each."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_separation_tests_subgroups_on_the_witness_only(monkeypatch):
+    calls = counted(monkeypatch, PermutationGroup, "is_subgroup_of")
+    assert stabilizer_separation(pg_lattice(2, 2)).holds and not calls
+    assert stabilizer_separation(boolean_lattice(4)).witness is not None
+    assert len(calls) == 1
+
+
+def test_separation_witness_is_confirmed_as_groups(monkeypatch):
+    monkeypatch.setattr(PermutationGroup, "is_subgroup_of", lambda self, other: False)
+    with pytest.raises(InternalConsistencyError, match="distinct stabilizers"):
+        stabilizer_separation(chain_lattice(3))
+
+
+def test_separation_cap_without_the_listing():
+    with pytest.raises(CapacityError) as err:
+        stabilizer_separation(chain_lattice(AUTOMORPHISM_CAP + 1))
+    assert err.value.cap_name == "automorphisms"
+    # M10 has 3,628,800 automorphisms, past the listing's cap, and
+    # separation lists none of them
+    assert stabilizer_separation(diamond_lattice(10)).holds
+
+
+def test_reconstruct_checks_the_listing_cap_before_separation():
+    # M9 x 2 fails separation (fixing M9's atoms fixes both tops), and
+    # listing its 9! automorphisms of 22 elements is past the cap, which
+    # is reported first
+    L = FiniteLattice(np.kron(diamond_lattice(9).leq, chain_lattice(2).leq))
+    assert not stabilizer_separation(L).holds
+    with pytest.raises(CapacityError, match="listing 362880 automorphisms"):
+        reconstruct(L)
+
+
+def test_reconstruct_walks_the_search_generators(monkeypatch):
+    # the 121 closed sets of Sym(7) on M7's atoms, each mapped by the
+    # search's 6 generators, not by the 21 that the listing's filter keeps
+    images = counted(monkeypatch, closure, "_mask_image")
+    builds = counted(monkeypatch, StabilizerChain, "__init__")
+    r = reconstruct(diamond_lattice(7))
+    assert len(r.fixset_lattice) == 121 and len(r.atom_group.generators) == 21
+    assert len(images) <= 726
+    # the J-action chain and the element action's, checking the listing
+    assert len(builds) <= 2
+
+
+def test_separation_failure_builds_two_chains(monkeypatch):
+    builds = counted(monkeypatch, StabilizerChain, "__init__")
+    with pytest.raises(PreconditionError, match="separated"):
+        reconstruct(boolean_lattice(5))
+    assert len(builds) <= 2
+
+
+def test_reconstruct_checks_the_listed_generators(monkeypatch):
+    # a transposition of two points of the Fano plane is no collineation
+    L = pg_lattice(2, 2)
+    a, b = atoms(L)[:2]
+    swap = list(range(L.size))
+    swap[a], swap[b] = b, a
+    listed = lattice.lattice_automorphisms
+
+    def with_a_stranger(L):
+        return PermutationGroup(L.size, [*listed(L).generators, Permutation(swap)])
+
+    monkeypatch.setattr(lattice, "lattice_automorphisms", with_a_stranger)
+    with pytest.raises(InternalConsistencyError, match="outside"):
+        reconstruct(L)
 
 
 def test_reconstruct_fano_lattice():

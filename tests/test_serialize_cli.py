@@ -988,6 +988,24 @@ def test_cli_reconstruct_capacity_exit_code(capsys, tmp_path):
     assert "capacity error (lattice)" in err
 
 
+def test_cli_check_s_caps_the_lattice_but_lists_no_automorphisms(capsys, tmp_path):
+    chain = tmp_path / "chain129.json"
+    chain.write_text(serialize.canonical_json(lattice_obj(chain_lattice(129))))
+    code, out, err = run_cli(capsys, "lattice", "check-s", "--in", str(chain))
+    assert code == 3 and out == ""
+    assert "capacity error (automorphisms)" in err
+    # 3,628,800 automorphisms: listing them is past the cap, which
+    # reconstruct still reports, but separation needs no listing
+    m10 = tmp_path / "m10.json"
+    m10.write_text(serialize.canonical_json(lattice_obj(diamond_lattice(10))))
+    code, out, _ = run_cli(capsys, "lattice", "check-s", "--in", str(m10))
+    assert code == 0
+    assert json.loads(out)["result"] == {"holds": True, "witness": None}
+    code, out, err = run_cli(capsys, "lattice", "reconstruct", "--in", str(m10))
+    assert code == 3 and out == ""
+    assert "capacity error (automorphisms)" in err
+
+
 @pytest.mark.parametrize("command", [
     ["group", "fixlattice", "--in"], ["group", "jordan", "--in"],
     ["lattice", "reconstruct", "--in"], ["steiner", "build-pg"],
