@@ -1,16 +1,17 @@
 """Projective geometry over prime fields.
 
 Points of PG(d, p) are rays of GF(p)^(d+1), represented by the unique
-vector whose first nonzero coordinate is 1 and numbered in lexicographic
-order of those vectors. Every module that acts on projective points uses
-this numbering, so group-side and geometry-side computations can be
-compared element by element.
+vector whose first nonzero coordinate is 1, generated by the position of
+that 1 from last to first and so numbered in lexicographic order. Every
+module that acts on projective points uses this numbering, so group-side
+and geometry-side computations can be compared element by element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Iterator
 
 from .closure import (LATTICE_CAP, FixsetLattice, closed_set_lattice,
                       enumerate_fixset_lattice)
@@ -105,13 +106,8 @@ def projective_points(p: int, d: int) -> ProjectiveSpace:
     count = projective_point_count(p, d)
     if count > POINT_CAP:
         raise CapacityError(f"{count} points exceed cap {POINT_CAP}", cap_name="points")
-    pts = []
-    for vec in product(range(p), repeat=d + 1):
-        for x in vec:
-            if x:
-                if x == 1:
-                    pts.append(vec)
-                break
+    pts = [(0,) * lead + (1,) + tail for lead in range(d, -1, -1)
+           for tail in product(range(p), repeat=d - lead)]
     if len(pts) != count:
         raise InternalConsistencyError(
             f"PG({d},{p}) listed {len(pts)} points, expected {count}")
@@ -143,20 +139,17 @@ def pgl_order(p: int, d: int) -> int:
     return total // (p - 1)
 
 
-def _matrices(p: int, n: int) -> list[list[list[int]]]:
+def _matrices(p: int, n: int) -> Iterator[list[list[int]]]:
     """Generating matrices for GL(n, p): an n-cycle, a transvection and,
     for p > 2, a primitive-root dilation to reach every determinant."""
-    cycle = [[1 if r == (c + 1) % n else 0 for c in range(n)] for r in range(n)]
-    trans = [[1 if r == c else (1 if (r, c) == (0, 1) else 0) for c in range(n)]
-             for r in range(n)]
-    mats = [cycle, trans]
+    yield [[1 if r == (c + 1) % n else 0 for c in range(n)] for r in range(n)]
+    yield [[1 if r == c else (1 if (r, c) == (0, 1) else 0) for c in range(n)]
+           for r in range(n)]
     if p > 2:
         root = next(g for g in range(2, p)
                     if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
-        dil = [[root if r == c == 0 else (1 if r == c else 0) for c in range(n)]
+        yield [[root if r == c == 0 else (1 if r == c else 0) for c in range(n)]
                for r in range(n)]
-        mats.append(dil)
-    return mats
 
 
 def matrix_to_point_permutation(space: ProjectiveSpace,
@@ -179,8 +172,9 @@ def pgl_generators(p: int, d: int) -> PermutationGroup:
     mismatch means the generating matrices were wrong for this (p, d).
     """
     space = projective_points(p, d)
-    gens = [matrix_to_point_permutation(space, m) for m in _matrices(p, d + 1)]
-    G = PermutationGroup(space.num_points, gens)
+    # lazy, so the group checks its degree cap before any matrix is built
+    G = PermutationGroup(space.num_points, (matrix_to_point_permutation(space, m)
+                                            for m in _matrices(p, d + 1)))
     expected = pgl_order(p, d)
     got = G.order()
     if got != expected:

@@ -7,11 +7,11 @@ as transversals along the join-irreducibles 0..m-1, from a few pinned
 runs of the set-family bijection search that also compares Steiner
 systems. The printed generators are those the Sims filter keeps from
 the lexicographic listing of all automorphisms, so that listing is
-rebuilt from the transversals in numpy, as int16, and filtered with all
-rows moving through the filter's levels together
-(``_chain.sims_filter_rows``). The listing's length is the group order,
-so the stabilizer chain of the filtered generators is built against it,
-which also checks it.
+rebuilt in numpy, as int16, as the products of the transversals, sorted
+once, and filtered with all rows moving through the filter's levels
+together (``_chain.sims_filter_rows``). The listing's length is the
+group order, so the stabilizer chain of the filtered generators is built
+against it, which also checks it.
 
 The listing serves only the printed generators. Each lattice keeps one
 group for the action on its join-irreducibles, generated by the
@@ -381,20 +381,15 @@ class _IrreducibleAction:
 
 def _listing(m: int, levels) -> np.ndarray:
     """Every product t_0 t_1 ... t_{m-1} (t_{m-1} applied first) of one
-    element t_i of each level's transversal, in lexicographic order.
+    element t_i of each level's transversal, in no set order.
 
-    Each automorphism is one such product. The rows grow one level at a
-    time: a row s whose images of 0..i-1 are final gets the children s t_u,
-    which keep those images and send i to s(u), sorted by that image.
-    Distinct rows differ on 0..i-1, so the order stays lexicographic.
+    Each automorphism is one such product. Each level replaces every row
+    s by its children s t_u, one for each t_u in its transversal.
     """
     rows = np.arange(m, dtype=np.int16)[None, :]
     for level in levels:
-        images = np.array(list(level), dtype=np.intp)
         reps = np.array(list(level.values()), dtype=np.intp).reshape(len(level), m)
-        order = np.argsort(rows[:, images], axis=1)
-        rows = np.take_along_axis(rows[:, reps], order[:, :, None], axis=1)
-        rows = rows.reshape(-1, m)
+        rows = rows[:, reps].reshape(-1, m)
     return rows
 
 
@@ -416,7 +411,7 @@ def _listing_count(L: FiniteLattice) -> int:
 
 
 def _irreducible_automorphisms(L: FiniteLattice) -> np.ndarray:
-    """Automorphisms in lexicographic order of their join-irreducible images.
+    """Every automorphism, as a row of element images, in no set order.
 
     Each sends x to the join of the images of J(x) (see
     ``_IrreducibleAction``). The group order is known from the
@@ -436,10 +431,14 @@ def _irreducible_automorphisms(L: FiniteLattice) -> np.ndarray:
 
 
 def _atomistic_automorphisms(L: FiniteLattice) -> np.ndarray:
-    return _irreducible_automorphisms(L)
+    """Every automorphism, in lexicographic order of its atom images."""
+    rows = _irreducible_automorphisms(L)
+    keys = rows[:, L._irreducible_action.irr[::-1]].T
+    return rows[np.lexsort(keys)] if len(keys) else rows  # 1 element: no atoms
 
 
 def _general_automorphisms(L: FiniteLattice) -> np.ndarray:
+    """Every automorphism, in lexicographic order of its element images."""
     rows = _irreducible_automorphisms(L)
     return rows[np.lexsort(rows.T[::-1])]
 

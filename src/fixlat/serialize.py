@@ -161,7 +161,6 @@ def raw_lattice_from_obj(obj: dict, cap: int = LATTICE_CAP) -> np.ndarray:
 
 def fixset_lattice_to_obj(fl: FixsetLattice) -> dict:
     # carries "size"/"covers" so the object is also valid lattice input
-    # carries "size"/"covers" so the object is also valid lattice input
     return {"degree": fl.degree, "size": len(fl), "elements": fl.elements,
             "covers": fl.covers()}
 

@@ -160,12 +160,16 @@ def steiner_from_affine_planes(d: int) -> SteinerSystem:
     plane, so the planes form a Steiner 3-system on 2^d points (d >= 3).
 
     Points are numbered by their coordinates read as binary numbers, so the
-    fourth point a + b + c of a plane is a ^ b ^ c.
+    fourth point a + b + c of a plane is a ^ b ^ c. Each plane is built once,
+    from its three least points a < b < c, the one triple with a ^ b ^ c > c.
     """
     if d < 3:
         raise ValidationError("need affine dimension at least 3 for planes")
-    planes = {tuple(sorted((a, b, c, a ^ b ^ c)))
-              for a, b, c in combinations(range(1 << d), 3)}
+    if d >= VERIFY_POINT_CAP.bit_length():  # 2^d > cap, 2^d not formed
+        raise CapacityError(f"AG({d},2) has more points than verification cap "
+                            f"{VERIFY_POINT_CAP}", cap_name="steiner_points")
+    planes = [(a, b, c, a ^ b ^ c) for a, b, c in combinations(range(1 << d), 3)
+              if a ^ b ^ c > c]
     sys = make_system(3, 1 << d, planes)
     check = verify_steiner(sys)
     if not check.valid:

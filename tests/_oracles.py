@@ -12,7 +12,7 @@ from fixlat.errors import InternalConsistencyError, ValidationError
 from fixlat.exhaustive import enumerate_elements
 from fixlat.lattice import (SeparationResult, lattice_automorphisms,
                             lower_cone)
-from fixlat.perm import Permutation
+from fixlat.perm import Permutation, points_from_mask
 
 
 def element_table(G) -> np.ndarray:
@@ -69,6 +69,41 @@ def pairwise_separation(L) -> SeparationResult:
             if orders[i] == orders[j] and stabs[i].is_subgroup_of(stabs[j]):
                 return SeparationResult(False, (i, j))
     return SeparationResult(True, None)
+
+
+def lex_listing(m: int, levels) -> np.ndarray:
+    """Every product t_0 t_1 ... t_{m-1} (t_{m-1} applied first) of one
+    element t_i of each level's transversal, in lexicographic order.
+
+    The rows grow one level at a time: a row s whose images of 0..i-1 are
+    final gets the children s t_u, which keep those images and send i to
+    s(u), sorted by that image. Distinct rows differ on 0..i-1, so the
+    order stays lexicographic.
+    """
+    rows = np.arange(m, dtype=np.int16)[None, :]
+    for level in levels:
+        images = np.array(list(level), dtype=np.intp)
+        reps = np.array(list(level.values()), dtype=np.intp).reshape(len(level), m)
+        order = np.argsort(rows[:, images], axis=1)
+        rows = np.take_along_axis(rows[:, reps], order[:, :, None], axis=1)
+        rows = rows.reshape(-1, m)
+    return rows
+
+
+def listed_automorphisms(L) -> tuple[list[list[int]], list[list[int]]]:
+    """Every automorphism of L as element images, in lexicographic order of
+    the join-irreducible images and then of all images.
+
+    The rows come from ``lex_listing`` of the coset search's transversals,
+    each lifted by sending x to the element whose set of join-irreducibles
+    below is the image of that of x.
+    """
+    act = L._irreducible_action
+    element = {mask: x for x, mask in enumerate(act.masks)}
+    rows = [[element[sum(1 << perm[i] for i in points_from_mask(mask))]
+             for mask in act.masks]
+            for perm in lex_listing(len(act.irr), act.levels).tolist()]
+    return rows, sorted(rows)
 
 
 class RescanChain(StabilizerChain):

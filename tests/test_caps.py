@@ -7,7 +7,7 @@ on a larger input; at exactly that size the call goes through.
 
 import pytest
 
-from fixlat import closure, exhaustive, geometry, relational
+from fixlat import closure, exhaustive, geometry, group, relational
 from fixlat import serialize, steiner
 from fixlat.cli import main
 from fixlat.errors import CapacityError
@@ -46,6 +46,12 @@ CASES = {
     "pgl_generators": (
         geometry, "POINT_CAP", 100_000, 7, lambda: (2, 2),
         lambda pd: geometry.pgl_generators(*pd), CapacityError, "points"),
+    "pgl_generators_degree": (
+        group, "DEGREE_CAP", 4096, 7, lambda: (2, 2),
+        lambda pd: geometry.pgl_generators(*pd), CapacityError, "degree"),
+    "steiner_from_affine_planes": (
+        steiner, "VERIFY_POINT_CAP", 64, 8, lambda: 3,
+        steiner.steiner_from_affine_planes, CapacityError, "steiner_points"),
     "verify_steiner": (
         steiner, "VERIFY_POINT_CAP", 64, 7, fano_system,
         steiner.verify_steiner, CapacityError, "steiner_points"),

@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 import fixlat.geometry as geo
+import fixlat.group
 import fixlat.lattice
 from fixlat.closure import (FixsetLattice, closed_set_lattice, closure_mask,
                             enumerate_fixset_lattice)
@@ -68,6 +69,24 @@ def test_points_are_canonical_and_lex_sorted():
     for v in space.points:
         first = next(x for x in v if x)
         assert first == 1
+
+
+def filtered_points(p, d):
+    """Every vector of GF(p)^(d+1) whose first nonzero coordinate is 1."""
+    pts = []
+    for vec in product(range(p), repeat=d + 1):
+        for x in vec:
+            if x:
+                if x == 1:
+                    pts.append(vec)
+                break
+    return pts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_points_equal_the_filtered_vectors(p, d):
+    assert list(projective_points(p, d).points) == filtered_points(p, d)
 
 
 def test_non_prime_rejected():
@@ -266,3 +285,20 @@ def test_generator_verification_guard(monkeypatch):
     monkeypatch.setattr(geo, "_matrices", lambda p, n: broken)
     with pytest.raises(InternalConsistencyError):
         pgl_generators(2, 2)
+
+
+def test_pgl_degree_cap_before_any_matrix(monkeypatch):
+    # PG(1,99991) passes the point cap, and the dilation's primitive-root
+    # search alone makes p - 1 pow calls per candidate root
+    entered = []
+    matrices = geo._matrices
+
+    def recorded(p, n):
+        entered.append((p, n))
+        yield from matrices(p, n)
+
+    monkeypatch.setattr(geo, "_matrices", recorded)
+    monkeypatch.setattr(fixlat.group, "DEGREE_CAP", 6)
+    with pytest.raises(CapacityError, match="degree 7 exceeds cap 6") as info:
+        pgl_generators(2, 2)
+    assert info.value.cap_name == "degree" and entered == []

@@ -908,6 +908,20 @@ def test_hostile_geometry_sizes_exit_3_before_counting(argv):
     assert len(lines) == 1 and lines[0].startswith("capacity error (points): ")
 
 
+def test_cli_points_of_the_largest_projective_line(tmp_path):
+    # PG(1,99991) passes every cap with 99,992 points; the points are made
+    # directly, not filtered out of all p^2 vectors
+    out = tmp_path / "points.json"
+    proc = subprocess.run([sys.executable, "-m", "fixlat", "geometry", "points",
+                           "-p", "99991", "-d", "1", "--out", str(out)],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())["result"]
+    assert result["count"] == len(result["points"]) == 99_992
+    assert result["points"][:2] == [[0, 1], [1, 0]]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["subspaces", "-p", "2", "-d", "6"],
      "capacity error (order_matrix): order matrix of 29212 elements exceeds "

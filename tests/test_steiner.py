@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -6,8 +7,8 @@ import pytest
 from fixlat import _kernels, group, steiner
 from fixlat._chain import StabilizerChain
 from fixlat.closure import closure_mask, enumerate_fixset_lattice
-from fixlat.errors import (InternalConsistencyError, PreconditionError,
-                           ValidationError)
+from fixlat.errors import (CapacityError, InternalConsistencyError,
+                           PreconditionError, ValidationError)
 from fixlat.geometry import pgl_generators, projective_points
 from fixlat.group import PermutationGroup
 from fixlat.perm import mask_from_points, points_from_mask
@@ -127,7 +128,24 @@ def test_affine_planes_match_tuple_arithmetic(d):
     planes = {tuple(sorted((idx[a], idx[b], idx[c],
                             idx[tuple((x + y + z) % 2 for x, y, z in zip(a, b, c))])))
               for a, b, c in combinations(pts, 3)}
+    # and the plane of every triple, as a set of sorted quadruples
+    xor_planes = {tuple(sorted((a, b, c, a ^ b ^ c)))
+                  for a, b, c in combinations(range(2 ** d), 3)}
+    assert planes == xor_planes
     assert steiner_from_affine_planes(d) == make_system(3, 2 ** d, planes)
+
+
+def test_affine_planes_cap_before_any_plane():
+    # 2^10 points: C(1024, 3) = 178,433,024 triples if the cap came later
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="cap 64") as info:
+            steiner_from_affine_planes(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.cap_name == "steiner_points"
+    assert peak < 1 << 20
 
 
 def test_s348_shape(s348):
